@@ -12,6 +12,12 @@ from dataclasses import dataclass, fields
 
 SCHEMA_VERSION = 1
 
+# wire and field limits: node indices and x-coordinates are GF(256) elements
+# sent as u8; provider indices and datum lengths are u16 record header fields
+MAX_NODES = 255
+MAX_PROVIDERS = 65_535
+MAX_DATUM_SIZE = 65_535
+
 
 class ConfigError(Exception):
     pass
@@ -43,12 +49,16 @@ class ScenarioConfig:
         n, t, f = self.n_nodes, self.threshold, self.max_faulty
         if n < 1 or self.providers < 1:
             raise ConfigError("need at least one node and one provider")
+        if n > MAX_NODES:
+            raise ConfigError(f"n_nodes {n} exceeds {MAX_NODES} (one GF(256) x-coordinate each)")
+        if self.providers > MAX_PROVIDERS:
+            raise ConfigError(f"providers {self.providers} exceeds {MAX_PROVIDERS} (u16 index)")
         if not f < n / 2:
             raise ConfigError(f"max_faulty {f} must be < n/2 = {n / 2}")
         if not f < t <= n - f:
             raise ConfigError(f"threshold must satisfy {f} < t <= {n - f}, got {t}")
-        if self.datum_size_bytes < 1:
-            raise ConfigError("datum_size_bytes must be >= 1")
+        if not 1 <= self.datum_size_bytes <= MAX_DATUM_SIZE:
+            raise ConfigError(f"datum_size_bytes must lie in 1..{MAX_DATUM_SIZE}")
         if not 0 <= self.value_min <= self.value_max <= 255:
             raise ConfigError("value range must fit one byte")
         if self.preprocessing not in ("clamp", "moving_average", "fixed_width"):

@@ -73,10 +73,14 @@ def keystream_xor(
         return b""
     first_block, skip = divmod(offset, DIGEST_LEN)
     last_block = (offset + len(data) - 1) // DIGEST_LEN
-    stream = b"".join(
-        sha256(key.key, nonce, i.to_bytes(8, "big"))
-        for i in range(first_block, last_block + 1)
-    )
+    prefix = hashlib.sha256(key.key)
+    prefix.update(nonce)
+    blocks = []
+    for i in range(first_block, last_block + 1):
+        h = prefix.copy()
+        h.update(i.to_bytes(8, "big"))
+        blocks.append(h.digest())
+    stream = b"".join(blocks)
     stream = stream[skip : skip + len(data)]
     xored = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return xored.to_bytes(len(data), "big")

@@ -420,10 +420,9 @@ def run_scenario(
     sim = Simulator(ledger, rng, monitor)
 
     setup = roles.stage0_setup(sim, config, script)
-    if setup.exchange_possible:
-        roles.stage1_produce(sim, setup)
-        roles.stage2_register(sim, setup)
-        roles.stage3_exchange(sim, setup)
+    roles.stage1_produce(sim, setup)
+    roles.stage2_register(sim, setup)
+    roles.stage3_exchange(sim, setup)
     ledger.assert_conserved()
 
     consumer = setup.consumer

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import tee, wire
 from .config import ScenarioConfig
@@ -28,7 +27,7 @@ from .crypto import (
     encrypt,
     reconstruct,
 )
-from .crypto.shamir import evaluate_at
+from .crypto.shamir import evaluate_at  # noqa: F401  (perfbench traces calls via this binding)
 from .ledger import (
     BadKeyError,
     LedgerError,
@@ -134,7 +133,6 @@ class PDAppServer:
         self.script = script
         self.registry = registry
         self.cid: str | None = None
-        self.attested: dict[int, bool] = {}
         self.forwarded = 0
         self.retained_shares: dict[int, list] = {}  # stays empty by design
 
@@ -167,7 +165,6 @@ class PDAppServer:
                 msg.payload["mpk"] in self.registry.genuine_keys
                 and msg.payload["measurement"] == self.registry.expected_measurement
             )
-            self.attested[msg.payload["provider"]] = report_ok
             if not report_ok:
                 sim.note(f"server: device {msg.payload['provider']} failed attestation")
         elif msg.mtype == "data_shares":
@@ -213,6 +210,7 @@ class DexoNode:
         self.key: KeyMaterial | None = None
         self.group_key: KeyMaterial | None = None
         self.cipher: bytes | None = None
+        self.openings: bytes | None = None
         self.initialized = False
         self.attestation_failed = False
         self.revealed = False
@@ -281,6 +279,13 @@ class DexoNode:
         nonce = sim.ledger.contracts[self.cid].nonce()
         payload = wire.encode_node_payload(self.shares)
         self.cipher = encrypt(self.key, payload, nonce)
+        # built from the reports as received, so a share altered above no
+        # longer matches its signature
+        reports = [self.received[p][1] for p in sorted(self.received)]
+        openings = wire.encode_openings(
+            [(r.platform_public_key, r.signature) for r in reports]
+        )
+        self.openings = encrypt(self.key, openings, wire.openings_nonce(nonce, self.index))
         sim.ledger.initialize(
             self.account, self.cid, wire.payload_root(self.cipher), commit(self.key)
         )
@@ -300,7 +305,8 @@ class DexoNode:
         if self._act("equivocate", "stage3_deliver"):
             cipher = bytes([cipher[0] ^ 0xFF]) + cipher[1:]
             sim.note(f"{self.name}: equivocated on delivery")
-        sim.send(self.name, buyer, "ciphertext", {"node": self.index, "cipher": cipher})
+        sim.send(self.name, buyer, "ciphertext",
+                 {"node": self.index, "cipher": cipher, "openings": self.openings})
 
     def _on_notice_accept(self, sim: Simulator, msg: Message) -> None:
         buyer = msg.sender
@@ -331,24 +337,36 @@ class DexoNode:
 class Consumer:
     """Buyer state machine: pays only for digest-verified deliveries, settles
     only after a description-conformant reconstruction, disputes otherwise.
+
+    Faulty nodes are found from the device signatures: every node forwards,
+    in its openings blob, the signature its device made over each share. When
+    reconstruction fails or a mislabeled share is to be probed, the consumer
+    checks shares against their signatures, node by node in ascending order,
+    and takes each provider's first t authentic shares as its reference set.
     """
 
     name = "consumer"
     account = "consumer"
 
-    def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str):
+    def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str,
+                 registry: tee.AttestationRegistry):
         self.config = config
         self.script = script
         self.cid = cid
+        self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
         self.refuses_payment = script.role_action("consumer", "refuse", "stage3_pay")
         self.listing: dict | None = None
         self.delivered: dict[int, bytes] = {}
+        self.openings: dict[int, bytes] = {}  # encrypted openings blob per node
         self.invalid_deliveries: set[int] = set()
         self.responded: set[int] = set()
         self.accepted: set[int] = set()
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
+        self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's blobs
+        self._opened: dict[int, list[tuple[bytes, bytes]]] = {}  # decoded openings
+        self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
         self.phase = "idle"
         self.finished = False
@@ -421,6 +439,7 @@ class Consumer:
         cipher = msg.payload["cipher"]
         if wire.payload_root(cipher) == self.listing["delta"][j]:
             self.delivered[j] = cipher
+            self.openings[j] = msg.payload.get("openings", b"")
         else:
             self.invalid_deliveries.add(j)
             sim.note(f"consumer: digest mismatch from node {j}")
@@ -495,6 +514,7 @@ class Consumer:
         except ValueError:
             sim.note(f"consumer: undecodable payload from node {j}")
             return
+        self.share_keys[j] = key
         for share in shares:
             if share.node_index != j:
                 self.mislabeled.append((j, share.provider_index))
@@ -511,26 +531,23 @@ class Consumer:
             if com == opened and j in self.delivered and j not in self.node_shares:
                 self._ingest_shares(sim, j, key)
 
-    def _provider_shares(self, provider: int) -> dict[int, tuple[SecretShare, int]]:
-        """Distinct-x shares available for one provider: x -> (share, source node)."""
-        result: dict[int, tuple[SecretShare, int]] = {}
+    def _try_reconstruct(self, provider: int) -> tuple[bytes | None, bool]:
+        """Reconstruct from the t lowest distinct x-coordinates held for one
+        provider; also say whether the datum meets the description.
+        """
+        t = self.config.threshold
+        pool: dict[int, SecretShare] = {}
         for j in sorted(self.node_shares):
             share = self.node_shares[j].get(provider)
-            if share is not None and share.x_coordinate not in result:
-                result[share.x_coordinate] = (share, j)
-        return result
-
-    def _try_reconstruct(self, provider: int) -> tuple[bytes | None, bool]:
-        desc = self.listing["desc"]
-        pool = self._provider_shares(provider)
-        if len(pool) < self.config.threshold:
+            if share is not None:
+                pool.setdefault(share.x_coordinate, share)
+        if len(pool) < t:
             return None, False
-        picked = [pool[x][0] for x in sorted(pool)[: self.config.threshold]]
         try:
-            datum = reconstruct(self.config.threshold, self.config.n_nodes, picked)
+            datum = reconstruct(t, self.config.n_nodes, [pool[x] for x in sorted(pool)[:t]])
         except ShamirError:
             return None, False
-        return datum, conforms_to_description(datum, desc)
+        return datum, conforms_to_description(datum, self.listing["desc"])
 
     def _reconstruct_phase(self, sim: Simulator) -> None:
         self.phase = "reconstructing"
@@ -566,198 +583,162 @@ class Consumer:
 
     # -- disputes
 
+    def _is_authentic(self, j: int, provider: int) -> bool:
+        """Does node j's share of ``provider`` verify against the device
+        signature in the node's openings blob? A missing or malformed blob
+        authenticates nothing. Blobs are opened once and verdicts kept, so
+        each share costs at most one signature check.
+        """
+        if j not in self._opened:
+            nonce = wire.openings_nonce(self.listing["tid"].encode(), j)
+            blob = decrypt(self.share_keys[j], self.openings[j], nonce)
+            try:
+                self._opened[j] = wire.decode_openings(blob, self.config.providers)
+            except ValueError:
+                self._opened[j] = []
+        if (j, provider) not in self._authentic:
+            records = self._opened[j]
+            verdict = False
+            if provider <= len(records):
+                public_key, signature = records[provider - 1]
+                share = self.node_shares[j][provider]
+                measurement = self.registry.expected_measurement
+                report = tee.AttestationReport(share, measurement, signature, public_key)
+                verdict = tee.attest_report(self.registry, report)
+            self._authentic[j, provider] = verdict
+        return self._authentic[j, provider]
+
+    def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:
+        """Up to ``count`` authentic (share, node) entries for one provider:
+        nodes in ascending order, skipping a repeated x-coordinate. Shares
+        past the last entry needed are not checked.
+        """
+        entries: list[tuple[SecretShare, int]] = []
+        xs: set[int] = set()
+        for j in sorted(self.node_shares):
+            if len(entries) == count:
+                break
+            share = self.node_shares[j].get(provider)
+            if share is None or share.x_coordinate in xs or not self._is_authentic(j, provider):
+                continue
+            entries.append((share, j))
+            xs.add(share.x_coordinate)
+        return entries
+
     def _evidence(self, share: SecretShare, source_node: int) -> wire.ShareEvidence:
         return wire.build_share_evidence(
             share, source_node, self.delivered[source_node],
             self.config.datum_size_bytes,
         )
 
-    def _case1_search(self, provider: int):
-        """Two differing consistent (t+1)-combinations agreeing on the datum."""
-        pool = self._provider_shares(provider)
-        entries = [pool[x] for x in sorted(pool)]
-        t = self.config.threshold
-        found = []
-        for combo in combinations(entries, t + 1):
-            shares = [s for s, _ in combo]
-            try:
-                datum = reconstruct(t, self.config.n_nodes, shares)
-            except ShamirError:
-                continue
-            found.append((combo, datum))
-            if len(found) == 2:
-                if found[0][1] == found[1][1]:
-                    return found[0], found[1]
-                found.pop()
-        return None
-
-    def _dispute_case1(self, sim: Simulator, provider: int) -> bool:
-        pair = self._case1_search(provider)
-        if pair is None:
-            return False
-        (combo1, datum), (combo2, _) = pair
-        if conforms_to_description(datum, self.listing["desc"]):
-            return False
-        set1 = [self._evidence(s, src) for s, src in combo1]
-        set2 = [self._evidence(s, src) for s, src in combo2]
-        try:
-            result = sim.ledger.challenge_case1(self.account, self.cid, set1, set2)
-        except LedgerError as exc:
-            self.dispute_log.append(f"case1 provider {provider}: rejected ({exc})")
-            return False
-        self.dispute_log.append(
-            f"case1 provider {provider}: accepted={result.accepted} "
-            f"refunded={list(result.refunded_nodes)}"
-        )
-        return result.accepted
-
-    def _find_good_nodes(self) -> tuple[list[int], dict[int, bytes]] | None:
-        """The node subset whose reconstruction best explains the evidence.
-
-        Among threshold-size subsets that yield description-conformant data
-        for every provider, prefer the one whose polynomials agree with the
-        most other delivered shares (the honest polynomial explains every
-        honest node, a forged one essentially only its own basis); ties fall
-        to lexicographic order for determinism.
+    def _challenge(self, label: str, challenge, first: list, second: list):
+        """Submit one challenge built from (share, source node) entries and log
+        its result; None if the contract rejected it.
         """
-        t = self.config.threshold
-        desc = self.listing["desc"]
-        candidates = sorted(self.node_shares)
-        best: tuple[int, list[int], dict[int, bytes]] | None = None
-        for combo in combinations(candidates, t):
-            data: dict[int, bytes] = {}
-            score = 0
-            for provider in range(1, self.config.providers + 1):
-                shares = [
-                    self.node_shares[j][provider]
-                    for j in combo
-                    if provider in self.node_shares[j]
-                ]
-                if len(shares) != t or len({s.x_coordinate for s in shares}) != t:
-                    break
-                try:
-                    datum = reconstruct(t, self.config.n_nodes, shares)
-                except ShamirError:
-                    break
-                if not conforms_to_description(datum, desc):
-                    break
-                data[provider] = datum
-                basis_x = {s.x_coordinate for s in shares}
-                for x, (share, _) in self._provider_shares(provider).items():
-                    if x not in basis_x and evaluate_at(shares, x) == share.y_values:
-                        score += 1
-            else:
-                if best is None or score > best[0]:
-                    best = (score, list(combo), data)
-        if best is None:
+        first_ev = [self._evidence(s, src) for s, src in first]
+        second_ev = [self._evidence(s, src) for s, src in second]
+        try:
+            result = challenge(self.account, self.cid, first_ev, second_ev)
+        except LedgerError as exc:
+            self.dispute_log.append(f"{label}: rejected ({exc})")
             return None
-        return best[1], best[2]
+        self.dispute_log.append(
+            f"{label}: accepted={result.accepted} refunded={list(result.refunded_nodes)}"
+        )
+        return result
 
-    def _dispute_case2(self, sim: Simulator) -> bool:
-        found = self._find_good_nodes()
-        if found is None:
-            return False
-        good_nodes, data = found
-        t = self.config.threshold
-        suspects = [j for j in sorted(self.node_shares) if j not in good_nodes]
-        already_refunded: set[int] = set()
-        any_refund = False
+    def _dispute(self, sim: Simulator, failing: list[int]) -> None:
+        """Reconstruct each provider from its first t authentic shares. If a
+        datum breaks the description, two differing authentic (t+1)-sets
+        prove it (case 1) and all escrow returns; otherwise accuse every node
+        holding a share that fails authentication (case 2) and settle.
+        """
+        self.phase = "disputing"
+        t, n = self.config.threshold, self.config.n_nodes
+        desc = self.listing["desc"]
+        for provider in failing:
+            entries = self._reference(provider, t + 2)
+            if len(entries) < t + 2:
+                continue
+            datum = reconstruct(t, n, [s for s, _ in entries[:t]])
+            if conforms_to_description(datum, desc):
+                continue
+            result = self._challenge(
+                f"case1 provider {provider}", sim.ledger.challenge_case1,
+                entries[: t + 1], entries[:t] + entries[t + 1 :],
+            )
+            if result is not None and result.accepted:
+                for p in range(1, self.config.providers + 1):
+                    self.reconstructed.setdefault(p, None)
+                self.reconstruction_valid = False
+                self._finish(sim, "aborted-by-dispute")
+                return
+        references: dict[int, list[tuple[SecretShare, int]]] = {}
+        data: dict[int, bytes] = {}
         for provider in range(1, self.config.providers + 1):
-            good_entries = [(self.node_shares[j][provider], j) for j in good_nodes]
-            accused = []
-            for j in suspects:
-                if j in already_refunded:
-                    continue
-                share = self.node_shares[j].get(provider)
-                if share is None:
-                    continue
-                refs = [s for s, _ in good_entries if s.x_coordinate != share.x_coordinate]
-                refs = refs[: t - 1]
-                if len(refs) < t - 1:
-                    continue
-                try:
-                    check = reconstruct(t, self.config.n_nodes, [share] + refs)
-                    mismatch = check != data[provider]
-                except ShamirError:
-                    mismatch = True
-                if mismatch:
-                    accused.append((share, j))
+            entries = self._reference(provider, t)
+            if len(entries) < t:
+                break
+            datum = reconstruct(t, n, [s for s, _ in entries])
+            if not conforms_to_description(datum, desc):
+                break
+            references[provider], data[provider] = entries, datum
+        if len(data) < self.config.providers:
+            self._finish(sim, "no-valid-reconstruction")
+            return
+        self._dispute_case2(sim, references)
+        self.reconstructed.update(data)
+        self.reconstruction_valid = True
+        self._settle(sim)
+
+    def _dispute_case2(
+        self, sim: Simulator, references: dict[int, list[tuple[SecretShare, int]]]
+    ) -> None:
+        """Accuse, provider by provider, every node outside the reference set
+        whose share fails authentication.
+        """
+        already_refunded: set[int] = set()
+        for provider, good_entries in references.items():
+            good = {j for _, j in good_entries}
+            accused = [
+                (self.node_shares[j][provider], j)
+                for j in sorted(self.node_shares)
+                if j not in good and j not in already_refunded
+                and provider in self.node_shares[j]
+                and not self._is_authentic(j, provider)
+            ]
             if not accused:
                 continue
             # order the reference set so its first t-1 entries avoid the
             # accused x-coordinates
             accused_x = {s.x_coordinate for s, _ in accused}
             ordered = sorted(good_entries, key=lambda e: e[0].x_coordinate in accused_x)
-            good_ev = [self._evidence(s, src) for s, src in ordered]
-            bad_ev = [self._evidence(s, src) for s, src in accused]
-            try:
-                result = sim.ledger.challenge_case2(
-                    self.account, self.cid, good_ev, bad_ev
-                )
-            except LedgerError as exc:
-                self.dispute_log.append(f"case2 provider {provider}: rejected ({exc})")
-                continue
-            self.dispute_log.append(
-                f"case2 provider {provider}: accepted={result.accepted} "
-                f"refunded={list(result.refunded_nodes)}"
+            result = self._challenge(
+                f"case2 provider {provider}", sim.ledger.challenge_case2, ordered, accused
             )
-            already_refunded.update(result.refunded_nodes)
-            any_refund = any_refund or result.accepted
-        for provider, datum in data.items():
-            self.reconstructed[provider] = datum
-        self.reconstruction_valid = True
-        return True
+            if result is not None:
+                already_refunded.update(result.refunded_nodes)
 
     def _probe_mislabeled(self, sim: Simulator) -> None:
         """Challenge sessions that delivered mislabeled shares, one accused
         node at a time so reference sets can dodge x-coordinate collisions;
         the contract rejects each accusation whose share data is consistent.
         """
-        found = self._find_good_nodes()
-        if found is None:
-            return
-        good_nodes, _ = found
         t = self.config.threshold
         for j, provider in sorted(set(self.mislabeled), key=lambda e: (e[1], e[0])):
             share = self.node_shares.get(j, {}).get(provider)
-            if share is None:
+            good_entries = self._reference(provider, t)
+            if share is None or len(good_entries) < t:
                 continue
-            good_entries = [(self.node_shares[g][provider], g) for g in good_nodes]
             ordered = sorted(
                 good_entries, key=lambda e: e[0].x_coordinate == share.x_coordinate
             )
             if any(s.x_coordinate == share.x_coordinate for s, _ in ordered[: t - 1]):
                 continue
-            good_ev = [self._evidence(s, src) for s, src in ordered]
-            bad_ev = [self._evidence(share, j)]
-            try:
-                result = sim.ledger.challenge_case2(
-                    self.account, self.cid, good_ev, bad_ev
-                )
-                self.dispute_log.append(
-                    f"case2 node {j} provider {provider} (mislabel probe): "
-                    f"accepted={result.accepted} refunded={list(result.refunded_nodes)}"
-                )
-            except LedgerError as exc:
-                self.dispute_log.append(
-                    f"case2 node {j} provider {provider} (mislabel probe): "
-                    f"rejected ({exc})"
-                )
-
-    def _dispute(self, sim: Simulator, failing: list[int]) -> None:
-        self.phase = "disputing"
-        for provider in failing:
-            if self._dispute_case1(sim, provider):
-                # all escrow came back; the exchange is aborted
-                for p in range(1, self.config.providers + 1):
-                    self.reconstructed.setdefault(p, None)
-                self.reconstruction_valid = False
-                self._finish(sim, "aborted-by-dispute")
-                return
-        if self._dispute_case2(sim):
-            self._settle(sim)
-            return
-        self._finish(sim, "no-valid-reconstruction")
+            self._challenge(
+                f"case2 node {j} provider {provider} (mislabel probe)",
+                sim.ledger.challenge_case2, ordered, [(share, j)],
+            )
 
     # -- settlement
 
@@ -847,7 +828,6 @@ class ProtocolSetup:
     nodes: dict[int, DexoNode]
     consumer: Consumer
     cid: str | None = None
-    exchange_possible: bool = True
     priority_group: list[int] = field(default_factory=list)
 
 
@@ -899,7 +879,7 @@ def stage0_setup(
         nodes[j] = node
         sim.register(node)
 
-    consumer = Consumer(config, script, cid)
+    consumer = Consumer(config, script, cid, registry)
     sim.register(consumer)
 
     for device in devices:

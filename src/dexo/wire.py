@@ -1,7 +1,9 @@
 """Canonical byte encodings used on the wire and inside dispute evidence.
 
 A node's ciphertext blob is the encryption of its share records concatenated
-in provider order. Records are fixed-width for a given listing (every
+in provider order. Beside it travels the node's openings blob, encrypted
+under the same key with its own nonce: the device signature of every share
+record, which lets the consumer tell authentic shares from altered ones. Records are fixed-width for a given listing (every
 provider's datum has the advertised size), so the byte range of provider i's
 record, and hence the Merkle leaves covering it, are computable by anyone who
 knows the listing description. Dispute evidence exploits this: the contract
@@ -159,3 +161,40 @@ def verify_share_evidence(
 
 def payload_root(node_payload_cipher: bytes) -> MerkleRoot:
     return merkle_root(chunk_payload(node_payload_cipher))
+
+
+# ---------------------------------------------------------------- openings
+
+_PUBLIC_KEY_LEN = 32
+_SIGNATURE_LEN = 64
+OPENING_LEN = _PUBLIC_KEY_LEN + _SIGNATURE_LEN
+
+
+def openings_nonce(payload_nonce: bytes, node_index: int) -> bytes:
+    """Nonce of node j's openings blob.
+
+    It differs from the payload nonce, so one key never encrypts the payload
+    and the openings under the same keystream, and it differs per node, so a
+    priority group sharing one key never reuses a keystream either.
+    """
+    return payload_nonce + b"|openings|" + node_index.to_bytes(1, "big")
+
+
+def encode_openings(openings: list[tuple[bytes, bytes]]) -> bytes:
+    """One fixed-width record per provider, in provider order: the device's
+    platform public key and its signature over the share record.
+    """
+    for public_key, signature in openings:
+        if len(public_key) != _PUBLIC_KEY_LEN or len(signature) != _SIGNATURE_LEN:
+            raise ValueError("opening record has the wrong width")
+    return b"".join(public_key + signature for public_key, signature in openings)
+
+
+def decode_openings(blob: bytes, count: int) -> list[tuple[bytes, bytes]]:
+    """Inverse of :func:`encode_openings`; the blob must hold ``count`` records."""
+    if len(blob) != count * OPENING_LEN:
+        raise ValueError(f"openings blob holds {len(blob)} bytes, expected {count} records")
+    return [
+        (blob[pos : pos + _PUBLIC_KEY_LEN], blob[pos + _PUBLIC_KEY_LEN : pos + OPENING_LEN])
+        for pos in range(0, len(blob), OPENING_LEN)
+    ]

@@ -3,8 +3,16 @@
 import math
 from pathlib import Path
 
+import pytest
+
 from dexo import cli, harness
-from dexo.config import ScenarioConfig, format_config
+from dexo.config import (
+    MAX_DATUM_SIZE,
+    MAX_NODES,
+    MAX_PROVIDERS,
+    ScenarioConfig,
+    format_config,
+)
 from dexo.harness import (
     CHAINLINK_API_CALL_GAS,
     CHAINLINK_PRICE_FEED_GAS,
@@ -135,6 +143,18 @@ def test_cli_rejects_bad_config(tmp_path):
     path.write_text("schema_version = 1\nn_nodes = 4\nthreshold = 3\n"
                     "max_faulty = 2\nproviders = 1\n")
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field,limit,overrides", [
+    ("n_nodes", MAX_NODES, dict(threshold=128, max_faulty=127)),
+    ("providers", MAX_PROVIDERS, {}),
+    ("datum_size_bytes", MAX_DATUM_SIZE, {}),
+])
+def test_cli_rejects_config_beyond_wire_limits(tmp_path, capsys, field, limit, overrides):
+    _base_config(**overrides, **{field: limit}).validate()
+    cfg_path = _write_config(tmp_path, **overrides, **{field: limit + 1})
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_adversary(tmp_path):

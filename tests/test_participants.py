@@ -164,6 +164,32 @@ def test_tamper_never_refunds_honest_nodes():
         assert set(trace.outcome.refunded_sessions) <= {1, 2, 3}
 
 
+def test_unauthenticated_consistent_node_is_never_refunded():
+    """A node whose openings blob is unreadable cannot authenticate its
+    shares, so the consumer accuses it; the contract rejects the accusation
+    because its shares are consistent, and only the tampering nodes lose.
+    """
+    config = suite_config(seed=17)
+    script = AdversaryScript(
+        name="TAMPER_TWO_GARBLE_ONE",
+        corrupted_nodes=frozenset({1, 2, 3}),
+        rules=(Rule("stage2_commit", "substitute_share", 1),
+               Rule("stage2_commit", "substitute_share", 2)),
+    )
+    sim = Simulator(Ledger(), random.Random(config.seed),
+                    CoalitionMonitor(config.threshold, config.threshold))
+    setup = stage0_setup(sim, config, script)
+    stage1_produce(sim, setup)
+    stage2_register(sim, setup)
+    setup.nodes[3].openings = b"garbled"
+    stage3_exchange(sim, setup)
+    consumer = setup.consumer
+    assert consumer.reconstruction_valid
+    assert consumer.sessions_in_state("REFUNDED", sim.ledger) == (1, 2)
+    assert consumer.dispute_log[0] == "case2 provider 1: accepted=True refunded=[1, 2]"
+    assert all("accepted=False" in d for d in consumer.dispute_log[1:])
+
+
 def test_source_collusion_full_refund():
     trace = run_scenario(suite_config(adversary="SOURCE_NODE_COLLUSION", seed=11))
     o = trace.outcome

@@ -44,6 +44,26 @@ def test_decode_rejects_truncation():
         wire.decode_shares(payload[:-1])
 
 
+def test_openings_roundtrip_and_fixed_width():
+    rng = random.Random(4)
+    records = [(rng.randbytes(32), rng.randbytes(64)) for _ in range(3)]
+    blob = wire.encode_openings(records)
+    assert len(blob) == 3 * wire.OPENING_LEN
+    assert wire.decode_openings(blob, 3) == records
+    for bad in (blob[:-1], blob + b"\x00"):
+        with pytest.raises(ValueError):
+            wire.decode_openings(bad, 3)
+    with pytest.raises(ValueError):
+        wire.decode_openings(blob, 2)
+    with pytest.raises(ValueError):
+        wire.encode_openings([(bytes(31), bytes(64))])
+
+
+def test_openings_nonce_is_domain_separated():
+    nonces = {wire.openings_nonce(b"tid-1", j) for j in range(1, 6)}
+    assert len(nonces) == 5 and b"tid-1" not in nonces
+
+
 def test_leaf_span():
     assert wire.leaf_span(0, 10) == (0, 0)
     assert wire.leaf_span(0, 32) == (0, 0)
