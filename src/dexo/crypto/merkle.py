@@ -30,14 +30,21 @@ class MerkleRoot:
     leaf_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
     leaf_index: int
     siblings: tuple[bytes, ...]
     leaf_count: int
 
 
+def proof_length(leaf_count: int) -> int:
+    """Number of siblings in every proof of a ``leaf_count``-leaf tree."""
+    return (leaf_count - 1).bit_length()
+
+
 def _levels(chunks: list[bytes]) -> list[list[bytes]]:
+    if not chunks:
+        raise EmptyInputError("cannot build a tree over zero chunks")
     level = [sha256(TAG_LEAF, c) for c in chunks]
     levels = [level]
     while len(level) > 1:
@@ -52,31 +59,36 @@ def _levels(chunks: list[bytes]) -> list[list[bytes]]:
 
 
 def merkle_root(chunks: list[bytes]) -> MerkleRoot:
-    if not chunks:
-        raise EmptyInputError("cannot build a tree over zero chunks")
     return MerkleRoot(digest=_levels(chunks)[-1][0], leaf_count=len(chunks))
 
 
+def merkle_proofs(chunks: list[bytes]) -> tuple[MerkleRoot, list[MerkleProof]]:
+    """The root and every leaf's proof, in leaf order, from one tree build.
+
+    Proofs hold the tree's own digest objects, so they add no copies.
+    """
+    levels = _levels(chunks)
+    count = len(chunks)
+    inner = levels[:-1]
+    proofs = [
+        MerkleProof(
+            leaf_index=i,
+            siblings=tuple(level[(i >> depth) ^ 1] for depth, level in enumerate(inner)),
+            leaf_count=count,
+        )
+        for i in range(count)
+    ]
+    return MerkleRoot(digest=levels[-1][0], leaf_count=count), proofs
+
+
 def merkle_prove(chunks: list[bytes], leaf_index: int) -> MerkleProof:
-    if not chunks:
-        raise EmptyInputError("cannot build a tree over zero chunks")
-    if not 0 <= leaf_index < len(chunks):
+    if chunks and not 0 <= leaf_index < len(chunks):
         raise IndexOutOfRangeError(f"leaf {leaf_index} of {len(chunks)}")
-    siblings = []
-    index = leaf_index
-    for level in _levels(chunks)[:-1]:
-        siblings.append(level[index ^ 1])
-        index //= 2
-    return MerkleProof(
-        leaf_index=leaf_index, siblings=tuple(siblings), leaf_count=len(chunks)
-    )
+    return merkle_proofs(chunks)[1][leaf_index]
 
 
-def merkle_verify(root: MerkleRoot, chunk: bytes, proof: MerkleProof) -> bool:
-    if proof.leaf_count != root.leaf_count:
-        return False
-    if not 0 <= proof.leaf_index < proof.leaf_count:
-        return False
+def path_root(chunk: bytes, proof: MerkleProof) -> bytes:
+    """Digest of the root reached by walking ``proof`` up from ``chunk``."""
     node = sha256(TAG_LEAF, chunk)
     index = proof.leaf_index
     for sibling in proof.siblings:
@@ -85,4 +97,14 @@ def merkle_verify(root: MerkleRoot, chunk: bytes, proof: MerkleProof) -> bool:
         else:
             node = sha256(TAG_NODE, node, sibling)
         index //= 2
-    return index == 0 and node == root.digest
+    return node
+
+
+def merkle_verify(root: MerkleRoot, chunk: bytes, proof: MerkleProof) -> bool:
+    if proof.leaf_count != root.leaf_count:
+        return False
+    if not 0 <= proof.leaf_index < proof.leaf_count:
+        return False
+    if proof.leaf_index >> len(proof.siblings):
+        return False
+    return path_root(chunk, proof) == root.digest

@@ -1,8 +1,8 @@
 """Hash commitments, keystream encryption, and Ed25519 signatures.
 
 A single 256-bit hash (SHA-256) is used everywhere, with one-byte domain
-separation tags so commitment, Merkle-leaf, and Merkle-node inputs can never
-collide across uses.
+separation tags so key-commitment, Merkle-leaf, Merkle-node, share-commitment
+and salt-derivation inputs can never collide across uses.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 TAG_COMMIT = b"\x00"
 TAG_LEAF = b"\x01"
 TAG_NODE = b"\x02"
+TAG_SHARE = b"\x03"
+TAG_SALT = b"\x04"
 
 KEY_LEN = 32
 DIGEST_LEN = 32

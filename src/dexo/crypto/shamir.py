@@ -48,7 +48,7 @@ class InconsistentSharesError(ShamirError):
         super().__init__(f"shares at x={offending_x} are off the polynomial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecretShare:
     provider_index: int
     node_index: int

@@ -232,6 +232,12 @@ def _feed(h, value) -> None:
         h.update(value.measurement.digest)
         h.update(value.signature)
         h.update(value.platform_public_key)
+        h.update(value.salt)
+        proof = value.proof
+        h.update(proof.leaf_index.to_bytes(2, "big"))
+        h.update(proof.leaf_count.to_bytes(2, "big"))
+        for sibling in proof.siblings:
+            h.update(sibling)
     elif isinstance(value, (list, tuple)):
         h.update(b"l")
         for item in value:
@@ -256,7 +262,7 @@ def _payload_digest(mtype: str, payload: dict) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     receiver: str
@@ -264,7 +270,7 @@ class Message:
     payload: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     seq: int
     sender: str

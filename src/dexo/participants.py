@@ -20,6 +20,7 @@ from . import tee, wire
 from .config import ScenarioConfig
 from .crypto import (
     KeyMaterial,
+    MerkleProof,
     SecretShare,
     ShamirError,
     commit,
@@ -280,10 +281,12 @@ class DexoNode:
         payload = wire.encode_node_payload(self.shares)
         self.cipher = encrypt(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
-        # longer matches its signature
+        # longer opens to its device's signed root
         reports = [self.received[p][1] for p in sorted(self.received)]
         openings = wire.encode_openings(
-            [(r.platform_public_key, r.signature) for r in reports]
+            [wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
+             for r in reports],
+            self.config.n_nodes,
         )
         self.openings = encrypt(self.key, openings, wire.openings_nonce(nonce, self.index))
         sim.ledger.initialize(
@@ -339,10 +342,11 @@ class Consumer:
     only after a description-conformant reconstruction, disputes otherwise.
 
     Faulty nodes are found from the device signatures: every node forwards,
-    in its openings blob, the signature its device made over each share. When
-    reconstruction fails or a mislabeled share is to be probed, the consumer
-    checks shares against their signatures, node by node in ascending order,
-    and takes each provider's first t authentic shares as its reference set.
+    in its openings blob, each share's salt and Merkle path together with the
+    root its device signed. When reconstruction fails or a mislabeled share
+    is to be probed, the consumer checks shares against their openings, node
+    by node in ascending order, and takes each provider's first t authentic
+    shares as its reference set.
     """
 
     name = "consumer"
@@ -365,7 +369,7 @@ class Consumer:
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
         self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's blobs
-        self._opened: dict[int, list[tuple[bytes, bytes]]] = {}  # decoded openings
+        self._opened: dict[int, list[wire.Opening]] = {}  # decoded openings
         self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
         self.phase = "idle"
@@ -584,26 +588,31 @@ class Consumer:
     # -- disputes
 
     def _is_authentic(self, j: int, provider: int) -> bool:
-        """Does node j's share of ``provider`` verify against the device
-        signature in the node's openings blob? A missing or malformed blob
-        authenticates nothing. Blobs are opened once and verdicts kept, so
-        each share costs at most one signature check.
+        """Does node j's share of ``provider`` open to the device-signed root
+        in the node's openings blob? The proof's leaf is the share's own node
+        label. A missing or malformed blob authenticates nothing. Blobs are
+        opened once and verdicts kept, so each share is checked at most once.
         """
         if j not in self._opened:
             nonce = wire.openings_nonce(self.listing["tid"].encode(), j)
             blob = decrypt(self.share_keys[j], self.openings[j], nonce)
             try:
-                self._opened[j] = wire.decode_openings(blob, self.config.providers)
+                self._opened[j] = wire.decode_openings(
+                    blob, self.config.providers, self.config.n_nodes
+                )
             except ValueError:
                 self._opened[j] = []
         if (j, provider) not in self._authentic:
             records = self._opened[j]
             verdict = False
             if provider <= len(records):
-                public_key, signature = records[provider - 1]
+                o = records[provider - 1]
                 share = self.node_shares[j][provider]
-                measurement = self.registry.expected_measurement
-                report = tee.AttestationReport(share, measurement, signature, public_key)
+                proof = MerkleProof(share.node_index - 1, o.siblings, self.config.n_nodes)
+                report = tee.AttestationReport(
+                    share, self.registry.expected_measurement, o.signature,
+                    o.public_key, o.salt, proof,
+                )
                 verdict = tee.attest_report(self.registry, report)
             self._authentic[j, provider] = verdict
         return self._authentic[j, provider]

@@ -1,12 +1,14 @@
 """Software stand-in for attested execution on provider devices.
 
 Each device hosts one trusted-application instance that preprocesses raw
-readings, secret-shares the formatted datum, and signs every share together
-with a runtime measurement. The attestation registry plays the vendor
-service: it accepts a report iff the signature verifies under a registered
-platform key and the measurement equals the ratified value. A tampered
-instance is modeled by a flag that perturbs its measurement, which is exactly
-what registration is meant to catch.
+readings and secret-shares the formatted datum. It commits to every share
+under a fresh salt, builds one Merkle tree over the commitments in node
+order, and signs the root together with a runtime measurement, once per
+datum. The attestation registry plays the vendor service: it accepts a
+report iff the share's opening leads to a root whose signature verifies
+under a registered platform key and the measurement equals the ratified
+value. A tampered instance is modeled by a flag that perturbs its
+measurement, which is exactly what registration is meant to catch.
 """
 
 from __future__ import annotations
@@ -16,10 +18,15 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .crypto import (
+    TAG_SALT,
+    TAG_SHARE,
+    MerkleProof,
     SecretShare,
     SignatureKeyPair,
     create_shares,
     generate_keypair,
+    merkle_proofs,
+    path_root,
     sha256,
     sign,
     verify,
@@ -126,48 +133,66 @@ def measure(descriptor: bytes, version: bytes = TA_VERSION, tampered: bool = Fal
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttestationReport:
+    """One share with its opening: the salt of its commitment and the Merkle
+    path from that commitment to the root the device signed.
+    """
+
     share: SecretShare
     measurement: RuntimeMeasurement
     signature: bytes
     platform_public_key: bytes
+    salt: bytes
+    proof: MerkleProof
 
 
 @dataclass
 class AttestationRegistry:
+    """Genuine platform keys and the ratified measurement. It also remembers
+    each signature verdict for the run it serves, so N nodes checking one
+    datum's root cost one verification.
+    """
+
     genuine_keys: set[bytes] = field(default_factory=set)
     expected_measurement: RuntimeMeasurement | None = None
+    verdicts: dict[tuple[bytes, bytes, bytes], bool] = field(default_factory=dict)
 
     def register_key(self, public_key: bytes) -> None:
         self.genuine_keys.add(public_key)
 
 
-def report_payload(share: SecretShare, measurement: RuntimeMeasurement) -> bytes:
-    return wire.encode_share(share) + measurement.digest
+def share_commitment(salt: bytes, share: SecretShare) -> bytes:
+    return sha256(TAG_SHARE, salt, wire.encode_share(share))
 
 
 def attest_report(registry: AttestationRegistry, report: AttestationReport) -> bool:
-    """True iff signed by a registered platform running the ratified program."""
+    """True iff the share opens to a root signed by a registered platform
+    running the ratified program. The opening is checked on every call; only
+    the signature verdict is remembered.
+    """
     if report.platform_public_key not in registry.genuine_keys:
         return False
     if report.measurement != registry.expected_measurement:
         return False
-    return verify(
-        report.platform_public_key,
-        report_payload(report.share, report.measurement),
-        report.signature,
-    )
+    if report.proof.leaf_index != report.share.node_index - 1:
+        return False
+    root = path_root(share_commitment(report.salt, report.share), report.proof)
+    key = (report.platform_public_key, root + report.measurement.digest, report.signature)
+    verdict = registry.verdicts.get(key)
+    if verdict is None:
+        verdict = registry.verdicts[key] = verify(*key)
+    return verdict
 
 
 @dataclass
 class TeeInstance:
     eid: str
-    program_hash: bytes
     keypair: SignatureKeyPair = field(repr=False)
     measurement: RuntimeMeasurement
     tampered: bool
-    state: dict = field(default_factory=dict)
+    salt_key: bytes = field(repr=False)
+    rounds: int = 0
     _rng: random.Random = field(default=None, repr=False)
 
 
@@ -184,13 +209,13 @@ class TeePlatform:
             raise TeeError("program descriptor must be nonempty")
         self._counter += 1
         eid = f"tee-{self._counter}"
-        keypair = generate_keypair(self._rng.randbytes(32))
+        seed = self._rng.randbytes(32)
         self._instances[eid] = TeeInstance(
             eid=eid,
-            program_hash=sha256(descriptor),
-            keypair=keypair,
+            keypair=generate_keypair(seed),
             measurement=measure(descriptor, tampered=tampered),
             tampered=tampered,
+            salt_key=sha256(TAG_SALT, seed),
             _rng=random.Random(self._rng.getrandbits(64)),
         )
         return eid
@@ -217,26 +242,29 @@ class TeePlatform:
     ) -> tuple[list[SecretShare], list[AttestationReport], bytes]:
         """Preprocess, share, and sign inside the instance.
 
-        Share j is destined for node j; each report signs the share record
-        together with the runtime measurement.
+        Share j is destined for node j. Its salt is derived from the
+        instance's secret, the datum's round and j, so the platform and share
+        randomness are untouched. One signature covers the Merkle root of
+        the salted share commitments together with the runtime measurement.
         """
         inst = self._instance(eid)
         if not raw:
             raise PreprocessingFailure("raw input is empty")
         datum = preprocess(raw, rule)
         shares = create_shares(t, n, datum, rng=inst._rng, provider_index=provider_index)
+        inst.rounds += 1
+        prefix = inst.salt_key + inst.rounds.to_bytes(8, "big")
+        salts = [sha256(prefix, s.node_index.to_bytes(2, "big")) for s in shares]
+        root, proofs = merkle_proofs(
+            [share_commitment(salt, s) for salt, s in zip(salts, shares)]
+        )
+        signature = sign(inst.keypair.private_key, root.digest + inst.measurement.digest)
+        public_key = inst.keypair.public_key
         reports = [
-            AttestationReport(
-                share=s,
-                measurement=inst.measurement,
-                signature=sign(
-                    inst.keypair.private_key, report_payload(s, inst.measurement)
-                ),
-                platform_public_key=inst.keypair.public_key,
-            )
-            for s in shares
+            AttestationReport(s, inst.measurement, signature, public_key, salt, proof)
+            for s, salt, proof in zip(shares, salts, proofs)
         ]
-        return shares, reports, inst.keypair.public_key
+        return shares, reports, public_key
 
     def attest_ok(self, registry: AttestationRegistry, eid: str) -> bool:
         measurement, sig, mpk = self.resume_attest(eid)

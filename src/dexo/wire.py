@@ -2,8 +2,10 @@
 
 A node's ciphertext blob is the encryption of its share records concatenated
 in provider order. Beside it travels the node's openings blob, encrypted
-under the same key with its own nonce: the device signature of every share
-record, which lets the consumer tell authentic shares from altered ones. Records are fixed-width for a given listing (every
+under the same key with its own nonce: for every share record, the device's
+signed Merkle root, the salt of the share's commitment and its path to that
+root, which lets the consumer tell authentic shares from altered ones.
+Records are fixed-width for a given listing (every
 provider's datum has the advertised size), so the byte range of provider i's
 record, and hence the Merkle leaves covering it, are computable by anyone who
 knows the listing description. Dispute evidence exploits this: the contract
@@ -21,9 +23,10 @@ from .crypto import (
     MerkleRoot,
     SecretShare,
     keystream_xor,
-    merkle_prove,
+    merkle_proofs,
     merkle_root,
     merkle_verify,
+    proof_length,
 )
 
 CHUNK_SIZE = 32
@@ -120,8 +123,9 @@ def build_share_evidence(
     chunks = chunk_payload(node_payload_cipher)
     offset = record_offset(share.provider_index, datum_size)
     first, last = leaf_span(offset, record_length(datum_size))
+    _, all_proofs = merkle_proofs(chunks)
     proofs = tuple(
-        ChunkProof(leaf_index=i, chunk=chunks[i], proof=merkle_prove(chunks, i))
+        ChunkProof(leaf_index=i, chunk=chunks[i], proof=all_proofs[i])
         for i in range(first, last + 1)
     )
     return ShareEvidence(share=share, node_index=node_index, chunks=proofs)
@@ -167,7 +171,27 @@ def payload_root(node_payload_cipher: bytes) -> MerkleRoot:
 
 _PUBLIC_KEY_LEN = 32
 _SIGNATURE_LEN = 64
-OPENING_LEN = _PUBLIC_KEY_LEN + _SIGNATURE_LEN
+_SALT_LEN = 32
+_DIGEST_LEN = 32
+_FIXED_LEN = _PUBLIC_KEY_LEN + _SIGNATURE_LEN + _SALT_LEN
+
+
+@dataclass(frozen=True, slots=True)
+class Opening:
+    """What authenticates one share record: the device's platform public key,
+    its signature over the datum's Merkle root, the salt of the share's
+    commitment and the commitment's sibling path, leaf first.
+    """
+
+    public_key: bytes
+    signature: bytes
+    salt: bytes
+    siblings: tuple[bytes, ...]
+
+
+def opening_length(n_nodes: int) -> int:
+    """Width of one openings record when each datum is shared among n nodes."""
+    return _FIXED_LEN + _DIGEST_LEN * proof_length(n_nodes)
 
 
 def openings_nonce(payload_nonce: bytes, node_index: int) -> bytes:
@@ -180,21 +204,40 @@ def openings_nonce(payload_nonce: bytes, node_index: int) -> bytes:
     return payload_nonce + b"|openings|" + node_index.to_bytes(1, "big")
 
 
-def encode_openings(openings: list[tuple[bytes, bytes]]) -> bytes:
-    """One fixed-width record per provider, in provider order: the device's
-    platform public key and its signature over the share record.
+def encode_openings(openings: list[Opening], n_nodes: int) -> bytes:
+    """One fixed-width record per provider, in provider order: public key,
+    root signature, salt, then the siblings of a proof in an n-leaf tree.
+    The leaf index is not sent; it follows from the share's node label.
     """
-    for public_key, signature in openings:
-        if len(public_key) != _PUBLIC_KEY_LEN or len(signature) != _SIGNATURE_LEN:
+    depth = proof_length(n_nodes)
+    for o in openings:
+        if (
+            len(o.public_key) != _PUBLIC_KEY_LEN
+            or len(o.signature) != _SIGNATURE_LEN
+            or len(o.salt) != _SALT_LEN
+            or len(o.siblings) != depth
+            or any(len(d) != _DIGEST_LEN for d in o.siblings)
+        ):
             raise ValueError("opening record has the wrong width")
-    return b"".join(public_key + signature for public_key, signature in openings)
+    return b"".join(
+        o.public_key + o.signature + o.salt + b"".join(o.siblings) for o in openings
+    )
 
 
-def decode_openings(blob: bytes, count: int) -> list[tuple[bytes, bytes]]:
+def decode_openings(blob: bytes, count: int, n_nodes: int) -> list[Opening]:
     """Inverse of :func:`encode_openings`; the blob must hold ``count`` records."""
-    if len(blob) != count * OPENING_LEN:
+    width = opening_length(n_nodes)
+    if len(blob) != count * width:
         raise ValueError(f"openings blob holds {len(blob)} bytes, expected {count} records")
-    return [
-        (blob[pos : pos + _PUBLIC_KEY_LEN], blob[pos + _PUBLIC_KEY_LEN : pos + OPENING_LEN])
-        for pos in range(0, len(blob), OPENING_LEN)
-    ]
+    records = []
+    for pos in range(0, len(blob), width):
+        sig_at = pos + _PUBLIC_KEY_LEN
+        salt_at = sig_at + _SIGNATURE_LEN
+        path_at = salt_at + _SALT_LEN
+        records.append(Opening(
+            blob[pos:sig_at],
+            blob[sig_at:salt_at],
+            blob[salt_at:path_at],
+            tuple(blob[i : i + _DIGEST_LEN] for i in range(path_at, pos + width, _DIGEST_LEN)),
+        ))
+    return records

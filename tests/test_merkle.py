@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from dexo.crypto import (
     EmptyInputError,
     IndexOutOfRangeError,
+    merkle_proofs,
     merkle_prove,
     merkle_root,
     merkle_verify,
+    path_root,
+    proof_length,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_vectors.json").read_text())
@@ -92,6 +95,30 @@ def test_proof_depth_is_ceil_log2():
         chunks = [bytes([i]) for i in range(n)]
         proof = merkle_prove(chunks, 0)
         assert len(proof.siblings) == (n - 1).bit_length()
+
+
+def test_one_build_gives_every_proof():
+    for n in range(1, 34):
+        chunks = [bytes([i]) * (i % 5 + 1) for i in range(n)]
+        root, proofs = merkle_proofs(chunks)
+        assert root == merkle_root(chunks)
+        assert [p.leaf_index for p in proofs] == list(range(n))
+        for chunk, proof in zip(chunks, proofs):
+            assert len(proof.siblings) == proof_length(n)
+            assert path_root(chunk, proof) == root.digest
+            assert merkle_verify(root, chunk, proof)
+    with pytest.raises(EmptyInputError):
+        merkle_proofs([])
+
+
+def test_proof_index_beyond_the_path_rejected():
+    chunks = [b"a", b"b", b"c", b"d"]
+    proof = merkle_prove(chunks, 1)
+    # index 5 walks like index 1 through two levels, but names another leaf
+    shifted = dataclasses.replace(proof, leaf_index=5, leaf_count=8)
+    assert path_root(b"b", shifted) == merkle_root(chunks).digest
+    assert not merkle_verify(dataclasses.replace(merkle_root(chunks), leaf_count=8),
+                             b"b", shifted)
 
 
 @settings(max_examples=80, deadline=None)

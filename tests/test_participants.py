@@ -1,5 +1,6 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
+import dataclasses
 import random
 
 import pytest
@@ -119,6 +120,45 @@ def test_shared_key_reduces_sessions():
     assert outcome.paid_sessions == 4 + 1
     assert outcome.exchange_calls == 3 * 10 + 3 * 5 + 2
     assert outcome.reconstruction_valid
+
+
+def test_one_root_verification_per_datum(monkeypatch):
+    n, t, m = 10, 6, 7
+    verified, attested = [], []
+    verify, attest_report = tee.verify, tee.attest_report
+
+    def counting_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    def counting_attest(*args):
+        attested.append(args)
+        return attest_report(*args)
+
+    monkeypatch.setattr(tee, "verify", counting_verify)
+    monkeypatch.setattr(tee, "attest_report", counting_attest)
+    cfg = ScenarioConfig(n_nodes=n, threshold=t, max_faulty=4, providers=m,
+                         value_max=100, seed=19)
+    outcome = run_scenario(cfg).outcome
+    assert outcome.reconstruction_valid
+    assert len(attested) == n * m  # every node opens every share it holds
+    assert len(verified) == m  # but each datum's root is verified once
+    assert len(set(verified)) == m
+
+
+def test_consumer_rejects_an_altered_opening():
+    sim, setup = _staged_run(suite_config(seed=20))
+    consumer = setup.consumer
+    j = min(consumer.share_keys)
+    assert all(consumer._is_authentic(j, p) for p in range(1, 4))
+    opening = consumer._opened[j][0]
+    salt = bytes([opening.salt[0] ^ 1]) + opening.salt[1:]
+    consumer._opened[j][0] = dataclasses.replace(opening, salt=salt)
+    consumer._opened[j][1] = dataclasses.replace(
+        consumer._opened[j][1], siblings=consumer._opened[j][2].siblings
+    )
+    consumer._authentic.clear()
+    assert [consumer._is_authentic(j, p) for p in range(1, 4)] == [False, False, True]
 
 
 # ---------------------------------------------------------------- adversaries

@@ -1,12 +1,13 @@
 """Attested-execution simulation: rules, reports, registry, fault injection."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
 
 from dexo import tee
-from dexo.crypto import reconstruct
+from dexo.crypto import MerkleProof, SecretShare, reconstruct
 from dexo.tee import (
     AttestationRegistry,
     PreprocessingFailure,
@@ -201,9 +202,10 @@ def test_private_key_never_leaves_instance():
     measurement, sig, mpk2 = platform.resume_attest(eid)
     blobs = [mpk, mpk2, sig, measurement.digest]
     blobs += [tee.wire.encode_share(s) for s in shares]
-    blobs += [r.signature for r in reports]
+    blobs += [r.signature for r in reports] + [r.salt for r in reports]
     for blob in blobs:
         assert msk_bytes not in blob
+        assert inst.salt_key not in blob
 
 
 def test_empty_raw_rejected():
@@ -211,3 +213,118 @@ def test_empty_raw_rejected():
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
     with pytest.raises(PreprocessingFailure):
         platform.resume_gendata(eid, n=3, t=2, raw=b"", rule=rule)
+
+
+# ---------------------------------------------------------------- share openings
+
+
+def _reports(seed, readings=(5, 6), n=5, t=3):
+    platform, eid, registry = _platform_with_registry(seed=seed)
+    rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
+    _, reports, _ = platform.resume_gendata(
+        eid, n=n, t=t, raw=encode_readings(list(readings)), rule=rule
+    )
+    return platform, eid, registry, rule, reports
+
+
+def test_one_signature_per_datum_with_distinct_salts():
+    _, _, registry, _, reports = _reports(seed=20)
+    assert len({r.signature for r in reports}) == 1
+    assert len({r.salt for r in reports}) == len(reports)
+    assert [r.proof.leaf_index for r in reports] == list(range(5))
+    assert all(attest_report(registry, r) for r in reports)
+    # five openings of one root cost one signature verification
+    assert len(registry.verdicts) == 1
+
+
+def test_salts_differ_between_data_of_one_device():
+    platform, eid, _, rule, first = _reports(seed=21)
+    _, second, _ = platform.resume_gendata(
+        eid, n=5, t=3, raw=encode_readings([5, 6]), rule=rule
+    )
+    assert {r.salt for r in first}.isdisjoint(r.salt for r in second)
+    assert first[0].signature != second[0].signature
+
+
+def test_altered_salt_rejected():
+    _, _, registry, _, reports = _reports(seed=22)
+    report = reports[1]
+    assert attest_report(registry, report)  # the root's verdict is now remembered
+    salt = bytes([report.salt[0] ^ 1]) + report.salt[1:]
+    assert not attest_report(registry, dataclasses.replace(report, salt=salt))
+    assert attest_report(registry, report)
+
+
+def test_proof_from_another_datum_of_the_device_rejected():
+    platform, eid, registry, rule, first = _reports(seed=23)
+    _, second, _ = platform.resume_gendata(
+        eid, n=5, t=3, raw=encode_readings([7, 8]), rule=rule
+    )
+    report, other = first[2], second[2]
+    assert attest_report(registry, report) and attest_report(registry, other)
+    assert not attest_report(registry, dataclasses.replace(report, proof=other.proof))
+    assert not attest_report(
+        registry,
+        dataclasses.replace(report, proof=other.proof, signature=other.signature),
+    )
+    assert not attest_report(
+        registry, dataclasses.replace(report, salt=other.salt, proof=other.proof,
+                                      signature=other.signature),
+    )
+
+
+def test_relabeled_share_rejected():
+    _, _, registry, _, reports = _reports(seed=24)
+    report, neighbour = reports[0], reports[1]
+    relabeled = dataclasses.replace(report.share, node_index=2)
+    # the leaf index follows the label, so the old path no longer applies
+    assert not attest_report(registry, dataclasses.replace(report, share=relabeled))
+    # and the neighbour's path and salt do not open the relabeled record
+    assert not attest_report(
+        registry, dataclasses.replace(neighbour, share=relabeled),
+    )
+    assert not attest_report(
+        registry, dataclasses.replace(report, share=relabeled, proof=neighbour.proof),
+    )
+    # a leaf index that walks the same path but names another leaf
+    aliased = dataclasses.replace(report.proof, leaf_index=report.proof.leaf_index + 8)
+    assert not attest_report(registry, dataclasses.replace(report, proof=aliased))
+
+
+def test_forged_root_signature_rejected():
+    _, _, registry, _, reports = _reports(seed=25)
+    report = reports[3]
+    forged = bytes([report.signature[0] ^ 1]) + report.signature[1:]
+    assert attest_report(registry, report)
+    assert not attest_report(registry, dataclasses.replace(report, signature=forged))
+    # a second genuine device cannot vouch for the first one's root
+    platform = TeePlatform(rng=99)
+    other = platform.install(RATIFIED)
+    _, _, other_key = platform.resume_attest(other)
+    registry.register_key(other_key)
+    assert not attest_report(
+        registry, dataclasses.replace(report, platform_public_key=other_key)
+    )
+
+
+def test_verdicts_belong_to_one_registry():
+    _, _, registry, _, reports = _reports(seed=26)
+    assert attest_report(registry, reports[0])
+    fresh = AttestationRegistry(
+        genuine_keys=set(registry.genuine_keys),
+        expected_measurement=registry.expected_measurement,
+    )
+    assert fresh.verdicts == {}
+    assert attest_report(fresh, reports[1])
+    assert len(fresh.verdicts) == len(registry.verdicts) == 1
+
+
+def test_slotted_values_survive_pickling():
+    _, _, registry, _, reports = _reports(seed=27)
+    report = reports[4]
+    for value in (report, report.share, report.proof):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert isinstance(report.share, SecretShare)
+    assert isinstance(report.proof, MerkleProof)
+    assert attest_report(registry, pickle.loads(pickle.dumps(report)))
