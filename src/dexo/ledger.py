@@ -177,6 +177,8 @@ def conforms_to_description(datum: bytes, desc: DataDescription) -> bool:
     if len(datum) != desc.datum_size:
         return False
     w = desc.format_width
+    if w == 1:
+        return desc.value_min <= min(datum) and max(datum) <= desc.value_max
     for i in range(0, len(datum), w):
         value = int.from_bytes(datum[i : i + w], "big")
         if not desc.value_min <= value <= desc.value_max:

@@ -860,8 +860,7 @@ def stage0_setup(
     for i in range(1, config.providers + 1):
         tampered = i in script.tampered_providers
         eid = platform.install(RATIFIED_TA, tampered=tampered)
-        _, _, mpk = platform.resume_attest(eid)
-        registry.register_key(mpk)
+        registry.register_key(platform.public_key(eid))
         raw = tee.encode_readings(
             _device_readings(config, sim.rng, oversold), width=2
         )

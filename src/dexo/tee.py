@@ -149,14 +149,15 @@ class AttestationReport:
 
 @dataclass
 class AttestationRegistry:
-    """Genuine platform keys and the ratified measurement. It also remembers
-    each signature verdict for the run it serves, so N nodes checking one
-    datum's root cost one verification.
+    """Genuine platform keys and the ratified measurement. For the run it
+    serves it also remembers, per (platform key, root signature), the message
+    that signature verified, so N nodes and the consumer checking one datum's
+    shares cost one verification.
     """
 
     genuine_keys: set[bytes] = field(default_factory=set)
     expected_measurement: RuntimeMeasurement | None = None
-    verdicts: dict[tuple[bytes, bytes, bytes], bool] = field(default_factory=dict)
+    verified: dict[tuple[bytes, bytes], bytes] = field(default_factory=dict)
 
     def register_key(self, public_key: bytes) -> None:
         self.genuine_keys.add(public_key)
@@ -168,8 +169,19 @@ def share_commitment(salt: bytes, share: SecretShare) -> bytes:
 
 def attest_report(registry: AttestationRegistry, report: AttestationReport) -> bool:
     """True iff the share opens to a root signed by a registered platform
-    running the ratified program. The opening is checked on every call; only
-    the signature verdict is remembered.
+    running the ratified program.
+
+    The opening is checked on every call. The signature is verified at most
+    once per (platform key, signature): the message it verified
+    (root || measurement) is remembered, and a report that opens to any other
+    root under the same pair is rejected by comparing bytes, without calling
+    ``verify``. That is sound because only registered keys reach the memo,
+    and those are generated honestly inside the trusted app, and because
+    Ed25519 as implemented by OpenSSL is strongly unforgeable (it rejects a
+    non-canonical S): one signature that verified on two messages under such
+    a key would be a forgery, so ``verify`` would reject the second message
+    too. A failed verification is not remembered, so a forged signature seen
+    first cannot keep the genuine one out.
     """
     if report.platform_public_key not in registry.genuine_keys:
         return False
@@ -178,11 +190,15 @@ def attest_report(registry: AttestationRegistry, report: AttestationReport) -> b
     if report.proof.leaf_index != report.share.node_index - 1:
         return False
     root = path_root(share_commitment(report.salt, report.share), report.proof)
-    key = (report.platform_public_key, root + report.measurement.digest, report.signature)
-    verdict = registry.verdicts.get(key)
-    if verdict is None:
-        verdict = registry.verdicts[key] = verify(*key)
-    return verdict
+    message = root + report.measurement.digest
+    pair = (report.platform_public_key, report.signature)
+    signed = registry.verified.get(pair)
+    if signed is not None:
+        return message == signed
+    if not verify(report.platform_public_key, message, report.signature):
+        return False
+    registry.verified[pair] = message
+    return True
 
 
 @dataclass
@@ -225,6 +241,9 @@ class TeePlatform:
             return self._instances[eid]
         except KeyError:
             raise UnknownEidError(f"no instance {eid!r}") from None
+
+    def public_key(self, eid: str) -> bytes:
+        return self._instance(eid).keypair.public_key
 
     def resume_attest(self, eid: str) -> tuple[RuntimeMeasurement, bytes, bytes]:
         inst = self._instance(eid)

@@ -67,3 +67,18 @@ def assert_conserved(trace: Trace) -> None:
     assert total == trace.config.resolved_price(), (
         f"currency leak: {total} != {trace.config.resolved_price()}"
     )
+
+
+def count_calls(monkeypatch, module, *names) -> dict[str, list[tuple]]:
+    """Record the arguments of every call to ``module``'s bindings of
+    ``names``, by name; the calls still go through."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls

@@ -1,10 +1,13 @@
 """Commitment and keystream-cipher contracts, pinned to golden vectors."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexo.crypto import (
     Commitment,
@@ -95,3 +98,26 @@ def test_keystream_segment_matches_full_encryption():
     for offset, length in [(0, 10), (5, 64), (31, 2), (32, 32), (97, 103)]:
         segment = keystream_xor(k, pt[offset : offset + length], b"tid", offset=offset)
         assert segment == whole[offset : offset + length]
+
+
+def _reference_stream(key: KeyMaterial, nonce: bytes, length: int) -> bytes:
+    """SHA-256(key || nonce || counter) blocks, straight from the definition."""
+    blocks = (
+        hashlib.sha256(key.key + nonce + i.to_bytes(8, "big")).digest()
+        for i in range((length + 31) // 32)
+    )
+    return b"".join(blocks)[:length]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    nonce=st.binary(max_size=40),
+    offset=st.integers(min_value=0, max_value=300),
+    data=st.binary(max_size=150),
+)
+def test_keystream_at_any_offset_is_a_slice_of_the_full_stream(key, nonce, offset, data):
+    k = KeyMaterial(key)
+    stream = _reference_stream(k, nonce, offset + len(data))[offset:]
+    expected = bytes(a ^ b for a, b in zip(data, stream))
+    assert keystream_xor(k, data, nonce, offset=offset) == expected

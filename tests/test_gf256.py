@@ -1,6 +1,7 @@
 """Field axioms for GF(256), cross-checked against a table-free oracle."""
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexo.crypto import gf256
@@ -55,3 +56,30 @@ def test_inv_of_zero_rejected():
 
     with pytest.raises(ZeroDivisionError):
         gf256.inv(0)
+
+
+def horner_oracle(coeffs: list[list[int]], x: int) -> list[int]:
+    """Per-polynomial Horner evaluation with scalar field multiplication."""
+    width = len(coeffs[0])
+    out = []
+    for col in range(width):
+        acc = 0
+        for row in reversed(coeffs):
+            acc = gf256.mul(acc, x) ^ row[col]
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(elements, min_size=width, max_size=width),
+                               min_size=1, max_size=8)
+    ),
+    xs=st.lists(elements, min_size=1, max_size=10),
+)
+def test_poly_eval_many_matches_scalar_horner(coeffs, xs):
+    got = gf256.poly_eval_many(np.array(coeffs, dtype=np.uint8),
+                               np.array(xs, dtype=np.uint8))
+    assert got.shape == (len(xs), len(coeffs[0]))
+    assert got.tolist() == [horner_oracle(coeffs, x) for x in xs]

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dexo.crypto import KeyMaterial, SecretShare
 from dexo.ledger import (
@@ -477,3 +479,29 @@ def test_conforms_to_description():
     assert not conforms_to_description(bytes([4, 10]), desc)
     assert not conforms_to_description(bytes([5]), desc)
     assert not conforms_to_description(bytes([5, 10, 7]), desc)
+
+
+def _conforms_per_value(datum: bytes, desc: DataDescription) -> bool:
+    if len(datum) != desc.datum_size:
+        return False
+    w = desc.format_width
+    values = (int.from_bytes(datum[i : i + w], "big") for i in range(0, len(datum), w))
+    return all(desc.value_min <= v <= desc.value_max for v in values)
+
+
+@given(
+    bounds=st.tuples(st.integers(0, 255), st.integers(0, 255)).map(sorted),
+    sized=st.integers(1, 6).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.one_of(st.binary(min_size=size, max_size=size), st.binary(max_size=7)),
+        )
+    ),
+)
+def test_byte_wide_check_agrees_with_the_per_value_loop(bounds, sized):
+    size, datum = sized
+    desc = DataDescription(
+        datum_size=size, value_min=bounds[0], value_max=bounds[1], providers=1,
+        n_nodes=2, threshold=1, timeout_blocks=5,
+    )
+    assert conforms_to_description(datum, desc) == _conforms_per_value(datum, desc)

@@ -1,20 +1,27 @@
 """Simulator determinism, replay, script catalog, and config handling."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dexo import netsim
 from dexo.config import ConfigError, ScenarioConfig, format_config, parse_config
+from dexo.crypto import KeyMaterial, MerkleProof, SecretShare
 from dexo.netsim import (
     AdversaryScript,
     Rule,
     ScriptError,
+    _payload_digest,
     parse_trace_header,
     replay,
     resolve_script,
     run_scenario,
     standard_scripts,
 )
+from dexo.tee import AttestationReport, RuntimeMeasurement
 from scenarioutil import suite_config
 
 STANDARD_NAMES = [
@@ -143,3 +150,131 @@ def test_config_validation_boundaries(overrides):
 def test_threshold_band_accepts_boundary():
     # t = N - F is the inclusive upper bound
     suite_config(n_nodes=7, max_faulty=3, threshold=4).validate()
+
+
+# ---------------------------------------------------------------- payload digests
+
+
+def _feed(h, value) -> None:
+    """The recursive payload walk that event hashes were first defined by."""
+    if isinstance(value, bytes):
+        h.update(b"b")
+        h.update(value)
+    elif isinstance(value, SecretShare):
+        h.update(b"S")
+        h.update(value.provider_index.to_bytes(2, "big"))
+        h.update(bytes((value.node_index, value.x_coordinate)))
+        h.update(value.y_values)
+    elif isinstance(value, AttestationReport):
+        h.update(b"R")
+        _feed(h, value.share)
+        h.update(value.measurement.digest)
+        h.update(value.signature)
+        h.update(value.platform_public_key)
+        h.update(value.salt)
+        proof = value.proof
+        h.update(proof.leaf_index.to_bytes(2, "big"))
+        h.update(proof.leaf_count.to_bytes(2, "big"))
+        for sibling in proof.siblings:
+            h.update(sibling)
+    elif isinstance(value, (list, tuple)):
+        h.update(b"l")
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, dict):
+        h.update(b"d")
+        for k in sorted(value):
+            h.update(str(k).encode())
+            _feed(h, value[k])
+    elif hasattr(value, "__dataclass_fields__"):
+        h.update(type(value).__name__.encode())
+        for name in value.__dataclass_fields__:
+            if not name.startswith("_"):
+                _feed(h, getattr(value, name))
+    else:
+        h.update(repr(value).encode())
+
+
+def _walked_digest(mtype: str, payload) -> str:
+    h = hashlib.sha256(mtype.encode())
+    _feed(h, payload)
+    return h.hexdigest()[:16]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Envelope:
+    label: str
+    body: object
+    _scratch: int = 0
+
+
+class _Blob(bytes):
+    pass
+
+
+_digests = st.binary(min_size=32, max_size=32)
+_shares = st.builds(
+    SecretShare,
+    provider_index=st.integers(min_value=0, max_value=65_535),
+    node_index=st.integers(min_value=0, max_value=255),
+    x_coordinate=st.integers(min_value=1, max_value=255),
+    y_values=st.binary(max_size=12),
+)
+_reports = st.builds(
+    AttestationReport,
+    share=_shares,
+    measurement=st.builds(RuntimeMeasurement, digest=_digests),
+    signature=st.binary(min_size=64, max_size=64),
+    platform_public_key=_digests,
+    salt=_digests,
+    proof=st.builds(
+        MerkleProof,
+        leaf_index=st.integers(min_value=0, max_value=65_535),
+        siblings=st.lists(_digests, max_size=3).map(tuple),
+        leaf_count=st.integers(min_value=0, max_value=65_535),
+    ),
+)
+_leaves = st.one_of(
+    st.binary(max_size=20),
+    st.binary(max_size=8).map(_Blob),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    _shares,
+    _reports,
+    st.builds(KeyMaterial, key=_digests),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.builds(_Envelope, label=st.text(max_size=4), body=inner,
+                  _scratch=st.integers()),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mtype=st.text(max_size=12), payload=_payloads)
+def test_payload_digest_matches_the_recursive_walk(mtype, payload):
+    assert _payload_digest(mtype, payload) == _walked_digest(mtype, payload)
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
+    checked = []
+
+    def both(mtype, payload):
+        digest = _payload_digest(mtype, payload)
+        assert digest == _walked_digest(mtype, payload), mtype
+        checked.append(mtype)
+        return digest
+
+    monkeypatch.setattr(netsim, "_payload_digest", both)
+    run_scenario(suite_config(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=3))
+    assert checked

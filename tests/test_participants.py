@@ -22,7 +22,7 @@ from dexo.participants import (
     stage2_register,
     stage3_exchange,
 )
-from scenarioutil import assert_conserved, assert_fair_exchange, suite_config
+from scenarioutil import assert_conserved, assert_fair_exchange, count_calls, suite_config
 
 
 def _staged_run(config: ScenarioConfig, script: AdversaryScript | None = None):
@@ -124,26 +124,27 @@ def test_shared_key_reduces_sessions():
 
 def test_one_root_verification_per_datum(monkeypatch):
     n, t, m = 10, 6, 7
-    verified, attested = [], []
-    verify, attest_report = tee.verify, tee.attest_report
-
-    def counting_verify(*args):
-        verified.append(args)
-        return verify(*args)
-
-    def counting_attest(*args):
-        attested.append(args)
-        return attest_report(*args)
-
-    monkeypatch.setattr(tee, "verify", counting_verify)
-    monkeypatch.setattr(tee, "attest_report", counting_attest)
+    calls = count_calls(monkeypatch, tee, "verify", "sign", "attest_report")
     cfg = ScenarioConfig(n_nodes=n, threshold=t, max_faulty=4, providers=m,
                          value_max=100, seed=19)
     outcome = run_scenario(cfg).outcome
     assert outcome.reconstruction_valid
-    assert len(attested) == n * m  # every node opens every share it holds
-    assert len(verified) == m  # but each datum's root is verified once
-    assert len(set(verified)) == m
+    assert len(calls["attest_report"]) == n * m  # every node opens every share it holds
+    assert len(calls["verify"]) == m  # but each datum's root is verified once
+    assert len(set(calls["verify"])) == m
+    # one attestation answer and one root signature per device
+    assert len(calls["sign"]) == 2 * m
+
+
+def test_altered_shares_cost_no_verification(monkeypatch):
+    n, m = 13, 3
+    calls = count_calls(monkeypatch, tee, "verify", "sign")
+    cfg = suite_config(n_nodes=n, threshold=7, max_faulty=6, adversary="TAMPER_SHARES",
+                       seed=12)
+    outcome = run_scenario(cfg).outcome
+    assert outcome.reconstruction_valid and outcome.refunded_sessions == tuple(range(1, 7))
+    assert len(calls["verify"]) == m
+    assert len(calls["sign"]) == 2 * m
 
 
 def test_consumer_rejects_an_altered_opening():

@@ -19,6 +19,7 @@ from dexo.tee import (
     measure,
     preprocess,
 )
+from scenarioutil import count_calls
 
 RATIFIED = b"trusted-data-formatter"
 
@@ -27,8 +28,7 @@ def _platform_with_registry(seed=1, tampered=False):
     platform = TeePlatform(rng=seed)
     eid = platform.install(RATIFIED, tampered=tampered)
     registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
-    _, _, mpk = platform.resume_attest(eid)
-    registry.register_key(mpk)
+    registry.register_key(platform.public_key(eid))
     return platform, eid, registry
 
 
@@ -234,7 +234,7 @@ def test_one_signature_per_datum_with_distinct_salts():
     assert [r.proof.leaf_index for r in reports] == list(range(5))
     assert all(attest_report(registry, r) for r in reports)
     # five openings of one root cost one signature verification
-    assert len(registry.verdicts) == 1
+    assert len(registry.verified) == 1
 
 
 def test_salts_differ_between_data_of_one_device():
@@ -314,9 +314,9 @@ def test_verdicts_belong_to_one_registry():
         genuine_keys=set(registry.genuine_keys),
         expected_measurement=registry.expected_measurement,
     )
-    assert fresh.verdicts == {}
+    assert fresh.verified == {}
     assert attest_report(fresh, reports[1])
-    assert len(fresh.verdicts) == len(registry.verdicts) == 1
+    assert len(fresh.verified) == len(registry.verified) == 1
 
 
 def test_slotted_values_survive_pickling():
@@ -328,3 +328,50 @@ def test_slotted_values_survive_pickling():
     assert isinstance(report.share, SecretShare)
     assert isinstance(report.proof, MerkleProof)
     assert attest_report(registry, pickle.loads(pickle.dumps(report)))
+
+
+# ---------------------------------------------------------------- signature memo
+
+
+def _altered(report):
+    y = report.share.y_values
+    share = dataclasses.replace(report.share, y_values=bytes([y[0] ^ 1]) + y[1:])
+    return dataclasses.replace(report, share=share)
+
+
+def test_public_key_is_the_attesting_key():
+    platform = TeePlatform(rng=5)
+    eid = platform.install(RATIFIED)
+    assert platform.public_key(eid) == platform.resume_attest(eid)[2]
+    with pytest.raises(UnknownEidError):
+        platform.public_key("tee-404")
+
+
+def test_rerooted_report_rejected_without_a_verification(monkeypatch):
+    _, _, registry, _, reports = _reports(seed=30)
+    calls = count_calls(monkeypatch, tee, "verify")["verify"]
+    assert attest_report(registry, reports[0])
+    assert len(calls) == 1
+    # an altered share opens to another root under the same key and signature
+    assert not attest_report(registry, _altered(reports[1]))
+    assert not attest_report(registry, _altered(reports[0]))
+    assert all(attest_report(registry, r) for r in reports)
+    assert len(calls) == 1
+    assert list(registry.verified.values()) == [calls[0][1]]
+
+
+def test_forged_signature_first_does_not_poison_the_memo(monkeypatch):
+    _, _, registry, _, reports = _reports(seed=31)
+    report = reports[2]
+    calls = count_calls(monkeypatch, tee, "verify")["verify"]
+    forged = bytes([report.signature[0] ^ 1]) + report.signature[1:]
+    assert not attest_report(registry, dataclasses.replace(report, signature=forged))
+    # a genuine signature over another root, seen before the genuine root
+    assert not attest_report(registry, _altered(report))
+    assert registry.verified == {}
+    assert attest_report(registry, report)
+    assert len(calls) == 3
+    assert not attest_report(registry, dataclasses.replace(report, signature=forged))
+    assert len(calls) == 4  # failures are never remembered
+    assert attest_report(registry, reports[0])
+    assert len(calls) == 4
