@@ -11,7 +11,6 @@ import hashlib
 from dataclasses import dataclass
 
 from .primitives import TAG_LEAF, TAG_NODE
-from .primitives import sha256  # noqa: F401  (perfbench's tracer rebinds this name)
 
 
 class MerkleError(Exception):

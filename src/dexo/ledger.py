@@ -163,27 +163,20 @@ class DataDescription:
     n_nodes: int
     threshold: int
     timeout_blocks: int
-    format_width: int = 1
 
     def __post_init__(self):
         if self.value_min > self.value_max:
             raise InvalidParamsError("value_min exceeds value_max")
-        if self.datum_size < 1 or self.datum_size % self.format_width:
-            raise InvalidParamsError("datum_size must be a positive multiple of width")
+        if self.datum_size < 1:
+            raise InvalidParamsError("datum_size must be positive")
 
 
 def conforms_to_description(datum: bytes, desc: DataDescription) -> bool:
-    """The on-chain validity predicate over reconstructed data."""
+    """The on-chain validity predicate over reconstructed data: every byte
+    is one value inside the advertised range."""
     if len(datum) != desc.datum_size:
         return False
-    w = desc.format_width
-    if w == 1:
-        return desc.value_min <= min(datum) and max(datum) <= desc.value_max
-    for i in range(0, len(datum), w):
-        value = int.from_bytes(datum[i : i + w], "big")
-        if not desc.value_min <= value <= desc.value_max:
-            return False
-    return True
+    return desc.value_min <= min(datum) and max(datum) <= desc.value_max
 
 
 @dataclass

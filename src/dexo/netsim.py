@@ -11,7 +11,6 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 from collections import deque
@@ -217,85 +216,47 @@ class CoalitionMonitor:
 # ---------------------------------------------------------------- simulator
 
 
-def _encode_bytes(value: bytes, out: list) -> None:
-    out += (b"b", value)
-
-
-def _encode_share(share: SecretShare, out: list) -> None:
-    out += (
-        b"S",
-        share.provider_index.to_bytes(2, "big"),
-        bytes((share.node_index, share.x_coordinate)),
-        share.y_values,
-    )
-
-
-def _encode_report(report: AttestationReport, out: list) -> None:
-    out.append(b"R")
-    _encode_share(report.share, out)
-    proof = report.proof
-    out += (
-        report.measurement.digest,
-        report.signature,
-        report.platform_public_key,
-        report.salt,
-        proof.leaf_index.to_bytes(2, "big"),
-        proof.leaf_count.to_bytes(2, "big"),
-    )
-    out += proof.siblings
-
-
-def _encode_sequence(values, out: list) -> None:
-    out.append(b"l")
-    for item in values:
-        _encode(item, out)
-
-
-def _encode_dict(value: dict, out: list) -> None:
-    out.append(b"d")
-    for k in sorted(value):
-        out.append(str(k).encode())
-        _encode(value[k], out)
-
-
-def _encode_repr(value, out: list) -> None:
-    out.append(repr(value).encode())
-
-
-def _dataclass_encoder(cls: type):
-    name = cls.__name__.encode()
-    fields = [f for f in cls.__dataclass_fields__ if not f.startswith("_")]
-
-    def encode(value, out: list) -> None:
-        out.append(name)
-        for f in fields:
-            _encode(getattr(value, f), out)
-
-    return encode
-
-
-@functools.cache
-def _encoder_for(cls: type):
-    """The encoder of ``cls``; the first matching kind wins, as in a chain of
-    isinstance checks, so subclasses encode like their base."""
-    for base, encoder in (
-        (bytes, _encode_bytes),
-        (SecretShare, _encode_share),
-        (AttestationReport, _encode_report),
-        ((list, tuple), _encode_sequence),
-        (dict, _encode_dict),
-    ):
-        if issubclass(cls, base):
-            return encoder
-    if hasattr(cls, "__dataclass_fields__"):
-        return _dataclass_encoder(cls)
-    return _encode_repr
-
-
 def _encode(value, out: list) -> None:
     """Append a payload value's byte stream to ``out`` without building
-    large reprs; the encoder is chosen once per type."""
-    _encoder_for(type(value))(value, out)
+    large reprs."""
+    if isinstance(value, bytes):
+        out += (b"b", value)
+    elif isinstance(value, SecretShare):
+        out += (
+            b"S",
+            value.provider_index.to_bytes(2, "big"),
+            bytes((value.node_index, value.x_coordinate)),
+            value.y_values,
+        )
+    elif isinstance(value, AttestationReport):
+        out.append(b"R")
+        _encode(value.share, out)
+        proof = value.proof
+        out += (
+            value.measurement.digest,
+            value.signature,
+            value.platform_public_key,
+            value.salt,
+            proof.leaf_index.to_bytes(2, "big"),
+            proof.leaf_count.to_bytes(2, "big"),
+        )
+        out += proof.siblings
+    elif isinstance(value, (list, tuple)):
+        out.append(b"l")
+        for item in value:
+            _encode(item, out)
+    elif isinstance(value, dict):
+        out.append(b"d")
+        for k in sorted(value):
+            out.append(str(k).encode())
+            _encode(value[k], out)
+    elif hasattr(value, "__dataclass_fields__"):
+        out.append(type(value).__name__.encode())
+        for name in value.__dataclass_fields__:
+            if not name.startswith("_"):
+                _encode(getattr(value, name), out)
+    else:
+        out.append(repr(value).encode())
 
 
 def _payload_digest(mtype: str, payload: dict) -> str:
