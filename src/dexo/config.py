@@ -45,6 +45,14 @@ class ScenarioConfig:
     def resolved_price(self) -> int:
         return self.price if self.price else self.n_nodes * 100
 
+    def priority_group(self) -> list[int]:
+        """Nodes 1..t-F, which share one key under ``shared_key``."""
+        return list(range(1, self.threshold - self.max_faulty + 1)) if self.shared_key else []
+
+    def sessions_required(self) -> int:
+        """Key-bearing sessions a buyer pays for: F+1 with the group key, else t."""
+        return self.max_faulty + 1 if self.shared_key else self.threshold
+
     def validate(self) -> None:
         n, t, f = self.n_nodes, self.threshold, self.max_faulty
         if n < 1 or self.providers < 1:

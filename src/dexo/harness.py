@@ -14,6 +14,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 from multiprocessing import Pool
 
 from .config import ConfigError, ScenarioConfig, format_config, load_config
@@ -349,12 +350,25 @@ def run_replay(trace_path: str) -> int:
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: cannot read trace: {exc}")
         return EXIT_CONFIG_ERROR
-    fresh = run_scenario(config, script)
-    if fresh.serialize() == text:
+    fresh = run_scenario(config, script).serialize()
+    if fresh == text:
         print("replay: identical")
         return EXIT_OK
-    print("replay: MISMATCH")
+    print(f"replay: MISMATCH {first_divergence(text, fresh)}")
     return EXIT_INVARIANT_VIOLATION
+
+
+def first_divergence(recorded: str, replayed: str) -> str:
+    """Name the first line where two serialized traces differ, with the
+    section it falls in and both sides of it."""
+    pairs = zip_longest(recorded.splitlines(), replayed.splitlines(), fillvalue="<end of trace>")
+    section = "header"
+    for lineno, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return f"in {section} at line {lineno}\n  trace:  {a}\n  replay: {b}"
+        if a.startswith("[") and a.endswith("]"):
+            section = a
+    return "(the traces differ only in line endings)"
 
 
 def write_example_config(path: str) -> None:

@@ -1,7 +1,8 @@
 """In-process blockchain hosting the data-exchange contract.
 
 The ledger is a single serialization point: callers invoke operations one at
-a time and every metered invocation is appended to the gas log. Gas amounts
+a time and every metered invocation is appended to the run log as a
+:class:`Call` record; the gas log is that log's calls. Gas amounts
 for deploy, initialize, accept, revealKey, checkKey, and noComplain are
 calibrated constants; query and challenge have no published measurement and
 carry model-estimated figures that reports must flag as such.
@@ -48,10 +49,6 @@ class InvalidParamsError(LedgerError):
 
 
 class UnknownContractError(LedgerError):
-    pass
-
-
-class UnknownPathError(LedgerError):
     pass
 
 
@@ -129,8 +126,10 @@ class GasSchedule:
 MODEL_ESTIMATED_FUNCTIONS = frozenset({"query", "challenge"})
 
 
-@dataclass(frozen=True)
-class GasEntry:
+@dataclass(frozen=True, slots=True)
+class Call:
+    """One metered contract call in the run log."""
+
     block: int
     caller: str
     function: str
@@ -145,11 +144,7 @@ class SessionStatus(Enum):
     ACCEPTED = "ACCEPTED"
     KEY_OUT = "KEY_OUT"
     SETTLED = "SETTLED"
-    DISPUTED = "DISPUTED"
     REFUNDED = "REFUNDED"
-
-
-TERMINAL_REFUND = (SessionStatus.REFUNDED, SessionStatus.DISPUTED)
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,17 @@ def conforms_to_description(datum: bytes, desc: DataDescription) -> bool:
     if len(datum) != desc.datum_size:
         return False
     return desc.value_min <= min(datum) and max(datum) <= desc.value_max
+
+
+@dataclass(frozen=True, slots=True)
+class Listing:
+    """Off-chain view of a listing: what a buyer needs before querying."""
+
+    tid: str
+    desc: DataDescription
+    delta: dict[int, MerkleRoot]
+    commitment: dict[int, Commitment]
+    initialized: bool
 
 
 @dataclass
@@ -265,11 +271,15 @@ class ChallengeResult:
 
 
 class Ledger:
+    """The chain. ``log`` is the run log: this ledger appends its calls, and
+    a simulator built on it appends messages, notes and disputes.
+    """
+
     def __init__(self, schedule: GasSchedule | None = None):
         self.schedule = schedule or GasSchedule()
         self.contracts: dict[str, ContractState] = {}
         self.block_height = 0
-        self.gas_log: list[GasEntry] = []
+        self.log: list = []
         self.balances: dict[str, int] = {}
         self.minted = 0
         self._next_cid = 0
@@ -282,7 +292,7 @@ class Ledger:
         self.minted += amount
 
     def _log(self, caller: str, function: str, gas: int) -> None:
-        self.gas_log.append(GasEntry(self.block_height, caller, function, gas))
+        self.log.append(Call(self.block_height, caller, function, gas))
 
     def _contract(self, cid: str) -> ContractState:
         try:
@@ -305,16 +315,19 @@ class Ledger:
                 f"currency not conserved: {total} in circulation, {self.minted} minted"
             )
 
+    def calls(self) -> list[Call]:
+        return [r for r in self.log if type(r) is Call]
+
     def total_gas(self) -> int:
-        return sum(e.gas for e in self.gas_log)
+        return sum(c.gas for c in self.calls())
 
     def call_count(self) -> int:
-        return len(self.gas_log)
+        return len(self.calls())
 
     def exchange_call_count(self) -> int:
         """Calls in the exchange proper: everything except settlement/disputes."""
         return sum(
-            1 for e in self.gas_log if e.function not in ("noComplain", "challenge")
+            1 for c in self.calls() if c.function not in ("noComplain", "challenge")
         )
 
     def gas_csv(self) -> str:
@@ -322,9 +335,9 @@ class Ledger:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["block", "caller", "function", "gas_units", "cumulative_gas"])
         running = 0
-        for e in self.gas_log:
-            running += e.gas
-            writer.writerow([e.block, e.caller, e.function, e.gas, running])
+        for c in self.calls():
+            running += c.gas
+            writer.writerow([c.block, c.caller, c.function, c.gas, running])
         return out.getvalue()
 
     # -- contract lifecycle
@@ -450,65 +463,34 @@ class Ledger:
                         rec.status[m] = SessionStatus.KEY_OUT
         self._log(caller, "revealKey", self.schedule.reveal_key)
 
-    def read(self, caller: str, cid: str, path: str):
-        """Metered state read; key lookups carry the published check-key cost."""
-        contract = self._contract(cid)
-        parts = path.split(".")
-        gas = 0
-        if parts[0] == "key_revealed":
-            gas = self.schedule.check_key
-            value = contract.key_revealed.get(int(parts[1]))
-        elif parts[0] == "delta":
-            value = contract.delta.get(int(parts[1]))
-        elif parts[0] == "commitment":
-            value = contract.commitment.get(int(parts[1]))
-        elif parts[0] == "buyers" and len(parts) == 4 and parts[2] == "status":
-            rec = contract.buyers.get(parts[1])
-            value = rec.status.get(int(parts[3])) if rec else None
-        elif parts[0] == "buyers" and len(parts) == 4 and parts[2] == "deposits":
-            rec = contract.buyers.get(parts[1])
-            value = rec.deposits.get(int(parts[3]), 0) if rec else None
-        elif path == "price":
-            value = contract.price
-        elif path == "desc":
-            value = contract.desc
-        elif path == "tid":
-            value = contract.tid
-        elif path == "seller_nodes":
-            value = tuple(contract.seller_nodes)
-        elif path == "data_sources":
-            value = tuple(contract.data_sources)
-        else:
-            raise UnknownPathError(f"unknown path {path!r}")
-        self._log(caller, "read", gas)
-        return value
+    def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:
+        """Metered read of one buyer's session status; it costs no gas."""
+        record = self._contract(cid).buyers.get(buyer)
+        self._log(caller, "read", 0)
+        return record.status.get(j) if record else None
 
-    def snapshot_listing(self, cid: str) -> dict:
+    def check_key(self, caller: str, cid: str, j: int) -> KeyMaterial | None:
+        """Metered read of node j's revealed key at the published checkKey
+        cost; it is logged as a ``read`` like every state read."""
+        key = self._contract(cid).key_revealed.get(j)
+        self._log(caller, "read", self.schedule.check_key)
+        return key
+
+    def snapshot_listing(self, cid: str) -> Listing:
         """Free off-chain view of listing metadata (browsing, not metered)."""
         contract = self._contract(cid)
-        return {
-            "cid": cid,
-            "tid": contract.tid,
-            "price": contract.price,
-            "desc": contract.desc,
-            "seller_nodes": tuple(contract.seller_nodes),
-            "data_sources": tuple(contract.data_sources),
-            "delta": dict(contract.delta),
-            "commitment": dict(contract.commitment),
-            "initialized": len(contract.delta) == contract.n_nodes,
-        }
+        return Listing(
+            tid=contract.tid,
+            desc=contract.desc,
+            delta=dict(contract.delta),
+            commitment=dict(contract.commitment),
+            initialized=len(contract.delta) == contract.n_nodes,
+        )
 
-    def snapshot_buyer(self, cid: str, account: str) -> dict | None:
+    def snapshot_buyer(self, cid: str, account: str) -> dict[int, SessionStatus] | None:
         """Free off-chain view of the caller's own session states."""
-        contract = self._contract(cid)
-        record = contract.buyers.get(account)
-        if record is None:
-            return None
-        return {
-            "status": {j: s.value for j, s in record.status.items()},
-            "deposits": dict(record.deposits),
-            "no_complain_called": record.no_complain_called,
-        }
+        record = self._contract(cid).buyers.get(account)
+        return None if record is None else dict(record.status)
 
     # -- settlement
 

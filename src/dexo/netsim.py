@@ -4,9 +4,10 @@ Participants exchange messages over authenticated FIFO channels; a fixed
 (seed-shuffled) rotation delivers one message per ready participant per step,
 so a run is a pure function of (config, script, seed). When the network goes
 quiet the simulator ticks participants, and if still quiet advances the block
-height, which drives timeout settlement. Every message and every metered
-ledger call ends up in the trace, which can be re-executed and compared
-byte-for-byte.
+height, which drives timeout settlement. One append-only run log holds, in
+order, every metered ledger call, message, note and dispute; the trace, the
+gas log and the outcome's disputes and anomalies are derived from it, and a
+trace can be re-executed and compared byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import ScenarioConfig
 from .crypto import SecretShare
-from .ledger import Ledger
+from .ledger import Ledger, SessionStatus
 from .tee import AttestationReport
 
 NODE_ACTIONS = frozenset(
@@ -85,6 +86,9 @@ class AdversaryScript:
         return None
 
     def validate(self, config: ScenarioConfig) -> None:
+        oversold = self.role_action("server", "oversell", "stage1_produce")
+        if oversold and config.value_max >= 255:
+            raise ScriptError(f"{self.name}: overselling needs headroom above value_max")
         if len(self.corrupted_nodes) > config.max_faulty:
             raise ScriptError(
                 f"{self.name}: {len(self.corrupted_nodes)} corrupted nodes exceed "
@@ -274,12 +278,32 @@ class Message:
 
 
 @dataclass(frozen=True, slots=True)
-class Event:
-    seq: int
+class Sent:
+    """A message in the run log; its sequence number is its place among the
+    run's messages."""
+
     sender: str
     receiver: str
     mtype: str
     payload_hash: str
+
+
+@dataclass(frozen=True, slots=True)
+class Note:
+    """An anomaly a participant observed."""
+
+    text: str
+
+
+@dataclass(frozen=True, slots=True)
+class Dispute:
+    """A challenge the consumer submitted, with the contract's answer."""
+
+    text: str
+
+
+def texts(log: list, kind: type) -> tuple[str, ...]:
+    return tuple(r.text for r in log if type(r) is kind)
 
 
 class Simulator:
@@ -289,8 +313,7 @@ class Simulator:
         self.monitor = monitor
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
-        self.events: list[Event] = []
-        self.anomalies: list[str] = []
+        self.log = ledger.log  # the run log, shared with the ledger
         self._rotation: list[str] = []
 
     def register(self, participant) -> None:
@@ -304,14 +327,11 @@ class Simulator:
         if receiver not in self.participants:
             raise KeyError(f"unknown participant {receiver!r}")
         msg = Message(sender, receiver, mtype, payload)
-        digest = _payload_digest(mtype, payload)
-        self.events.append(
-            Event(len(self.events), sender, receiver, mtype, digest)
-        )
+        self.log.append(Sent(sender, receiver, mtype, _payload_digest(mtype, payload)))
         self.inboxes[receiver].append(msg)
 
     def note(self, text: str) -> None:
-        self.anomalies.append(text)
+        self.log.append(Note(text))
 
     def drain(self, max_steps: int = 200_000) -> bool:
         """Deliver queued messages round-robin until quiet; True if any moved."""
@@ -357,7 +377,7 @@ class ExchangeOutcome:
 class Trace:
     config: ScenarioConfig
     script: AdversaryScript
-    events: list[Event]
+    events: list[Sent]
     gas_csv: str
     terminal: str
     outcome: ExchangeOutcome
@@ -371,8 +391,8 @@ class Trace:
         lines.append("[script]")
         lines.append(repr(self.script.to_dict()))
         lines.append("[events]")
-        for e in self.events:
-            lines.append(f"{e.seq} {e.sender} {e.receiver} {e.mtype} {e.payload_hash}")
+        for seq, e in enumerate(self.events):
+            lines.append(f"{seq} {e.sender} {e.receiver} {e.mtype} {e.payload_hash}")
         lines.append("[gas]")
         lines.append(self.gas_csv.rstrip())
         lines.append("[terminal]")
@@ -422,10 +442,7 @@ def run_scenario(
 
     rng = random.Random(config.seed)
     ledger = Ledger()
-    sessions_required = (
-        config.max_faulty + 1 if config.shared_key else config.threshold
-    )
-    monitor = CoalitionMonitor(config.threshold, sessions_required)
+    monitor = CoalitionMonitor(config.threshold, config.sessions_required())
     sim = Simulator(ledger, rng, monitor)
 
     setup = roles.stage0_setup(sim, config, script)
@@ -453,10 +470,10 @@ def run_scenario(
         paid_sessions=consumer.paid_sessions,
         gas_total=ledger.total_gas(),
         refund_to_buyer=consumer.refunds_received(ledger),
-        settled_sessions=consumer.sessions_in_state("SETTLED", ledger),
-        refunded_sessions=consumer.sessions_in_state("REFUNDED", ledger),
-        disputes=tuple(consumer.dispute_log),
-        anomalies=tuple(sim.anomalies),
+        settled_sessions=consumer.sessions_in_state(SessionStatus.SETTLED, ledger),
+        refunded_sessions=consumer.sessions_in_state(SessionStatus.REFUNDED, ledger),
+        disputes=texts(ledger.log, Dispute),
+        anomalies=texts(ledger.log, Note),
         coalition_max=monitor.max_counts(),
         finished_reason=consumer.finished_reason,
     )
@@ -476,7 +493,7 @@ def run_scenario(
     return Trace(
         config=config,
         script=script,
-        events=sim.events,
+        events=[r for r in ledger.log if type(r) is Sent],
         gas_csv=ledger.gas_csv(),
         terminal="\n".join(terminal_lines),
         outcome=outcome,

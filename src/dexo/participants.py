@@ -14,7 +14,7 @@ and settlement or dispute.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tee, wire
 from .config import ScenarioConfig
@@ -31,17 +31,15 @@ from .crypto import (
 from .crypto.shamir import evaluate_at  # noqa: F401  (perfbench traces calls via this binding)
 from .ledger import (
     BadKeyError,
+    DataDescription,
     LedgerError,
+    Listing,
     SessionStatus,
     conforms_to_description,
 )
-from .netsim import AdversaryScript, Message, Simulator
+from .netsim import AdversaryScript, Dispute, Message, Simulator
 
 RATIFIED_TA = b"data-market-trusted-formatter-v1"
-
-
-class StageError(Exception):
-    pass
 
 
 def _device_rule(config: ScenarioConfig, oversold: bool) -> tee.PreprocessingRule:
@@ -135,11 +133,8 @@ class PDAppServer:
         self.registry = registry
         self.cid: str | None = None
         self.forwarded = 0
-        self.retained_shares: dict[int, list] = {}  # stays empty by design
 
     def deploy(self, sim: Simulator) -> str:
-        from .ledger import DataDescription
-
         config = self.config
         desc = DataDescription(
             datum_size=config.datum_size_bytes,
@@ -162,11 +157,7 @@ class PDAppServer:
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         if msg.mtype == "att_report":
-            report_ok = (
-                msg.payload["mpk"] in self.registry.genuine_keys
-                and msg.payload["measurement"] == self.registry.expected_measurement
-            )
-            if not report_ok:
+            if not self.registry.admits(msg.payload["mpk"], msg.payload["measurement"]):
                 sim.note(f"server: device {msg.payload['provider']} failed attestation")
         elif msg.mtype == "data_shares":
             self._relay(sim, msg.payload)
@@ -214,7 +205,6 @@ class DexoNode:
         self.openings: bytes | None = None
         self.initialized = False
         self.attestation_failed = False
-        self.revealed = False
         self.reveal_attempted = False
 
     def _act(self, action: str, trigger: str) -> bool:
@@ -296,10 +286,8 @@ class DexoNode:
 
     def _on_notice_buy(self, sim: Simulator, msg: Message) -> None:
         buyer = msg.sender
-        status = sim.ledger.read(
-            self.account, self.cid, f"buyers.{buyer}.status.{self.index}"
-        )
-        if status != SessionStatus.QUERIED or self.cipher is None:
+        status = sim.ledger.read(self.account, self.cid, buyer, self.index)
+        if status is not SessionStatus.QUERIED or self.cipher is None:
             return
         if self._act("drop", "stage3_deliver"):
             sim.note(f"{self.name}: dropped ciphertext delivery")
@@ -313,10 +301,8 @@ class DexoNode:
 
     def _on_notice_accept(self, sim: Simulator, msg: Message) -> None:
         buyer = msg.sender
-        status = sim.ledger.read(
-            self.account, self.cid, f"buyers.{buyer}.status.{self.index}"
-        )
-        if status != SessionStatus.ACCEPTED or self.reveal_attempted:
+        status = sim.ledger.read(self.account, self.cid, buyer, self.index)
+        if status is not SessionStatus.ACCEPTED or self.reveal_attempted:
             return
         self.reveal_attempted = True
         if self._act("withhold_key", "stage3_reveal"):
@@ -330,7 +316,6 @@ class DexoNode:
         except BadKeyError:
             sim.note(f"{self.name}: reveal rejected (bad key)")
             return
-        self.revealed = True
         sim.send(self.name, buyer, "notice_key", {"node": self.index})
 
 
@@ -360,10 +345,9 @@ class Consumer:
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
         self.refuses_payment = script.role_action("consumer", "refuse", "stage3_pay")
-        self.listing: dict | None = None
+        self.listing: Listing | None = None
         self.delivered: dict[int, bytes] = {}
         self.openings: dict[int, bytes] = {}  # encrypted openings blob per node
-        self.invalid_deliveries: set[int] = set()
         self.responded: set[int] = set()
         self.accepted: set[int] = set()
         self.keys: dict[int, KeyMaterial] = {}
@@ -378,7 +362,6 @@ class Consumer:
         self.paid_sessions = 0
         self.reconstructed: dict[int, bytes | None] = {}
         self.reconstruction_valid = False
-        self.dispute_log: list[str] = []
         self._initial_balance = 0
         self._leaked_keys: list[KeyMaterial] = []
         self._stall_ticks = 0
@@ -388,7 +371,7 @@ class Consumer:
     def start(self, sim: Simulator) -> None:
         self._initial_balance = sim.ledger.balances.get(self.account, 0)
         self.listing = sim.ledger.snapshot_listing(self.cid)
-        if not self.listing["initialized"]:
+        if not self.listing.initialized:
             self._finish(sim, "listing-never-initialized")
             return
         if self.config.merged_query:
@@ -424,10 +407,10 @@ class Consumer:
         """
         if not self.corrupted or self.listing is None:
             return
-        nonce = self.listing["tid"].encode()
+        nonce = self.listing.tid.encode()
         for key in list(self._leaked_keys) + list(self.keys.values()):
             opened = commit(key)
-            for j, com in self.listing["commitment"].items():
+            for j, com in self.listing.commitment.items():
                 if com != opened or j not in self.delivered:
                     continue
                 try:
@@ -441,11 +424,10 @@ class Consumer:
         j = msg.payload["node"]
         self.responded.add(j)
         cipher = msg.payload["cipher"]
-        if wire.payload_root(cipher) == self.listing["delta"][j]:
+        if wire.payload_root(cipher) == self.listing.delta[j]:
             self.delivered[j] = cipher
             self.openings[j] = msg.payload.get("openings", b"")
         else:
-            self.invalid_deliveries.add(j)
             sim.note(f"consumer: digest mismatch from node {j}")
         self._derive_coalition_shares(sim)
         if self.phase == "await_ciphertexts" and len(self.responded) == self.config.n_nodes:
@@ -455,7 +437,7 @@ class Consumer:
         j = msg.payload["node"]
         if j in self.keys or j not in self.accepted:
             return
-        key = sim.ledger.read(self.account, self.cid, f"key_revealed.{j}")
+        key = sim.ledger.check_key(self.account, self.cid, j)
         if key is None:
             return
         self.keys[j] = key
@@ -467,16 +449,11 @@ class Consumer:
 
     # -- phases
 
-    def _needed_sessions(self) -> int:
-        if self.config.shared_key:
-            return self.config.max_faulty + 1
-        return self.config.threshold
-
     def _choose_sessions(self) -> list[int] | None:
         valid = sorted(self.delivered)
-        needed = self._needed_sessions()
-        if self.config.shared_key:
-            group = list(range(1, self.config.threshold - self.config.max_faulty + 1))
+        needed = self.config.sessions_required()
+        group = self.config.priority_group()
+        if group:
             leader = next((j for j in group if j in valid), None)
             outside = [j for j in valid if j not in group]
             if leader is not None and len(outside) >= needed - 1:
@@ -511,7 +488,7 @@ class Consumer:
     def _ingest_shares(self, sim: Simulator, j: int, key: KeyMaterial) -> None:
         if j not in self.delivered:
             return
-        nonce = self.listing["tid"].encode()
+        nonce = self.listing.tid.encode()
         payload = decrypt(key, self.delivered[j], nonce)
         try:
             shares = wire.decode_shares(payload)
@@ -531,7 +508,7 @@ class Consumer:
     def _group_decrypt(self, sim: Simulator, key: KeyMaterial) -> None:
         """A key unlocks every delivered blob whose commitment it opens."""
         opened = commit(key)
-        for j, com in self.listing["commitment"].items():
+        for j, com in self.listing.commitment.items():
             if com == opened and j in self.delivered and j not in self.node_shares:
                 self._ingest_shares(sim, j, key)
 
@@ -551,7 +528,7 @@ class Consumer:
             datum = reconstruct(t, self.config.n_nodes, [pool[x] for x in sorted(pool)[:t]])
         except ShamirError:
             return None, False
-        return datum, conforms_to_description(datum, self.listing["desc"])
+        return datum, conforms_to_description(datum, self.listing.desc)
 
     def _reconstruct_phase(self, sim: Simulator) -> None:
         self.phase = "reconstructing"
@@ -568,15 +545,22 @@ class Consumer:
             return
         self._remediate(sim, failing)
 
+    def _buyable(self, sim: Simulator) -> list[int]:
+        """Verified deliveries still open for purchase. Sessions whose shares
+        the consumer already holds are left out: a priority-group member
+        opened by its leader's key would never move to KEY_OUT if bought.
+        """
+        status = sim.ledger.snapshot_buyer(self.cid, self.account)
+        return [
+            j for j in sorted(self.delivered)
+            if j not in self.node_shares and status.get(j) is SessionStatus.QUERIED
+        ]
+
     def _remediate(self, sim: Simulator, failing: list[int]) -> None:
         """Buy the remaining verified deliveries to gain redundancy, then
         dispute with the enlarged share pool.
         """
-        record = sim.ledger.snapshot_buyer(self.cid, self.account)
-        remaining = [
-            j for j in sorted(self.delivered)
-            if record["status"].get(j) == "QUERIED"
-        ]
+        remaining = self._buyable(sim)
         if remaining:
             self.phase = "await_keys"
             for j in remaining:
@@ -594,7 +578,7 @@ class Consumer:
         opened once and verdicts kept, so each share is checked at most once.
         """
         if j not in self._opened:
-            nonce = wire.openings_nonce(self.listing["tid"].encode(), j)
+            nonce = wire.openings_nonce(self.listing.tid.encode(), j)
             blob = decrypt(self.share_keys[j], self.openings[j], nonce)
             try:
                 self._opened[j] = wire.decode_openings(
@@ -640,7 +624,7 @@ class Consumer:
             self.config.datum_size_bytes,
         )
 
-    def _challenge(self, label: str, challenge, first: list, second: list):
+    def _challenge(self, sim: Simulator, label: str, challenge, first: list, second: list):
         """Submit one challenge built from (share, source node) entries and log
         its result; None if the contract rejected it.
         """
@@ -649,11 +633,11 @@ class Consumer:
         try:
             result = challenge(self.account, self.cid, first_ev, second_ev)
         except LedgerError as exc:
-            self.dispute_log.append(f"{label}: rejected ({exc})")
+            sim.log.append(Dispute(f"{label}: rejected ({exc})"))
             return None
-        self.dispute_log.append(
+        sim.log.append(Dispute(
             f"{label}: accepted={result.accepted} refunded={list(result.refunded_nodes)}"
-        )
+        ))
         return result
 
     def _dispute(self, sim: Simulator, failing: list[int]) -> None:
@@ -664,7 +648,7 @@ class Consumer:
         """
         self.phase = "disputing"
         t, n = self.config.threshold, self.config.n_nodes
-        desc = self.listing["desc"]
+        desc = self.listing.desc
         for provider in failing:
             entries = self._reference(provider, t + 2)
             if len(entries) < t + 2:
@@ -673,7 +657,7 @@ class Consumer:
             if conforms_to_description(datum, desc):
                 continue
             result = self._challenge(
-                f"case1 provider {provider}", sim.ledger.challenge_case1,
+                sim, f"case1 provider {provider}", sim.ledger.challenge_case1,
                 entries[: t + 1], entries[:t] + entries[t + 1 :],
             )
             if result is not None and result.accepted:
@@ -723,7 +707,7 @@ class Consumer:
             accused_x = {s.x_coordinate for s, _ in accused}
             ordered = sorted(good_entries, key=lambda e: e[0].x_coordinate in accused_x)
             result = self._challenge(
-                f"case2 provider {provider}", sim.ledger.challenge_case2, ordered, accused
+                sim, f"case2 provider {provider}", sim.ledger.challenge_case2, ordered, accused
             )
             if result is not None:
                 already_refunded.update(result.refunded_nodes)
@@ -745,7 +729,7 @@ class Consumer:
             if any(s.x_coordinate == share.x_coordinate for s, _ in ordered[: t - 1]):
                 continue
             self._challenge(
-                f"case2 node {j} provider {provider} (mislabel probe)",
+                sim, f"case2 node {j} provider {provider} (mislabel probe)",
                 sim.ledger.challenge_case2, ordered, [(share, j)],
             )
 
@@ -753,14 +737,14 @@ class Consumer:
 
     def _settle(self, sim: Simulator) -> None:
         if not self.reconstruction_valid:
-            desc = self.listing["desc"]
+            desc = self.listing.desc
             self.reconstruction_valid = all(
                 self.reconstructed.get(p) is not None
                 and conforms_to_description(self.reconstructed[p], desc)
                 for p in range(1, self.config.providers + 1)
             )
-        record = sim.ledger.snapshot_buyer(self.cid, self.account)
-        if record and any(s == "KEY_OUT" for s in record["status"].values()):
+        status = sim.ledger.snapshot_buyer(self.cid, self.account)
+        if status and SessionStatus.KEY_OUT in status.values():
             sim.ledger.no_complain(self.account, self.cid)
         self._finish(sim, "settled")
 
@@ -783,28 +767,19 @@ class Consumer:
             elif self._stall_ticks > 2:
                 self._finish(sim, "too-few-valid-deliveries")
         elif self.phase == "await_keys":
-            record = sim.ledger.snapshot_buyer(self.cid, self.account)
+            status = sim.ledger.snapshot_buyer(self.cid, self.account)
             refunded = {
-                j for j in self.accepted
-                if record["status"].get(j) == "REFUNDED"
+                j for j in self.accepted if status.get(j) is SessionStatus.REFUNDED
             }
             if refunded:
                 # sessions timed out without a reveal and were refunded
                 self.accepted -= refunded
-                replacements = [
-                    j for j in sorted(self.delivered)
-                    if j not in self.accepted and j not in refunded
-                    and record["status"].get(j) == "QUERIED"
-                ]
-                missing = max(0, self._needed_sessions() - len(self.accepted))
-                took = 0
+                missing = max(0, self.config.sessions_required() - len(self.accepted))
+                replacements = self._buyable(sim)[:missing]
                 for j in replacements:
-                    if took >= missing:
-                        break
                     self._accept_session(sim, j)
                     sim.send(self.name, f"node-{j}", "notice_accept", {})
-                    took += 1
-                if took == 0 and all(j in self.keys for j in self.accepted):
+                if not replacements and all(j in self.keys for j in self.accepted):
                     self._reconstruct_phase(sim)
 
     def refunds_received(self, ledger) -> int:
@@ -814,13 +789,11 @@ class Consumer:
         balance = ledger.balances.get(self.account, 0)
         return balance - (self._initial_balance - spent)
 
-    def sessions_in_state(self, state: str, ledger) -> tuple[int, ...]:
-        record = ledger.snapshot_buyer(self.cid, self.account)
-        if record is None:
+    def sessions_in_state(self, state: SessionStatus, ledger) -> tuple[int, ...]:
+        status = ledger.snapshot_buyer(self.cid, self.account)
+        if status is None:
             return ()
-        return tuple(
-            sorted(j for j, s in record["status"].items() if s == state)
-        )
+        return tuple(sorted(j for j, s in status.items() if s is state))
 
 
 # ---------------------------------------------------------------- stages
@@ -837,7 +810,6 @@ class ProtocolSetup:
     nodes: dict[int, DexoNode]
     consumer: Consumer
     cid: str | None = None
-    priority_group: list[int] = field(default_factory=list)
 
 
 def stage0_setup(
@@ -846,8 +818,6 @@ def stage0_setup(
     """Install the trusted app on every device, attest, and deploy the contract."""
     config.validate()
     oversold = script.role_action("server", "oversell", "stage1_produce")
-    if oversold and config.value_max >= 255:
-        raise StageError("oversell scenario needs headroom above value_max")
 
     platform = tee.TeePlatform(rng=random.Random(sim.rng.getrandbits(64)))
     registry = tee.AttestationRegistry(
@@ -894,15 +864,9 @@ def stage0_setup(
         sim.send(server.name, device.name, "attest", {})
     sim.drain()
 
-    group = (
-        list(range(1, config.threshold - config.max_faulty + 1))
-        if config.shared_key
-        else []
-    )
     return ProtocolSetup(
         config=config, script=script, platform=platform, registry=registry,
-        server=server, devices=devices, nodes=nodes, consumer=consumer,
-        cid=cid, priority_group=group,
+        server=server, devices=devices, nodes=nodes, consumer=consumer, cid=cid,
     )
 
 
@@ -917,12 +881,13 @@ def stage2_register(sim: Simulator, setup: ProtocolSetup) -> None:
     """Distribute the group key (if enabled), then let every node attest its
     reports and publish digest and commitment on-chain.
     """
-    if setup.priority_group:
-        leader = setup.nodes[setup.priority_group[0]]
+    group = setup.config.priority_group()
+    if group:
+        leader = setup.nodes[group[0]]
         group_key = KeyMaterial(leader.rng.randbytes(32))
         leader.group_key = group_key
         leader._maybe_leak_key(sim, group_key)
-        for j in setup.priority_group[1:]:
+        for j in group[1:]:
             sim.send(leader.name, setup.nodes[j].name, "group_key", {"key": group_key})
         sim.drain()
     for j in sorted(setup.nodes):

@@ -162,6 +162,10 @@ class AttestationRegistry:
     def register_key(self, public_key: bytes) -> None:
         self.genuine_keys.add(public_key)
 
+    def admits(self, public_key: bytes, measurement: RuntimeMeasurement) -> bool:
+        """Is this a registered platform key running the ratified program?"""
+        return public_key in self.genuine_keys and measurement == self.expected_measurement
+
 
 def share_commitment(salt: bytes, share: SecretShare) -> bytes:
     return sha256(TAG_SHARE, salt, wire.encode_share(share))
@@ -183,9 +187,7 @@ def attest_report(registry: AttestationRegistry, report: AttestationReport) -> b
     too. A failed verification is not remembered, so a forged signature seen
     first cannot keep the genuine one out.
     """
-    if report.platform_public_key not in registry.genuine_keys:
-        return False
-    if report.measurement != registry.expected_measurement:
+    if not registry.admits(report.platform_public_key, report.measurement):
         return False
     if report.proof.leaf_index != report.share.node_index - 1:
         return False
@@ -284,11 +286,3 @@ class TeePlatform:
             for s, salt, proof in zip(shares, salts, proofs)
         ]
         return shares, reports, public_key
-
-    def attest_ok(self, registry: AttestationRegistry, eid: str) -> bool:
-        measurement, sig, mpk = self.resume_attest(eid)
-        if mpk not in registry.genuine_keys:
-            return False
-        if measurement != registry.expected_measurement:
-            return False
-        return verify(mpk, measurement.digest, sig)

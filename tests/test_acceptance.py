@@ -99,7 +99,7 @@ def test_gas_constants_exact():
         fx.accept_sessions([1])
         fx.reveal_sessions([1])
         fx.ledger.no_complain(CONSUMER, fx.cid)
-        entry = [e for e in fx.ledger.gas_log if e.function == "noComplain"]
+        entry = [c for c in fx.ledger.calls() if c.function == "noComplain"]
         assert entry[0].gas == 37_194 + 5_735 * m, f"M={m}"
     assert schedule.no_complain_base == 37_194
     _ok("gas constants: schedule reproduced exactly, settlement linear in M")

@@ -1,6 +1,7 @@
 """Cost reports, sweeps, CLI verbs, and golden-file interface stability."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,50 @@ def test_cli_rejects_unknown_adversary(tmp_path):
     )
     Path(cfg_path).write_text(text)
     assert cli.main(["run", cfg_path]) == 2
+
+
+def test_cli_rejects_oversell_without_headroom(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, adversary="SOURCE_NODE_COLLUSION", value_max=255)
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "headroom above value_max" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,t,f", [(6, 4, 1), (8, 5, 3), (9, 5, 2), (10, 6, 4)])
+def test_cli_tamper_shares_with_a_shared_key_group_settles(tmp_path, n, t, f):
+    """With a priority group of t-F >= 2 members the leader's reveal opens
+    every member; buying a member afterwards left its session ACCEPTED and
+    settlement failed with PendingDisputeError."""
+    cfg_path = _write_config(tmp_path, n_nodes=n, threshold=t, max_faulty=f,
+                             shared_key=True, adversary="TAMPER_SHARES")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out)]) == 0
+    summary = (out / "scenario.summary.txt").read_text()
+    assert "outcome: settled (reconstruction_valid=True)" in summary
+    refunded = re.search(r"refunded sessions: \[(.*)\]", summary).group(1)
+    assert {int(j) for j in refunded.split(",") if j} <= set(range(1, f + 1))
+    assert cli.main(["replay", str(out / "scenario.trace")]) == 0
+
+
+def test_cli_replay_names_the_first_divergent_line(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out)]) == 0
+    trace_path = out / "scenario.trace"
+    lines = trace_path.read_text().splitlines()
+    at = lines.index("[gas]") + 2  # the deploy call, after the CSV header
+    original = lines[at]
+    fields = original.split(",")
+    fields[3] = str(int(fields[3]) + 1)
+    lines[at] = ",".join(fields)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["replay", str(trace_path)]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        f"replay: MISMATCH in [gas] at line {at + 1}",
+        f"  trace:  {lines[at]}",
+        f"  replay: {original}",
+    ]
 
 
 def test_cli_sweep_and_compare(tmp_path):

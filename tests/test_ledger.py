@@ -25,7 +25,6 @@ from dexo.ledger import (
     SessionStatus,
     SharesInconsistentError,
     UnauthorizedCallerError,
-    UnknownPathError,
     WindowClosedError,
     WrongPaymentError,
     conforms_to_description,
@@ -36,7 +35,7 @@ SCHEDULE = GasSchedule()
 
 
 def _gas_entries(ledger, function):
-    return [e for e in ledger.gas_log if e.function == function]
+    return [c for c in ledger.calls() if c.function == function]
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -152,10 +151,10 @@ def test_reveal_key_happy_path_and_read():
     fx.initialize_all()
     fx.ledger.query(CONSUMER, fx.cid)
     fx.accept_sessions([1])
-    assert fx.ledger.read(CONSUMER, fx.cid, "key_revealed.1") is None
+    assert fx.ledger.check_key(CONSUMER, fx.cid, 1) is None
     fx.reveal_sessions([1])
     assert fx.contract.buyers[CONSUMER].status[1] == SessionStatus.KEY_OUT
-    got = fx.ledger.read(CONSUMER, fx.cid, "key_revealed.1")
+    got = fx.ledger.check_key(CONSUMER, fx.cid, 1)
     assert got == fx.nodes[1].key
     reads = _gas_entries(fx.ledger, "read")
     assert [e.gas for e in reads] == [3_457, 3_457]
@@ -198,10 +197,20 @@ def test_shared_commitment_reveals_for_all_members():
     assert len(_gas_entries(fx.ledger, "revealKey")) == 1
 
 
-def test_read_unknown_path():
-    fx = build_listing(n=2, t=1)
-    with pytest.raises(UnknownPathError):
-        fx.ledger.read(CONSUMER, fx.cid, "nonsense.path")
+def test_status_read_is_metered_without_gas():
+    fx = build_listing(n=2, t=1, price=200)
+    fx.initialize_all()
+    node = fx.nodes[1].account
+    assert fx.ledger.read(node, fx.cid, CONSUMER, 1) is None
+    fx.ledger.query(CONSUMER, fx.cid)
+    assert fx.ledger.read(node, fx.cid, CONSUMER, 1) is SessionStatus.QUERIED
+    fx.accept_sessions([1])
+    assert fx.ledger.read(node, fx.cid, CONSUMER, 1) is SessionStatus.ACCEPTED
+    assert fx.ledger.snapshot_buyer(fx.cid, CONSUMER) == {
+        1: SessionStatus.ACCEPTED, 2: SessionStatus.QUERIED
+    }
+    reads = _gas_entries(fx.ledger, "read")
+    assert [(c.caller, c.gas) for c in reads] == [(node, 0)] * 3
 
 
 # ---------------------------------------------------------------- settlement

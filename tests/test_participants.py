@@ -7,14 +7,17 @@ import pytest
 
 from dexo import tee
 from dexo.config import ScenarioConfig
+from dexo.crypto import SecretShare
 from dexo.ledger import Ledger, SessionStatus
 from dexo.netsim import (
     AdversaryScript,
     CoalitionMonitor,
+    Dispute,
     Rule,
     Simulator,
     run_scenario,
     standard_scripts,
+    texts,
 )
 from dexo.participants import (
     stage0_setup,
@@ -30,8 +33,8 @@ def _staged_run(config: ScenarioConfig, script: AdversaryScript | None = None):
     script = script or standard_scripts(config)[config.adversary]
     script.validate(config)
     rng = random.Random(config.seed)
-    sessions = config.max_faulty + 1 if config.shared_key else config.threshold
-    sim = Simulator(Ledger(), rng, CoalitionMonitor(config.threshold, sessions))
+    sim = Simulator(Ledger(), rng,
+                    CoalitionMonitor(config.threshold, config.sessions_required()))
     setup = stage0_setup(sim, config, script)
     stage1_produce(sim, setup)
     stage2_register(sim, setup)
@@ -53,9 +56,17 @@ def test_stage1_every_node_holds_one_share_per_provider():
             assert tee.attest_report(setup.registry, report)
 
 
+def _holds_share(value) -> bool:
+    if isinstance(value, (SecretShare, tee.AttestationReport)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple, set)) and any(_holds_share(v) for v in value)
+
+
 def test_server_retains_no_shares():
     sim, setup = _staged_run(suite_config())
-    assert setup.server.retained_shares == {}
+    assert not any(_holds_share(v) for v in vars(setup.server).values())
     assert setup.server.forwarded == 7 * 3
 
 
@@ -70,8 +81,7 @@ def test_priority_group_members_share_one_commitment():
     config = suite_config(n_nodes=10, threshold=6, max_faulty=4, shared_key=True)
     sim, setup = _staged_run(config)
     contract = sim.ledger.contracts[setup.cid]
-    group = setup.priority_group
-    assert group == [1, 2]
+    assert config.priority_group() == [1, 2]
     assert contract.commitment[1] == contract.commitment[2]
     coms = {contract.commitment[j].digest for j in range(3, 11)}
     assert len(coms) == 8  # outside the group, every commitment is distinct
@@ -226,9 +236,10 @@ def test_unauthenticated_consistent_node_is_never_refunded():
     stage3_exchange(sim, setup)
     consumer = setup.consumer
     assert consumer.reconstruction_valid
-    assert consumer.sessions_in_state("REFUNDED", sim.ledger) == (1, 2)
-    assert consumer.dispute_log[0] == "case2 provider 1: accepted=True refunded=[1, 2]"
-    assert all("accepted=False" in d for d in consumer.dispute_log[1:])
+    assert consumer.sessions_in_state(SessionStatus.REFUNDED, sim.ledger) == (1, 2)
+    disputes = texts(sim.log, Dispute)
+    assert disputes[0] == "case2 provider 1: accepted=True refunded=[1, 2]"
+    assert all("accepted=False" in d for d in disputes[1:])
 
 
 def test_source_collusion_full_refund():

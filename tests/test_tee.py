@@ -112,19 +112,22 @@ def test_tampered_instance_measurement_differs():
 
 def test_attest_against_registry():
     platform, eid, registry = _platform_with_registry(seed=5)
-    assert platform.attest_ok(registry, eid)
+    measurement, _, mpk = platform.resume_attest(eid)
+    assert registry.admits(mpk, measurement)
 
 
 def test_tampered_instance_rejected_by_registry():
     platform, eid, registry = _platform_with_registry(seed=6, tampered=True)
-    assert not platform.attest_ok(registry, eid)
+    measurement, _, mpk = platform.resume_attest(eid)
+    assert not registry.admits(mpk, measurement)
 
 
 def test_unregistered_key_rejected():
     platform = TeePlatform(rng=7)
     eid = platform.install(RATIFIED)
     registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
-    assert not platform.attest_ok(registry, eid)
+    measurement, _, mpk = platform.resume_attest(eid)
+    assert not registry.admits(mpk, measurement)
 
 
 def test_unknown_eid():
