@@ -9,17 +9,30 @@ import argparse
 import sys
 
 from . import harness
+from .config import ConfigError
+from .crypto import ShamirError
+from .ledger import InvariantViolation, LedgerError
+from .netsim import ScriptError
+
+EXIT_OK = 0
+EXIT_CONFIG_ERROR = 2
+EXIT_INVARIANT_VIOLATION = 3
 
 
 def _parse_values(text: str) -> list[int]:
     values = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            values.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                values.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                values.append(int(part))
+        except ValueError:
+            raise ConfigError(
+                f"--values: {part!r} is neither an integer nor a lo..hi range"
+            ) from None
     return values
 
 
@@ -59,26 +72,34 @@ def main(argv: list[str] | None = None) -> int:
     p_ex.add_argument("path")
 
     args = parser.parse_args(argv)
-    if args.verb == "run":
-        return harness.run(args.config, out_dir=args.out, usd=args.usd)
-    if args.verb == "sweep":
-        return harness.run_sweep(
-            args.config,
-            axis=args.axis,
-            values=_parse_values(args.values),
-            out_path=args.out,
-            parallel=args.parallel,
-            usd=args.usd,
-        )
-    if args.verb == "compare":
-        return harness.run_compare(args.report, out_path=args.out, usd=args.usd)
-    if args.verb == "replay":
-        return harness.run_replay(args.trace)
-    if args.verb == "example-config":
-        harness.write_example_config(args.path)
-        print(f"wrote {args.path}")
-        return 0
-    return 2
+    try:
+        if args.verb == "run":
+            harness.run(args.config, out_dir=args.out, usd=args.usd)
+        elif args.verb == "sweep":
+            harness.run_sweep(
+                args.config,
+                axis=args.axis,
+                values=_parse_values(args.values),
+                out_path=args.out,
+                parallel=args.parallel,
+                usd=args.usd,
+            )
+        elif args.verb == "compare":
+            harness.run_compare(args.report, out_path=args.out, usd=args.usd)
+        elif args.verb == "replay":
+            if not harness.run_replay(args.trace):
+                return EXIT_INVARIANT_VIOLATION
+        elif args.verb == "example-config":
+            harness.write_example_config(args.path)
+            print(f"wrote {args.path}")
+    # a file that is not UTF-8 text is bad input like any other
+    except (ConfigError, ScriptError, OSError, UnicodeDecodeError) as exc:
+        print(f"config error: {exc}")
+        return EXIT_CONFIG_ERROR
+    except (InvariantViolation, LedgerError, ShamirError) as exc:
+        print(f"invariant violation: {exc}")
+        return EXIT_INVARIANT_VIOLATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

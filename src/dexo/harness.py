@@ -3,7 +3,10 @@
 The cost model compares a simulated exchange against an oracle service that
 delivers data points through individual contract calls: a Price Feed call
 costs 216,844 gas and a generic API call 1,470,295 gas, each delivering one
-datum by default. The simulator side is the exact sum of its metered gas log.
+datum. The simulator side is the exact sum of its metered gas log.
+
+The verbs below raise on bad input or a broken run; ``dexo.cli`` turns what
+they raise into an exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from multiprocessing import Pool
 
 from .config import ConfigError, ScenarioConfig, format_config, load_config
 from .ledger import MODEL_ESTIMATED_FUNCTIONS
-from .netsim import InvariantViolation, ScriptError, Trace, parse_trace_header, run_scenario
+from .netsim import Trace, parse_trace_header, run_scenario
 
 CHAINLINK_PRICE_FEED_GAS = 216_844
 CHAINLINK_API_CALL_GAS = 1_470_295
@@ -27,10 +30,6 @@ CHAINLINK_API_CALL_GAS = 1_470_295
 # reference snapshot used for the optional USD column (May 2024 prices)
 REFERENCE_GAS_PRICE_GWEI = 10.96
 REFERENCE_ETH_USD = 3_510.0
-
-EXIT_OK = 0
-EXIT_CONFIG_ERROR = 2
-EXIT_INVARIANT_VIOLATION = 3
 
 
 def gas_to_usd(gas: int) -> float:
@@ -60,7 +59,6 @@ REPORT_COLUMNS = [f.name for f in dataclasses.fields(CostRow)]
 @dataclass
 class CostReport:
     rows: list[CostRow]
-    datums_per_call: int = 1
 
     def to_csv(self, usd: bool = False) -> str:
         out = io.StringIO()
@@ -81,17 +79,17 @@ class CostReport:
 
     @staticmethod
     def from_csv(text: str) -> "CostReport":
-        reader = csv.DictReader(io.StringIO(text))
         rows = []
-        for record in reader:
-            rows.append(
-                CostRow(
-                    **{
-                        c: (record[c] if c == "label" else int(record[c]))
-                        for c in REPORT_COLUMNS
-                    }
-                )
-            )
+        try:
+            for record in csv.DictReader(io.StringIO(text)):
+                rows.append(CostRow(**{
+                    c: (record[c] if c == "label" else int(record[c]))
+                    for c in REPORT_COLUMNS
+                }))
+        except KeyError as exc:
+            raise ConfigError(f"cannot read report: no column {exc}") from None
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read report: {exc}") from None
         return CostReport(rows=rows)
 
 
@@ -118,9 +116,7 @@ def _run_row(args: tuple[str, ScenarioConfig]) -> CostRow:
 
 
 def build_cost_report(
-    labeled_configs: list[tuple[str, ScenarioConfig]],
-    parallel: bool = False,
-    datums_per_call: int = 1,
+    labeled_configs: list[tuple[str, ScenarioConfig]], parallel: bool = False
 ) -> CostReport:
     """Run every config and collect one report row each. Runs are independent
     and deterministic, so they may execute in parallel.
@@ -132,18 +128,18 @@ def build_cost_report(
             rows = pool.map(_run_row, labeled_configs, chunksize=1)
     else:
         rows = [_run_row(lc) for lc in labeled_configs]
-    return compare_chainlink(CostReport(rows=rows, datums_per_call=datums_per_call))
+    return compare_chainlink(CostReport(rows=rows))
 
 
 def compare_chainlink(report: CostReport) -> CostReport:
-    """Fill in what delivering the same data volume costs per-call on-chain."""
+    """Fill in what delivering the same data volume costs on-chain, one datum
+    per call."""
     rows = []
     for row in report.rows:
         if row.data_bytes == 0 or row.datum_size == 0:
             calls = 0
         else:
-            bytes_per_call = report.datums_per_call * row.datum_size
-            calls = math.ceil(row.data_bytes / bytes_per_call)
+            calls = math.ceil(row.data_bytes / row.datum_size)
         rows.append(
             dataclasses.replace(
                 row,
@@ -151,7 +147,7 @@ def compare_chainlink(report: CostReport) -> CostReport:
                 gas_chainlink_apicall=calls * CHAINLINK_API_CALL_GAS,
             )
         )
-    return CostReport(rows=rows, datums_per_call=report.datums_per_call)
+    return CostReport(rows=rows)
 
 
 def crossover_lines(report: CostReport) -> list[str]:
@@ -263,21 +259,9 @@ def summarize(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config_path: str, out_dir: str = "out", usd: bool = False) -> int:
+def run(config_path: str, out_dir: str = "out", usd: bool = False) -> None:
     """Execute one scenario; write trace, gas CSV, and summary files."""
-    try:
-        config = load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG_ERROR
-    try:
-        trace = run_scenario(config)
-    except ScriptError as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG_ERROR
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}")
-        return EXIT_INVARIANT_VIOLATION
+    trace = run_scenario(load_config(config_path))
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(config_path))[0]
     with open(os.path.join(out_dir, f"{stem}.trace"), "w") as fh:
@@ -294,7 +278,6 @@ def run(config_path: str, out_dir: str = "out", usd: bool = False) -> int:
     with open(os.path.join(out_dir, f"{stem}.summary.txt"), "w") as fh:
         fh.write(summary)
     print(summary, end="")
-    return EXIT_OK
 
 
 def run_sweep(
@@ -304,16 +287,8 @@ def run_sweep(
     out_path: str,
     parallel: bool = False,
     usd: bool = False,
-) -> int:
-    try:
-        base = load_config(config_path)
-        report = sweep(base, axis, values, parallel=parallel)
-    except (ConfigError, ScriptError, OSError) as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG_ERROR
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}")
-        return EXIT_INVARIANT_VIOLATION
+) -> None:
+    report = sweep(load_config(config_path), axis, values, parallel=parallel)
     text = report.to_csv(usd=usd)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
@@ -321,17 +296,11 @@ def run_sweep(
     print(text, end="")
     for line in crossover_lines(report):
         print(line)
-    return EXIT_OK
 
 
-def run_compare(report_path: str, out_path: str | None = None, usd: bool = False) -> int:
-    try:
-        with open(report_path) as fh:
-            report = CostReport.from_csv(fh.read())
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"config error: cannot read report: {exc}")
-        return EXIT_CONFIG_ERROR
-    report = compare_chainlink(report)
+def run_compare(report_path: str, out_path: str | None = None, usd: bool = False) -> None:
+    with open(report_path, encoding="utf-8") as fh:
+        report = compare_chainlink(CostReport.from_csv(fh.read()))
     text = report.to_csv(usd=usd)
     if out_path:
         with open(out_path, "w") as fh:
@@ -339,23 +308,18 @@ def run_compare(report_path: str, out_path: str | None = None, usd: bool = False
     print(text, end="")
     for line in crossover_lines(report):
         print(line)
-    return EXIT_OK
 
 
-def run_replay(trace_path: str) -> int:
-    try:
-        with open(trace_path) as fh:
-            text = fh.read()
-        config, script = parse_trace_header(text)
-    except (OSError, ValueError, ConfigError) as exc:
-        print(f"config error: cannot read trace: {exc}")
-        return EXIT_CONFIG_ERROR
-    fresh = run_scenario(config, script).serialize()
+def run_replay(trace_path: str) -> bool:
+    """Re-execute a trace file; True iff the rerun is byte-identical."""
+    with open(trace_path, encoding="utf-8") as fh:
+        text = fh.read()
+    fresh = run_scenario(*parse_trace_header(text)).serialize()
     if fresh == text:
         print("replay: identical")
-        return EXIT_OK
+        return True
     print(f"replay: MISMATCH {first_divergence(text, fresh)}")
-    return EXIT_INVARIANT_VIOLATION
+    return False
 
 
 def first_divergence(recorded: str, replayed: str) -> str:

@@ -40,6 +40,10 @@ from .crypto import (
 # ---------------------------------------------------------------- errors
 
 
+class InvariantViolation(Exception):
+    """A run broke a property that must hold whatever its inputs."""
+
+
 class LedgerError(Exception):
     pass
 
@@ -123,6 +127,7 @@ class GasSchedule:
     challenge_per_share: int = 8_000
 
 
+GAS = GasSchedule()
 MODEL_ESTIMATED_FUNCTIONS = frozenset({"query", "challenge"})
 
 
@@ -227,9 +232,6 @@ class ContractState:
     def escrow_total(self) -> int:
         return sum(b.escrow() for b in self.buyers.values())
 
-    def nonce(self) -> bytes:
-        return self.tid.encode()
-
     def dump(self) -> str:
         """Deterministic structured-text dump for golden-file tests."""
         lines = [f"contract {self.cid} tid={self.tid}"]
@@ -275,8 +277,7 @@ class Ledger:
     a simulator built on it appends messages, notes and disputes.
     """
 
-    def __init__(self, schedule: GasSchedule | None = None):
-        self.schedule = schedule or GasSchedule()
+    def __init__(self):
         self.contracts: dict[str, ContractState] = {}
         self.block_height = 0
         self.log: list = []
@@ -311,7 +312,7 @@ class Ledger:
     def assert_conserved(self) -> None:
         total = self.conservation_total()
         if total != self.minted:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"currency not conserved: {total} in circulation, {self.minted} minted"
             )
 
@@ -374,7 +375,7 @@ class Ledger:
             node_fee=node_fee,
             desc=desc,
         )
-        self._log(deployer, "deploy", self.schedule.deployment)
+        self._log(deployer, "deploy", GAS.deployment)
         return cid
 
     def initialize(
@@ -388,7 +389,7 @@ class Ledger:
             raise DoubleInitializeError(f"node {j} already initialized")
         contract.delta[j] = delta
         contract.commitment[j] = com
-        self._log(caller, "initialize", self.schedule.initialize)
+        self._log(caller, "initialize", GAS.initialize)
 
     def query(self, caller: str, cid: str, node_index: int | None = None) -> None:
         """Open exchange sessions. ``node_index=None`` is the merged form:
@@ -418,7 +419,7 @@ class Ledger:
             if node_index in record.status:
                 raise InvalidParamsError(f"session {node_index} already queried")
             record.status[node_index] = SessionStatus.QUERIED
-        self._log(caller, "query", self.schedule.query)
+        self._log(caller, "query", GAS.query)
 
     def accept(self, caller: str, cid: str, node_index: int, payment: int) -> None:
         contract = self._contract(cid)
@@ -435,7 +436,7 @@ class Ledger:
         record.deposits[node_index] = payment
         record.accept_block[node_index] = self.block_height
         record.status[node_index] = SessionStatus.ACCEPTED
-        self._log(caller, "accept", self.schedule.accept)
+        self._log(caller, "accept", GAS.accept)
 
     def reveal_key(self, caller: str, cid: str, key: KeyMaterial) -> None:
         contract = self._contract(cid)
@@ -461,7 +462,7 @@ class Ledger:
                 for rec in contract.buyers.values():
                     if rec.status.get(m) == SessionStatus.ACCEPTED:
                         rec.status[m] = SessionStatus.KEY_OUT
-        self._log(caller, "revealKey", self.schedule.reveal_key)
+        self._log(caller, "revealKey", GAS.reveal_key)
 
     def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:
         """Metered read of one buyer's session status; it costs no gas."""
@@ -473,7 +474,7 @@ class Ledger:
         """Metered read of node j's revealed key at the published checkKey
         cost; it is logged as a ``read`` like every state read."""
         key = self._contract(cid).key_revealed.get(j)
-        self._log(caller, "read", self.schedule.check_key)
+        self._log(caller, "read", GAS.check_key)
         return key
 
     def snapshot_listing(self, cid: str) -> Listing:
@@ -518,8 +519,8 @@ class Ledger:
                 record.status[j] = SessionStatus.SETTLED
         record.no_complain_called = True
         gas = (
-            self.schedule.no_complain_base
-            + self.schedule.no_complain_per_source * len(contract.data_sources)
+            GAS.no_complain_base
+            + GAS.no_complain_per_source * len(contract.data_sources)
         )
         self._log(caller, "noComplain", gas)
 
@@ -573,7 +574,7 @@ class Ledger:
                 ev,
                 contract.delta[j],
                 contract.key_revealed[j],
-                contract.nonce(),
+                wire.payload_nonce(contract.tid),
                 contract.desc.datum_size,
             )
             if not ok:
@@ -586,7 +587,7 @@ class Ledger:
         return reconstruct(contract.desc.threshold, contract.n_nodes, shares)
 
     def _challenge_gas(self, caller: str, share_count: int) -> None:
-        gas = self.schedule.challenge_base + self.schedule.challenge_per_share * share_count
+        gas = GAS.challenge_base + GAS.challenge_per_share * share_count
         self._log(caller, "challenge", gas)
 
     def challenge_case1(

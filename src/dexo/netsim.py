@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from ast import literal_eval
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import SecretShare
-from .ledger import Ledger, SessionStatus
-from .tee import AttestationReport
+from .ledger import InvariantViolation, Ledger, SessionStatus
+from .tee import AttestationReport, preprocess
 
 NODE_ACTIONS = frozenset(
     {
@@ -41,10 +42,6 @@ PROVIDER_ACTIONS = frozenset({"tamper_tee"})
 
 
 class ScriptError(Exception):
-    pass
-
-
-class InvariantViolation(Exception):
     pass
 
 
@@ -306,6 +303,10 @@ def texts(log: list, kind: type) -> tuple[str, ...]:
     return tuple(r.text for r in log if type(r) is kind)
 
 
+# deliveries one drain may make before the run is declared livelocked
+MAX_DRAIN_STEPS = 200_000
+
+
 class Simulator:
     def __init__(self, ledger: Ledger, rng: random.Random, monitor: CoalitionMonitor):
         self.ledger = ledger
@@ -333,7 +334,7 @@ class Simulator:
     def note(self, text: str) -> None:
         self.log.append(Note(text))
 
-    def drain(self, max_steps: int = 200_000) -> bool:
+    def drain(self) -> bool:
         """Deliver queued messages round-robin until quiet; True if any moved."""
         delivered_any = False
         steps = 0
@@ -345,7 +346,7 @@ class Simulator:
                     self.participants[name].on_message(self, msg)
                     delivered_any = True
                     steps += 1
-                    if steps > max_steps:
+                    if steps > MAX_DRAIN_STEPS:
                         raise InvariantViolation("message budget exceeded (livelock?)")
         return delivered_any
 
@@ -383,8 +384,6 @@ class Trace:
     outcome: ExchangeOutcome
 
     def serialize(self) -> str:
-        from .config import format_config
-
         lines = ["# trace v1"]
         lines.append("[config]")
         lines.append(format_config(self.config).rstrip())
@@ -401,16 +400,23 @@ class Trace:
 
 
 def parse_trace_header(text: str) -> tuple[ScenarioConfig, AdversaryScript]:
-    from ast import literal_eval
-
-    from .config import parse_config
-
+    """The config and script a trace was run with; every defect in them is
+    a :class:`ConfigError`."""
     if "[config]" not in text or "[script]" not in text:
-        raise ValueError("not a trace file")
+        raise ConfigError("cannot read trace: not a trace file")
     config_part = text.split("[config]", 1)[1].split("[script]", 1)[0]
     script_part = text.split("[script]", 1)[1].split("[events]", 1)[0].strip()
-    config = parse_config(config_part)
-    script = AdversaryScript.from_dict(literal_eval(script_part))
+    try:
+        config = parse_config(config_part)
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read trace: [config] {exc}") from None
+    try:
+        script = AdversaryScript.from_dict(literal_eval(script_part))
+        script.validate(config)
+    except KeyError as exc:
+        raise ConfigError(f"cannot read trace: [script] lacks {exc}") from None
+    except (ScriptError, SyntaxError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read trace: [script] {exc}") from None
     return config, script
 
 
@@ -452,8 +458,6 @@ def run_scenario(
     ledger.assert_conserved()
 
     consumer = setup.consumer
-    from .tee import preprocess
-
     expected = {
         d.provider_index: preprocess(d.raw, d.rule) for d in setup.devices
     }

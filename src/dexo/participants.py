@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from enum import Enum
 
 from . import tee, wire
 from .config import ScenarioConfig
@@ -132,7 +133,6 @@ class PDAppServer:
         self.script = script
         self.registry = registry
         self.cid: str | None = None
-        self.forwarded = 0
 
     def deploy(self, sim: Simulator) -> str:
         config = self.config
@@ -178,7 +178,6 @@ class PDAppServer:
                 {"provider": provider, "share": share, "report": report,
                  "mpk": payload["mpk"]},
             )
-            self.forwarded += 1
 
 
 # ---------------------------------------------------------------- node
@@ -197,7 +196,7 @@ class DexoNode:
         self.registry = registry
         self.cid = cid
         self.rng = random.Random(key_seed)
-        self.received: dict[int, tuple] = {}
+        self.received: dict[int, tee.AttestationReport] = {}  # by provider
         self.shares: list[SecretShare] = []
         self.key: KeyMaterial | None = None
         self.group_key: KeyMaterial | None = None
@@ -224,7 +223,7 @@ class DexoNode:
     def _on_share_delivery(self, sim: Simulator, msg: Message) -> None:
         provider = msg.payload["provider"]
         share = msg.payload["share"]
-        self.received[provider] = (share, msg.payload["report"], msg.payload["mpk"])
+        self.received[provider] = msg.payload["report"]
         if self.index in self.script.corrupted_nodes:
             sim.monitor.record_share(provider, share.x_coordinate)
         if self._act("leak_to", "stage1_receive") and "consumer" in self.script.corrupted_roles:
@@ -243,14 +242,14 @@ class DexoNode:
         if self._act("refuse", "stage2_register"):
             sim.note(f"{self.name}: refused to register")
             return
-        for provider in sorted(self.received):
-            _, report, _ = self.received[provider]
+        for provider, report in sorted(self.received.items()):
             if not tee.attest_report(self.registry, report):
                 self.attestation_failed = True
                 sim.note(f"{self.name}: attestation failed for provider {provider}")
         if self.attestation_failed or len(self.received) < self.config.providers:
             return
-        self.shares = [self.received[p][0] for p in sorted(self.received)]
+        reports = [self.received[p] for p in sorted(self.received)]
+        self.shares = [r.share for r in reports]
         if self._act("substitute_share", "stage2_commit"):
             self.shares = [
                 SecretShare(s.provider_index, s.node_index, s.x_coordinate,
@@ -267,12 +266,11 @@ class DexoNode:
         self.key = self.group_key or KeyMaterial(self.rng.randbytes(32))
         if self.group_key is None:
             self._maybe_leak_key(sim, self.key)
-        nonce = sim.ledger.contracts[self.cid].nonce()
+        nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
         payload = wire.encode_node_payload(self.shares)
         self.cipher = encrypt(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
         # longer opens to its device's signed root
-        reports = [self.received[p][1] for p in sorted(self.received)]
         openings = wire.encode_openings(
             [wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
              for r in reports],
@@ -322,6 +320,12 @@ class DexoNode:
 # ---------------------------------------------------------------- consumer
 
 
+class Phase(Enum):
+    AWAIT_CIPHERTEXTS = "await_ciphertexts"
+    AWAIT_KEYS = "await_keys"
+    DONE = "done"
+
+
 class Consumer:
     """Buyer state machine: pays only for digest-verified deliveries, settles
     only after a description-conformant reconstruction, disputes otherwise.
@@ -356,8 +360,7 @@ class Consumer:
         self._opened: dict[int, list[wire.Opening]] = {}  # decoded openings
         self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
-        self.phase = "idle"
-        self.finished = False
+        self.phase = Phase.AWAIT_CIPHERTEXTS
         self.finished_reason = ""
         self.paid_sessions = 0
         self.reconstructed: dict[int, bytes | None] = {}
@@ -379,7 +382,6 @@ class Consumer:
         else:
             for j in range(1, self.config.n_nodes + 1):
                 sim.ledger.query(self.account, self.cid, node_index=j)
-        self.phase = "await_ciphertexts"
         for j in range(1, self.config.n_nodes + 1):
             sim.send(self.name, f"node-{j}", "notice_buy", {})
 
@@ -407,7 +409,7 @@ class Consumer:
         """
         if not self.corrupted or self.listing is None:
             return
-        nonce = self.listing.tid.encode()
+        nonce = wire.payload_nonce(self.listing.tid)
         for key in list(self._leaked_keys) + list(self.keys.values()):
             opened = commit(key)
             for j, com in self.listing.commitment.items():
@@ -430,7 +432,7 @@ class Consumer:
         else:
             sim.note(f"consumer: digest mismatch from node {j}")
         self._derive_coalition_shares(sim)
-        if self.phase == "await_ciphertexts" and len(self.responded) == self.config.n_nodes:
+        if self.phase is Phase.AWAIT_CIPHERTEXTS and len(self.responded) == self.config.n_nodes:
             self._accept_phase(sim)
 
     def _on_notice_key(self, sim: Simulator, msg: Message) -> None:
@@ -444,7 +446,7 @@ class Consumer:
         self._ingest_shares(sim, j, key)
         self._group_decrypt(sim, key)
         self._derive_coalition_shares(sim)
-        if self.phase == "await_keys" and all(k in self.keys for k in self.accepted):
+        if self.phase is Phase.AWAIT_KEYS and all(k in self.keys for k in self.accepted):
             self._reconstruct_phase(sim)
 
     # -- phases
@@ -472,7 +474,7 @@ class Consumer:
         if chosen is None:
             self._finish(sim, "too-few-valid-deliveries")
             return
-        self.phase = "await_keys"
+        self.phase = Phase.AWAIT_KEYS
         for j in chosen:
             self._accept_session(sim, j)
         for j in range(1, self.config.n_nodes + 1):
@@ -488,7 +490,7 @@ class Consumer:
     def _ingest_shares(self, sim: Simulator, j: int, key: KeyMaterial) -> None:
         if j not in self.delivered:
             return
-        nonce = self.listing.tid.encode()
+        nonce = wire.payload_nonce(self.listing.tid)
         payload = decrypt(key, self.delivered[j], nonce)
         try:
             shares = wire.decode_shares(payload)
@@ -531,7 +533,6 @@ class Consumer:
         return datum, conforms_to_description(datum, self.listing.desc)
 
     def _reconstruct_phase(self, sim: Simulator) -> None:
-        self.phase = "reconstructing"
         failing = []
         for provider in range(1, self.config.providers + 1):
             datum, ok = self._try_reconstruct(provider)
@@ -562,7 +563,7 @@ class Consumer:
         """
         remaining = self._buyable(sim)
         if remaining:
-            self.phase = "await_keys"
+            self.phase = Phase.AWAIT_KEYS
             for j in remaining:
                 self._accept_session(sim, j)
                 sim.send(self.name, f"node-{j}", "notice_accept", {})
@@ -578,7 +579,7 @@ class Consumer:
         opened once and verdicts kept, so each share is checked at most once.
         """
         if j not in self._opened:
-            nonce = wire.openings_nonce(self.listing.tid.encode(), j)
+            nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
             blob = decrypt(self.share_keys[j], self.openings[j], nonce)
             try:
                 self._opened[j] = wire.decode_openings(
@@ -646,7 +647,6 @@ class Consumer:
         prove it (case 1) and all escrow returns; otherwise accuse every node
         holding a share that fails authentication (case 2) and settle.
         """
-        self.phase = "disputing"
         t, n = self.config.threshold, self.config.n_nodes
         desc = self.listing.desc
         for provider in failing:
@@ -748,10 +748,13 @@ class Consumer:
             sim.ledger.no_complain(self.account, self.cid)
         self._finish(sim, "settled")
 
+    @property
+    def finished(self) -> bool:
+        return self.phase is Phase.DONE
+
     def _finish(self, sim: Simulator, reason: str) -> None:
-        self.finished = True
         self.finished_reason = reason
-        self.phase = "done"
+        self.phase = Phase.DONE
 
     # -- stall handling
 
@@ -760,13 +763,13 @@ class Consumer:
         if self.finished:
             return
         self._stall_ticks += 1
-        if self.phase == "await_ciphertexts":
+        if self.phase is Phase.AWAIT_CIPHERTEXTS:
             chosen = self._choose_sessions()
             if chosen is not None:
                 self._accept_phase(sim)
             elif self._stall_ticks > 2:
                 self._finish(sim, "too-few-valid-deliveries")
-        elif self.phase == "await_keys":
+        elif self.phase is Phase.AWAIT_KEYS:
             status = sim.ledger.snapshot_buyer(self.cid, self.account)
             refunded = {
                 j for j in self.accepted if status.get(j) is SessionStatus.REFUNDED
@@ -831,9 +834,7 @@ def stage0_setup(
         tampered = i in script.tampered_providers
         eid = platform.install(RATIFIED_TA, tampered=tampered)
         registry.register_key(platform.public_key(eid))
-        raw = tee.encode_readings(
-            _device_readings(config, sim.rng, oversold), width=2
-        )
+        raw = tee.encode_readings(_device_readings(config, sim.rng, oversold))
         device = DeviceHost(
             provider_index=i,
             platform=platform,

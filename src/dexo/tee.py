@@ -48,6 +48,7 @@ class PreprocessingFailure(TeeError):
 # ---------------------------------------------------------------- rules
 
 RULE_KINDS = ("clamp", "moving_average", "fixed_width")
+READING_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,12 @@ class PreprocessingRule:
     """Closed set of formatting rules applied inside the trusted app.
 
     Raw input is a sequence of big-endian unsigned readings of
-    ``input_width`` bytes each; output values are encoded at
-    ``output_width`` bytes.
+    ``READING_WIDTH`` bytes each; every output value is one byte.
     """
 
     kind: str
     value_min: int
     value_max: int
-    input_width: int = 2
-    output_width: int = 1
     window: int = 1
 
     def __post_init__(self):
@@ -71,13 +69,14 @@ class PreprocessingRule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.value_min > self.value_max:
             raise ValueError("value_min must not exceed value_max")
-        if self.value_max >= 256**self.output_width:
-            raise ValueError("value_max does not fit output width")
+        if self.value_max > 255:
+            raise ValueError("value_max does not fit one byte")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
 
-def _parse_readings(raw: bytes, width: int) -> list[int]:
+def _parse_readings(raw: bytes) -> list[int]:
+    width = READING_WIDTH
     if not raw:
         raise PreprocessingFailure("raw input is empty")
     if len(raw) % width:
@@ -89,13 +88,13 @@ def _parse_readings(raw: bytes, width: int) -> list[int]:
     ]
 
 
-def encode_readings(values: list[int], width: int = 2) -> bytes:
-    return b"".join(v.to_bytes(width, "big") for v in values)
+def encode_readings(values: list[int]) -> bytes:
+    return b"".join(v.to_bytes(READING_WIDTH, "big") for v in values)
 
 
 def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
     """Format raw readings per the rule; output conforms to the declared range."""
-    readings = _parse_readings(raw, rule.input_width)
+    readings = _parse_readings(raw)
     if rule.kind == "clamp":
         values = [min(max(r, rule.value_min), rule.value_max) for r in readings]
     elif rule.kind == "moving_average":
@@ -114,7 +113,7 @@ def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
         if out_of_range:
             raise PreprocessingFailure(f"readings out of range: {out_of_range}")
         values = readings
-    return b"".join(v.to_bytes(rule.output_width, "big") for v in values)
+    return bytes(values)
 
 
 # ---------------------------------------------------------------- instances
@@ -127,9 +126,9 @@ class RuntimeMeasurement:
     digest: bytes
 
 
-def measure(descriptor: bytes, version: bytes = TA_VERSION, tampered: bool = False) -> RuntimeMeasurement:
+def measure(descriptor: bytes, tampered: bool = False) -> RuntimeMeasurement:
     return RuntimeMeasurement(
-        sha256(descriptor, version, b"\x01" if tampered else b"\x00")
+        sha256(descriptor, TA_VERSION, b"\x01" if tampered else b"\x00")
     )
 
 

@@ -69,6 +69,11 @@ def decode_shares(payload: bytes) -> list[SecretShare]:
     return shares
 
 
+def payload_nonce(tid: str) -> bytes:
+    """Nonce under which a node encrypts its payload blob for listing ``tid``."""
+    return tid.encode()
+
+
 def record_length(datum_size: int) -> int:
     return _HEADER_LEN + datum_size
 
@@ -94,7 +99,6 @@ def leaf_span(offset: int, length: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ChunkProof:
-    leaf_index: int
     chunk: bytes
     proof: MerkleProof
 
@@ -125,7 +129,7 @@ def build_share_evidence(
     first, last = leaf_span(offset, record_length(datum_size))
     _, all_proofs = merkle_proofs(chunks)
     proofs = tuple(
-        ChunkProof(leaf_index=i, chunk=chunks[i], proof=all_proofs[i])
+        ChunkProof(chunk=chunks[i], proof=all_proofs[i])
         for i in range(first, last + 1)
     )
     return ShareEvidence(share=share, node_index=node_index, chunks=proofs)
@@ -149,12 +153,10 @@ def verify_share_evidence(
     record = encode_share(share)
     offset = record_offset(share.provider_index, datum_size)
     first, last = leaf_span(offset, len(record))
-    indices = [cp.leaf_index for cp in evidence.chunks]
+    indices = [cp.proof.leaf_index for cp in evidence.chunks]
     if indices != list(range(first, last + 1)):
         return False
     for cp in evidence.chunks:
-        if cp.proof.leaf_index != cp.leaf_index:
-            return False
         if not merkle_verify(delta, cp.chunk, cp.proof):
             return False
     window = b"".join(cp.chunk for cp in evidence.chunks)
@@ -194,14 +196,14 @@ def opening_length(n_nodes: int) -> int:
     return _FIXED_LEN + _DIGEST_LEN * proof_length(n_nodes)
 
 
-def openings_nonce(payload_nonce: bytes, node_index: int) -> bytes:
-    """Nonce of node j's openings blob.
+def openings_nonce(nonce: bytes, node_index: int) -> bytes:
+    """Nonce of node j's openings blob, derived from its payload ``nonce``.
 
     It differs from the payload nonce, so one key never encrypts the payload
     and the openings under the same keystream, and it differs per node, so a
     priority group sharing one key never reuses a keystream either.
     """
-    return payload_nonce + b"|openings|" + node_index.to_bytes(1, "big")
+    return nonce + b"|openings|" + node_index.to_bytes(1, "big")
 
 
 def encode_openings(openings: list[Opening], n_nodes: int) -> bytes:

@@ -138,7 +138,7 @@ def build_listing(
             ]
         key = shared if j in shared_key_nodes else KeyMaterial(rng.randbytes(32))
         payload = wire.encode_node_payload(shares)
-        cipher = encrypt(key, payload, ledger.contracts[cid].nonce())
+        cipher = encrypt(key, payload, wire.payload_nonce(ledger.contracts[cid].tid))
         fixture.nodes[j] = NodeFixture(
             index=j,
             account=sellers[j - 1],

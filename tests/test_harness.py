@@ -25,6 +25,8 @@ from dexo.harness import (
     sweep,
     valid_fault_bound,
 )
+from dexo.crypto import ShamirError
+from dexo.ledger import InvariantViolation, Ledger, LedgerError
 from dexo.netsim import run_scenario
 from scenarioutil import suite_config
 
@@ -234,6 +236,93 @@ def test_cli_value_ranges():
     assert cli._parse_values("1,5,20") == [1, 5, 20]
     assert cli._parse_values("3..6") == [3, 4, 5, 6]
     assert cli._parse_values("1,4..6,9") == [1, 4, 5, 6, 9]
+
+
+# ---------------------------------------------------------------- CLI exit codes
+#
+# Every input error exits 2 with one "config error:" line; every broken run
+# invariant exits 3.
+
+
+def _assert_config_error(capsys, code: int) -> None:
+    printed = capsys.readouterr().out
+    assert code == 2
+    assert printed.startswith("config error: ") and printed.count("\n") == 1, printed
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda line: line + " +", id="not-a-literal"),
+    pytest.param(lambda line: line.replace("'rules'", "'rulez'"), id="lacks-a-key"),
+    pytest.param(
+        lambda line: line.replace("'corrupted_nodes': []", "'corrupted_nodes': [1, 2, 3]"),
+        id="fails-validation",
+    ),
+])
+def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace_path = out / "scenario.trace"
+    lines = trace_path.read_text().splitlines()
+    at = lines.index("[script]") + 1
+    lines[at] = edit(lines[at])
+    trace_path.write_text("\n".join(lines) + "\n")
+    _assert_config_error(capsys, cli.main(["replay", str(trace_path)]))
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "compare", "example-config"])
+def test_cli_rejects_an_output_path_under_a_regular_file(tmp_path, capsys, verb):
+    cfg_path = _write_config(tmp_path)
+    report = tmp_path / "report.csv"
+    assert cli.main(["sweep", cfg_path, "--axis", "seed", "--values", "1",
+                     "--out", str(report)]) == 0
+    capsys.readouterr()
+    blocked = str(tmp_path / "scenario.cfg" / "out")  # under a regular file
+    argv = {
+        "run": ["run", cfg_path, "--out", blocked],
+        "sweep": ["sweep", cfg_path, "--axis", "seed", "--values", "1",
+                  "--out", blocked + "/sweep.csv"],
+        "compare": ["compare", str(report), "--out", blocked],
+        "example-config": ["example-config", blocked],
+    }[verb]
+    _assert_config_error(capsys, cli.main(argv))
+
+
+def test_cli_sweep_rejects_values_that_are_not_integers(tmp_path, capsys):
+    argv = ["sweep", _write_config(tmp_path), "--axis", "seed", "--values", "1,x",
+            "--out", str(tmp_path / "sweep.csv")]
+    _assert_config_error(capsys, cli.main(argv))
+
+
+def test_cli_compare_rejects_a_short_report_row(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(",".join(harness.REPORT_COLUMNS) + "\nx,5\n")
+    _assert_config_error(capsys, cli.main(["compare", str(report)]))
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"schema_version = 1\n\xff\xfe\n")
+    _assert_config_error(capsys, cli.main(["run", str(path)]))
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, LedgerError, ShamirError])
+def test_cli_exits_3_when_a_run_breaks_an_invariant(tmp_path, capsys, monkeypatch, error):
+    def broken(config, script=None):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(harness, "run_scenario", broken)
+    code = cli.main(["run", _write_config(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().out == "invariant violation: broken on purpose\n"
+
+
+def test_unconserved_currency_is_an_invariant_violation():
+    ledger = Ledger()
+    ledger.fund("consumer", 100)
+    ledger.balances["consumer"] += 1
+    with pytest.raises(InvariantViolation, match="not conserved"):
+        ledger.assert_conserved()
 
 
 # ---------------------------------------------------------------- goldens

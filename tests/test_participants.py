@@ -14,6 +14,7 @@ from dexo.netsim import (
     CoalitionMonitor,
     Dispute,
     Rule,
+    Sent,
     Simulator,
     run_scenario,
     standard_scripts,
@@ -50,7 +51,8 @@ def test_stage1_every_node_holds_one_share_per_provider():
                                           max_faulty=1))
     for node in setup.nodes.values():
         assert sorted(node.received) == [1, 2]
-        for provider, (share, report, _) in node.received.items():
+        for provider, report in node.received.items():
+            share = report.share
             assert share.provider_index == provider
             assert share.node_index == node.index
             assert tee.attest_report(setup.registry, report)
@@ -67,7 +69,8 @@ def _holds_share(value) -> bool:
 def test_server_retains_no_shares():
     sim, setup = _staged_run(suite_config())
     assert not any(_holds_share(v) for v in vars(setup.server).values())
-    assert setup.server.forwarded == 7 * 3
+    relayed = [r for r in sim.log if type(r) is Sent and r.mtype == "share_delivery"]
+    assert len(relayed) == 7 * 3
 
 
 def test_honest_reconstruction_matches_device_output():

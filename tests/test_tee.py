@@ -74,7 +74,7 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         PreprocessingRule(kind="clamp", value_min=5, value_max=4)
     with pytest.raises(ValueError):
-        PreprocessingRule(kind="clamp", value_min=0, value_max=256, output_width=1)
+        PreprocessingRule(kind="clamp", value_min=0, value_max=256)
 
 
 def test_raw_length_must_match_reading_width():

@@ -120,7 +120,7 @@ def test_evidence_rejects_foreign_chunks():
     ev = wire.build_share_evidence(shares[2], shares[2].node_index, cipher, 40)
     # replace one proven chunk with a chunk from a different blob
     _, _, _, other_cipher = _node_blob(8, m=3, t=2, n=3, size=40, node=1)
-    foreign = wire.chunk_payload(other_cipher)[ev.chunks[0].leaf_index]
+    foreign = wire.chunk_payload(other_cipher)[ev.chunks[0].proof.leaf_index]
     bad = dataclasses.replace(
         ev, chunks=(dataclasses.replace(ev.chunks[0], chunk=foreign),) + ev.chunks[1:]
     )
