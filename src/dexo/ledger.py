@@ -453,15 +453,18 @@ class Ledger:
         ):
             raise BadKeyError(f"key does not open node {j}'s commitment")
         # release the key for every node committed to it: a group of nodes
-        # sharing one key is served by its leader's single reveal
+        # sharing one key is served by its leader's single reveal, and a
+        # later reveal of that key moves sessions accepted since then
         opened = commit(key)
         for m, com in contract.commitment.items():
-            if com == opened and m not in contract.key_revealed:
+            if com != opened:
+                continue
+            if m not in contract.key_revealed:
                 contract.key_revealed[m] = key
                 contract.reveal_block[m] = self.block_height
-                for rec in contract.buyers.values():
-                    if rec.status.get(m) == SessionStatus.ACCEPTED:
-                        rec.status[m] = SessionStatus.KEY_OUT
+            for rec in contract.buyers.values():
+                if rec.status.get(m) == SessionStatus.ACCEPTED:
+                    rec.status[m] = SessionStatus.KEY_OUT
         self._log(caller, "revealKey", GAS.reveal_key)
 
     def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:

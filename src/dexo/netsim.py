@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from ast import literal_eval
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -217,42 +218,56 @@ class CoalitionMonitor:
 # ---------------------------------------------------------------- simulator
 
 
+_SHARE_PARTS = struct.Struct(">cHBB")  # b"S" | provider u16 | node u8 | x u8
+_PROOF_SHAPE = struct.Struct(">HH")  # leaf index u16 | leaf count u16
+
+
+# every payload type is encoded as the first of these it subclasses, or as
+# itself; the map is filled as types are met
+_KINDS = (bytes, SecretShare, AttestationReport, list, tuple, dict)
+_kind_of: dict[type, type] = {kind: kind for kind in _KINDS}
+
+
 def _encode(value, out: list) -> None:
     """Append a payload value's byte stream to ``out`` without building
-    large reprs."""
-    if isinstance(value, bytes):
+    large reprs. One dispatch on the value's kind; share and report records
+    go out as flat, struct-packed parts.
+    """
+    cls = type(value)
+    kind = _kind_of.get(cls)
+    if kind is None:
+        kind = _kind_of[cls] = next((k for k in _KINDS if issubclass(cls, k)), cls)
+    if kind is bytes:
         out += (b"b", value)
-    elif isinstance(value, SecretShare):
+    elif kind is SecretShare:
         out += (
-            b"S",
-            value.provider_index.to_bytes(2, "big"),
-            bytes((value.node_index, value.x_coordinate)),
+            _SHARE_PARTS.pack(b"S", value.provider_index, value.node_index, value.x_coordinate),
             value.y_values,
         )
-    elif isinstance(value, AttestationReport):
-        out.append(b"R")
-        _encode(value.share, out)
-        proof = value.proof
+    elif kind is AttestationReport:
+        share, proof = value.share, value.proof
         out += (
+            b"R" + _SHARE_PARTS.pack(b"S", share.provider_index, share.node_index,
+                                     share.x_coordinate),
+            share.y_values,
             value.measurement.digest,
             value.signature,
             value.platform_public_key,
             value.salt,
-            proof.leaf_index.to_bytes(2, "big"),
-            proof.leaf_count.to_bytes(2, "big"),
+            _PROOF_SHAPE.pack(proof.leaf_index, proof.leaf_count),
         )
         out += proof.siblings
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         out.append(b"l")
         for item in value:
             _encode(item, out)
-    elif isinstance(value, dict):
+    elif kind is dict:
         out.append(b"d")
         for k in sorted(value):
             out.append(str(k).encode())
             _encode(value[k], out)
-    elif hasattr(value, "__dataclass_fields__"):
-        out.append(type(value).__name__.encode())
+    elif hasattr(kind, "__dataclass_fields__"):
+        out.append(kind.__name__.encode())
         for name in value.__dataclass_fields__:
             if not name.startswith("_"):
                 _encode(getattr(value, name), out)

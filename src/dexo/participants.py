@@ -59,12 +59,29 @@ def _device_rule(config: ScenarioConfig, oversold: bool) -> tee.PreprocessingRul
 
 
 def _device_readings(config: ScenarioConfig, rng: random.Random, oversold: bool) -> list[int]:
+    """Readings drawn as ``rng.randint(low, high)`` would draw them, value for
+    value and with the same generator state afterwards, by the rejection
+    loop randint runs on ``getrandbits``, without its per-call overhead.
+    """
     count = config.datum_size_bytes
     if config.preprocessing == "moving_average":
         count += config.window - 1
     if oversold:
-        return [rng.randint(config.value_max + 1, 255) for _ in range(count)]
-    return [rng.randint(config.value_min, config.value_max) for _ in range(count)]
+        low, high = config.value_max + 1, 255
+    else:
+        low, high = config.value_min, config.value_max
+    span = high - low + 1
+    if span < 1:
+        raise ValueError(f"empty range for readings ({low}, {high})")
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+    readings = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        readings.append(low + r)
+    return readings
 
 
 # ---------------------------------------------------------------- device
@@ -270,13 +287,15 @@ class DexoNode:
         payload = wire.encode_node_payload(self.shares)
         self.cipher = encrypt(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
-        # longer opens to its device's signed root
-        openings = wire.encode_openings(
-            [wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
-             for r in reports],
+        # longer opens to its device's signed root; only the salts are secret
+        openings = [
+            wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
+            for r in reports
+        ]
+        self.openings = wire.encode_openings(
+            wire.xor_salts(openings, self.key, wire.openings_nonce(nonce, self.index)),
             self.config.n_nodes,
         )
-        self.openings = encrypt(self.key, openings, wire.openings_nonce(nonce, self.index))
         sim.ledger.initialize(
             self.account, self.cid, wire.payload_root(self.cipher), commit(self.key)
         )
@@ -351,13 +370,13 @@ class Consumer:
         self.refuses_payment = script.role_action("consumer", "refuse", "stage3_pay")
         self.listing: Listing | None = None
         self.delivered: dict[int, bytes] = {}
-        self.openings: dict[int, bytes] = {}  # encrypted openings blob per node
+        self.openings: dict[int, bytes] = {}  # openings blob per node, salts encrypted
         self.responded: set[int] = set()
         self.accepted: set[int] = set()
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
         self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's blobs
-        self._opened: dict[int, list[wire.Opening]] = {}  # decoded openings
+        self._opened: dict[int, list[wire.Opening]] = {}  # decoded, salts decrypted
         self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
         self.phase = Phase.AWAIT_CIPHERTEXTS
@@ -579,14 +598,14 @@ class Consumer:
         opened once and verdicts kept, so each share is checked at most once.
         """
         if j not in self._opened:
-            nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
-            blob = decrypt(self.share_keys[j], self.openings[j], nonce)
             try:
-                self._opened[j] = wire.decode_openings(
-                    blob, self.config.providers, self.config.n_nodes
+                records = wire.decode_openings(
+                    self.openings[j], self.config.providers, self.config.n_nodes
                 )
             except ValueError:
-                self._opened[j] = []
+                records = []
+            nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
+            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce)
         if (j, provider) not in self._authentic:
             records = self._opened[j]
             verdict = False

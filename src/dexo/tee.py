@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import wire
 from .crypto import (
     TAG_SALT,
@@ -75,7 +77,7 @@ class PreprocessingRule:
             raise ValueError("window must be >= 1")
 
 
-def _parse_readings(raw: bytes) -> list[int]:
+def _parse_readings(raw: bytes) -> np.ndarray:
     width = READING_WIDTH
     if not raw:
         raise PreprocessingFailure("raw input is empty")
@@ -83,9 +85,7 @@ def _parse_readings(raw: bytes) -> list[int]:
         raise PreprocessingFailure(
             f"raw length {len(raw)} is not a multiple of reading width {width}"
         )
-    return [
-        int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)
-    ]
+    return np.frombuffer(raw, dtype=f">u{width}").astype(np.int64)
 
 
 def encode_readings(values: list[int]) -> bytes:
@@ -96,24 +96,21 @@ def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
     """Format raw readings per the rule; output conforms to the declared range."""
     readings = _parse_readings(raw)
     if rule.kind == "clamp":
-        values = [min(max(r, rule.value_min), rule.value_max) for r in readings]
+        values = np.clip(readings, rule.value_min, rule.value_max)
     elif rule.kind == "moving_average":
-        if len(readings) < rule.window:
-            raise PreprocessingFailure(
-                f"{len(readings)} readings cannot fill window {rule.window}"
-            )
         w = rule.window
-        means = [
-            (sum(readings[i : i + w]) + w // 2) // w
-            for i in range(len(readings) - w + 1)
-        ]
-        values = [min(max(m, rule.value_min), rule.value_max) for m in means]
+        if len(readings) < w:
+            raise PreprocessingFailure(
+                f"{len(readings)} readings cannot fill window {w}"
+            )
+        sums = np.convolve(readings, np.ones(w, dtype=np.int64), mode="valid")
+        values = np.clip((sums + w // 2) // w, rule.value_min, rule.value_max)
     else:  # fixed_width: readings must already conform
-        out_of_range = [r for r in readings if not rule.value_min <= r <= rule.value_max]
-        if out_of_range:
-            raise PreprocessingFailure(f"readings out of range: {out_of_range}")
+        outside = (readings < rule.value_min) | (readings > rule.value_max)
+        if outside.any():
+            raise PreprocessingFailure(f"readings out of range: {readings[outside].tolist()}")
         values = readings
-    return bytes(values)
+    return values.astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------- instances
@@ -268,8 +265,6 @@ class TeePlatform:
         the salted share commitments together with the runtime measurement.
         """
         inst = self._instance(eid)
-        if not raw:
-            raise PreprocessingFailure("raw input is empty")
         datum = preprocess(raw, rule)
         shares = create_shares(t, n, datum, rng=inst._rng, provider_index=provider_index)
         inst.rounds += 1

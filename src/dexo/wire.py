@@ -1,10 +1,16 @@
 """Canonical byte encodings used on the wire and inside dispute evidence.
 
 A node's ciphertext blob is the encryption of its share records concatenated
-in provider order. Beside it travels the node's openings blob, encrypted
-under the same key with its own nonce: for every share record, the device's
-signed Merkle root, the salt of the share's commitment and its path to that
-root, which lets the consumer tell authentic shares from altered ones.
+in provider order. Beside it travels the node's openings blob: for every
+share record, the device's platform key, its signature over the datum's
+Merkle root, the salt of the share's commitment and the commitment's path to
+that root, which lets the consumer tell authentic shares from altered ones.
+Only the salts are encrypted, under the node's key and its own openings
+nonce, as one keystream over the concatenated salts (salt i at byte offset
+32·(i−1)); the key, signature and siblings travel in the clear. Siblings are
+salted commitments, which hide the shares they commit to, but a neighbour's
+sibling is this node's commitment, so its salt would let anyone brute-force
+the one-byte values of this node's share.
 Records are fixed-width for a given listing (every
 provider's datum has the advertised size), so the byte range of provider i's
 record, and hence the Merkle leaves covering it, are computable by anyone who
@@ -15,6 +21,7 @@ checks the resulting bytes against Merkle-proven ciphertext chunks.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .crypto import (
@@ -30,18 +37,14 @@ from .crypto import (
 )
 
 CHUNK_SIZE = 32
-_HEADER_LEN = 6  # provider u16 | node u8 | x u8 | y_len u16
+_HEADER = struct.Struct(">HBBH")  # provider u16 | node u8 | x u8 | y_len u16
+_HEADER_LEN = _HEADER.size
 
 
 def encode_share(share: SecretShare) -> bytes:
     """Length-prefixed record; also the byte string covered by TEE signatures."""
-    return (
-        share.provider_index.to_bytes(2, "big")
-        + share.node_index.to_bytes(1, "big")
-        + share.x_coordinate.to_bytes(1, "big")
-        + len(share.y_values).to_bytes(2, "big")
-        + share.y_values
-    )
+    y = share.y_values
+    return _HEADER.pack(share.provider_index, share.node_index, share.x_coordinate, len(y)) + y
 
 
 def decode_shares(payload: bytes) -> list[SecretShare]:
@@ -50,10 +53,7 @@ def decode_shares(payload: bytes) -> list[SecretShare]:
     while pos < len(payload):
         if pos + _HEADER_LEN > len(payload):
             raise ValueError("truncated share record header")
-        provider = int.from_bytes(payload[pos : pos + 2], "big")
-        node = payload[pos + 2]
-        x = payload[pos + 3]
-        y_len = int.from_bytes(payload[pos + 4 : pos + 6], "big")
+        provider, node, x, y_len = _HEADER.unpack_from(payload, pos)
         pos += _HEADER_LEN
         if pos + y_len > len(payload):
             raise ValueError("truncated share record body")
@@ -197,13 +197,25 @@ def opening_length(n_nodes: int) -> int:
 
 
 def openings_nonce(nonce: bytes, node_index: int) -> bytes:
-    """Nonce of node j's openings blob, derived from its payload ``nonce``.
+    """Nonce of the salts in node j's openings blob, derived from its
+    payload ``nonce``.
 
     It differs from the payload nonce, so one key never encrypts the payload
-    and the openings under the same keystream, and it differs per node, so a
+    and the salts under the same keystream, and it differs per node, so a
     priority group sharing one key never reuses a keystream either.
     """
     return nonce + b"|openings|" + node_index.to_bytes(1, "big")
+
+
+def xor_salts(openings: list[Opening], key: KeyMaterial, nonce: bytes) -> list[Opening]:
+    """The records with every salt encrypted, or decrypted: one keystream
+    over the concatenated salts, salt i at byte offset 32·(i−1).
+    """
+    salts = keystream_xor(key, b"".join(o.salt for o in openings), nonce)
+    return [
+        Opening(o.public_key, o.signature, salts[at : at + _SALT_LEN], o.siblings)
+        for o, at in zip(openings, range(0, len(salts), _SALT_LEN))
+    ]
 
 
 def encode_openings(openings: list[Opening], n_nodes: int) -> bytes:

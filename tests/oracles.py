@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
+from dexo.crypto import SecretShare
+from dexo.tee import AttestationReport, PreprocessingFailure
+
 
 def omul(a: int, b: int) -> int:
     """Russian-peasant GF(256) multiply (no tables)."""
@@ -44,3 +49,97 @@ def oracle_reconstruct(shares) -> bytes:
         points = [(s.x_coordinate, s.y_values[b]) for s in shares]
         out.append(oracle_interpolate_at(0, points))
     return bytes(out)
+
+
+# ---------------------------------------------------------------- per-share kernels
+# The straight-line Python forms that the library's packed and vectorized
+# kernels replaced; they must agree value for value.
+
+
+def oracle_preprocess(raw: bytes, rule) -> bytes:
+    """Reading-by-reading preprocessing; raises the library's failure type
+    with the same messages."""
+    if not raw:
+        raise PreprocessingFailure("raw input is empty")
+    if len(raw) % 2:
+        raise PreprocessingFailure(
+            f"raw length {len(raw)} is not a multiple of reading width 2"
+        )
+    readings = [int.from_bytes(raw[i : i + 2], "big") for i in range(0, len(raw), 2)]
+    if rule.kind == "clamp":
+        values = [min(max(r, rule.value_min), rule.value_max) for r in readings]
+    elif rule.kind == "moving_average":
+        w = rule.window
+        if len(readings) < w:
+            raise PreprocessingFailure(f"{len(readings)} readings cannot fill window {w}")
+        means = [
+            (sum(readings[i : i + w]) + w // 2) // w for i in range(len(readings) - w + 1)
+        ]
+        values = [min(max(m, rule.value_min), rule.value_max) for m in means]
+    else:
+        out_of_range = [r for r in readings if not rule.value_min <= r <= rule.value_max]
+        if out_of_range:
+            raise PreprocessingFailure(f"readings out of range: {out_of_range}")
+        values = readings
+    return bytes(values)
+
+
+def oracle_readings(rng, low: int, high: int, count: int) -> list[int]:
+    return [rng.randint(low, high) for _ in range(count)]
+
+
+def oracle_encode_share(share) -> bytes:
+    return (
+        share.provider_index.to_bytes(2, "big")
+        + share.node_index.to_bytes(1, "big")
+        + share.x_coordinate.to_bytes(1, "big")
+        + len(share.y_values).to_bytes(2, "big")
+        + share.y_values
+    )
+
+
+def _feed(h, value) -> None:
+    """The recursive payload walk that event hashes were first defined by."""
+    if isinstance(value, bytes):
+        h.update(b"b")
+        h.update(value)
+    elif isinstance(value, SecretShare):
+        h.update(b"S")
+        h.update(value.provider_index.to_bytes(2, "big"))
+        h.update(bytes((value.node_index, value.x_coordinate)))
+        h.update(value.y_values)
+    elif isinstance(value, AttestationReport):
+        h.update(b"R")
+        _feed(h, value.share)
+        h.update(value.measurement.digest)
+        h.update(value.signature)
+        h.update(value.platform_public_key)
+        h.update(value.salt)
+        proof = value.proof
+        h.update(proof.leaf_index.to_bytes(2, "big"))
+        h.update(proof.leaf_count.to_bytes(2, "big"))
+        for sibling in proof.siblings:
+            h.update(sibling)
+    elif isinstance(value, (list, tuple)):
+        h.update(b"l")
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, dict):
+        h.update(b"d")
+        for k in sorted(value):
+            h.update(str(k).encode())
+            _feed(h, value[k])
+    elif hasattr(value, "__dataclass_fields__"):
+        h.update(type(value).__name__.encode())
+        for name in value.__dataclass_fields__:
+            if not name.startswith("_"):
+                _feed(h, getattr(value, name))
+    else:
+        h.update(repr(value).encode())
+
+
+def oracle_payload_digest(mtype: str, payload) -> str:
+    """A message's trace hash by the generic isinstance walk."""
+    h = hashlib.sha256(mtype.encode())
+    _feed(h, payload)
+    return h.hexdigest()[:16]

@@ -197,6 +197,26 @@ def test_shared_commitment_reveals_for_all_members():
     assert len(_gas_entries(fx.ledger, "revealKey")) == 1
 
 
+def test_reveal_of_an_already_public_key_moves_the_session_to_key_out():
+    """A group member accepted after its leader's reveal reveals the same
+    key; its session moves to KEY_OUT like the others, and the first
+    reveal's key and block stay."""
+    fx = build_listing(n=4, t=3, shared_key_nodes=(1, 2))
+    fx.initialize_all()
+    fx.ledger.query(CONSUMER, fx.cid)
+    fx.accept_sessions([1])
+    fx.reveal_sessions([1])
+    first_block = fx.contract.reveal_block[2]
+    fx.ledger.advance_block(2)
+    fx.accept_sessions([2])
+    fx.reveal_sessions([2])
+    status = fx.contract.buyers[CONSUMER].status
+    assert status[1] == status[2] == SessionStatus.KEY_OUT
+    assert fx.contract.key_revealed[2] == fx.nodes[1].key
+    assert fx.contract.reveal_block[2] == first_block
+    assert len(_gas_entries(fx.ledger, "revealKey")) == 2
+
+
 def test_status_read_is_metered_without_gas():
     fx = build_listing(n=2, t=1, price=200)
     fx.initialize_all()

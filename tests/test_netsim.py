@@ -1,7 +1,6 @@
 """Simulator determinism, replay, script catalog, and config handling."""
 
 import dataclasses
-import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,7 @@ from dexo.netsim import (
     standard_scripts,
 )
 from dexo.tee import AttestationReport, RuntimeMeasurement
+from oracles import oracle_payload_digest
 from scenarioutil import suite_config
 
 STANDARD_NAMES = [
@@ -155,52 +155,6 @@ def test_threshold_band_accepts_boundary():
 # ---------------------------------------------------------------- payload digests
 
 
-def _feed(h, value) -> None:
-    """The recursive payload walk that event hashes were first defined by."""
-    if isinstance(value, bytes):
-        h.update(b"b")
-        h.update(value)
-    elif isinstance(value, SecretShare):
-        h.update(b"S")
-        h.update(value.provider_index.to_bytes(2, "big"))
-        h.update(bytes((value.node_index, value.x_coordinate)))
-        h.update(value.y_values)
-    elif isinstance(value, AttestationReport):
-        h.update(b"R")
-        _feed(h, value.share)
-        h.update(value.measurement.digest)
-        h.update(value.signature)
-        h.update(value.platform_public_key)
-        h.update(value.salt)
-        proof = value.proof
-        h.update(proof.leaf_index.to_bytes(2, "big"))
-        h.update(proof.leaf_count.to_bytes(2, "big"))
-        for sibling in proof.siblings:
-            h.update(sibling)
-    elif isinstance(value, (list, tuple)):
-        h.update(b"l")
-        for item in value:
-            _feed(h, item)
-    elif isinstance(value, dict):
-        h.update(b"d")
-        for k in sorted(value):
-            h.update(str(k).encode())
-            _feed(h, value[k])
-    elif hasattr(value, "__dataclass_fields__"):
-        h.update(type(value).__name__.encode())
-        for name in value.__dataclass_fields__:
-            if not name.startswith("_"):
-                _feed(h, getattr(value, name))
-    else:
-        h.update(repr(value).encode())
-
-
-def _walked_digest(mtype: str, payload) -> str:
-    h = hashlib.sha256(mtype.encode())
-    _feed(h, payload)
-    return h.hexdigest()[:16]
-
-
 @dataclasses.dataclass(frozen=True)
 class _Envelope:
     label: str
@@ -262,7 +216,7 @@ _payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(mtype=st.text(max_size=12), payload=_payloads)
 def test_payload_digest_matches_the_recursive_walk(mtype, payload):
-    assert _payload_digest(mtype, payload) == _walked_digest(mtype, payload)
+    assert _payload_digest(mtype, payload) == oracle_payload_digest(mtype, payload)
 
 
 @pytest.mark.parametrize("name", STANDARD_NAMES)
@@ -271,7 +225,7 @@ def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
 
     def both(mtype, payload):
         digest = _payload_digest(mtype, payload)
-        assert digest == _walked_digest(mtype, payload), mtype
+        assert digest == oracle_payload_digest(mtype, payload), mtype
         checked.append(mtype)
         return digest
 

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from dexo import tee
+from dexo import tee, wire
 from dexo.config import ScenarioConfig
-from dexo.crypto import SecretShare
+from dexo.crypto import SecretShare, primitives
 from dexo.ledger import Ledger, SessionStatus
 from dexo.netsim import (
     AdversaryScript,
@@ -243,6 +243,56 @@ def test_unauthenticated_consistent_node_is_never_refunded():
     disputes = texts(sim.log, Dispute)
     assert disputes[0] == "case2 provider 1: accepted=True refunded=[1, 2]"
     assert all("accepted=False" in d for d in disputes[1:])
+
+
+def test_registration_encrypts_the_payload_and_the_salts_only(monkeypatch):
+    """A node encrypts its share records and one 32-byte salt per provider;
+    the rest of its openings blob travels in the clear."""
+    config = suite_config(seed=4)
+    sim = Simulator(Ledger(), random.Random(config.seed),
+                    CoalitionMonitor(config.threshold, config.sessions_required()))
+    setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
+    stage1_produce(sim, setup)
+    encrypted = []
+    keystream_xor = primitives.keystream_xor
+
+    def counting(key, data, nonce, offset=0):
+        encrypted.append(len(data))
+        return keystream_xor(key, data, nonce, offset)
+
+    for module in (primitives, wire):
+        monkeypatch.setattr(module, "keystream_xor", counting)
+    stage2_register(sim, setup)
+    payload = config.providers * wire.record_length(config.datum_size_bytes)
+    assert sum(encrypted) == config.n_nodes * (payload + 32 * config.providers)
+
+
+def test_openings_in_flight_hide_only_the_salts(monkeypatch):
+    delivered = []
+    send = Simulator.send
+
+    def capture(self, sender, receiver, mtype, payload):
+        if mtype == "ciphertext":
+            delivered.append(payload)
+        send(self, sender, receiver, mtype, payload)
+
+    monkeypatch.setattr(Simulator, "send", capture)
+    config = suite_config(seed=4)
+    sim, setup = _staged_run(config)
+    assert len(delivered) == config.n_nodes
+    for payload in delivered:
+        node = setup.nodes[payload["node"]]
+        records = wire.decode_openings(payload["openings"], config.providers, config.n_nodes)
+        for provider, opening in enumerate(records, 1):
+            report = node.received[provider]
+            assert opening.public_key == report.platform_public_key
+            assert opening.signature == report.signature
+            assert opening.siblings == report.proof.siblings
+            assert opening.salt != report.salt
+    consumer = setup.consumer
+    assert consumer.node_shares
+    for j in consumer.node_shares:
+        assert all(consumer._is_authentic(j, p) for p in range(1, config.providers + 1))
 
 
 def test_source_collusion_full_refund():

@@ -6,6 +6,8 @@ golden, this covers message payload hashes and the anomaly notes.
 
 Regenerate (only when a change to run output is intended) with:
     PYTHONPATH=src python tests/test_trace_golden.py
+It prints every label whose ``serialize`` or ``summarize`` digest changed,
+so the size of a re-record is visible.
 """
 
 import hashlib
@@ -53,6 +55,20 @@ def test_trace_and_summary_match_golden():
         assert fresh[label] == expected, f"{label}: output differs"
 
 
+def changed_labels(old: dict, new: dict) -> list[str]:
+    """One line per label and digest that differs between two recordings."""
+    return [
+        f"{label}: {kind} changed"
+        for label in sorted(old.keys() | new.keys())
+        for kind in ("serialize", "summarize")
+        if old.get(label, {}).get(kind) != new.get(label, {}).get(kind)
+    ]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record_all(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = record_all()
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    for line in changed_labels(old, new):
+        print(line)
     print(f"wrote {GOLDEN}")
