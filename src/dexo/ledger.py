@@ -196,6 +196,8 @@ class BuyerRecord:
     status: dict[int, SessionStatus]
     deposits: dict[int, int] = field(default_factory=dict)
     accept_block: dict[int, int] = field(default_factory=dict)
+    # block at which each session moved to KEY_OUT: its dispute window opens
+    reveal_block: dict[int, int] = field(default_factory=dict)
     no_complain_called: bool = False
 
     def escrow(self) -> int:
@@ -454,7 +456,8 @@ class Ledger:
             raise BadKeyError(f"key does not open node {j}'s commitment")
         # release the key for every node committed to it: a group of nodes
         # sharing one key is served by its leader's single reveal, and a
-        # later reveal of that key moves sessions accepted since then
+        # later reveal of that key moves sessions accepted since then, each
+        # with a full dispute window of its own
         opened = commit(key)
         for m, com in contract.commitment.items():
             if com != opened:
@@ -465,6 +468,7 @@ class Ledger:
             for rec in contract.buyers.values():
                 if rec.status.get(m) == SessionStatus.ACCEPTED:
                     rec.status[m] = SessionStatus.KEY_OUT
+                    rec.reveal_block[m] = self.block_height
         self._log(caller, "revealKey", GAS.reveal_key)
 
     def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:
@@ -540,7 +544,7 @@ class Ledger:
             for j, status in list(record.status.items()):
                 if (
                     status == SessionStatus.KEY_OUT
-                    and self.block_height >= contract.reveal_block[j] + timeout
+                    and self.block_height >= record.reveal_block[j] + timeout
                 ):
                     self._distribute(contract, j, record.deposits.pop(j))
                     record.status[j] = SessionStatus.SETTLED
@@ -564,12 +568,14 @@ class Ledger:
             j = ev.node_index
             # evidence is admissible from any session whose key is public and
             # window open: sessions covered by a shared group key carry a
-            # revealed key without ever holding their own escrow
+            # revealed key without ever holding their own escrow, so their
+            # window runs from the key's first reveal
             if j not in contract.key_revealed:
                 raise WindowClosedError(f"no key revealed for session {j}")
             if record.status.get(j) in (SessionStatus.SETTLED, SessionStatus.REFUNDED):
                 raise WindowClosedError(f"session {j} already settled or refunded")
-            if self.block_height >= contract.reveal_block[j] + timeout:
+            opened_at = record.reveal_block.get(j, contract.reveal_block[j])
+            if self.block_height >= opened_at + timeout:
                 raise WindowClosedError(f"dispute window for session {j} has lapsed")
         for ev in evidences:
             j = ev.node_index

@@ -59,29 +59,12 @@ def _device_rule(config: ScenarioConfig, oversold: bool) -> tee.PreprocessingRul
 
 
 def _device_readings(config: ScenarioConfig, rng: random.Random, oversold: bool) -> list[int]:
-    """Readings drawn as ``rng.randint(low, high)`` would draw them, value for
-    value and with the same generator state afterwards, by the rejection
-    loop randint runs on ``getrandbits``, without its per-call overhead.
-    """
     count = config.datum_size_bytes
     if config.preprocessing == "moving_average":
         count += config.window - 1
     if oversold:
-        low, high = config.value_max + 1, 255
-    else:
-        low, high = config.value_min, config.value_max
-    span = high - low + 1
-    if span < 1:
-        raise ValueError(f"empty range for readings ({low}, {high})")
-    bits = span.bit_length()
-    getrandbits = rng.getrandbits
-    readings = []
-    for _ in range(count):
-        r = getrandbits(bits)
-        while r >= span:
-            r = getrandbits(bits)
-        readings.append(low + r)
-    return readings
+        return [rng.randint(config.value_max + 1, 255) for _ in range(count)]
+    return [rng.randint(config.value_min, config.value_max) for _ in range(count)]
 
 
 # ---------------------------------------------------------------- device

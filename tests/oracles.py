@@ -84,10 +84,6 @@ def oracle_preprocess(raw: bytes, rule) -> bytes:
     return bytes(values)
 
 
-def oracle_readings(rng, low: int, high: int, count: int) -> list[int]:
-    return [rng.randint(low, high) for _ in range(count)]
-
-
 def oracle_encode_share(share) -> bytes:
     return (
         share.provider_index.to_bytes(2, "big")

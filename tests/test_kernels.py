@@ -1,21 +1,18 @@
 """The per-share kernels agree with their straight-line Python forms.
 
-Preprocessing, device readings, share records and trace hashing run as
-packed or vectorized kernels; each is checked against an oracle in
-``oracles.py`` on derandomized inputs, errors and generator state included.
+Preprocessing and share records run as vectorized or packed kernels; each
+is checked against an oracle in ``oracles.py`` on derandomized inputs,
+errors included. Trace hashing is checked in ``test_netsim.py``.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexo import netsim, participants, wire
+from dexo import wire
 from dexo.crypto import SecretShare
-from dexo.netsim import _payload_digest, run_scenario
 from dexo.tee import (
     RULE_KINDS,
     PreprocessingFailure,
@@ -23,13 +20,7 @@ from dexo.tee import (
     encode_readings,
     preprocess,
 )
-from oracles import (
-    oracle_encode_share,
-    oracle_payload_digest,
-    oracle_preprocess,
-    oracle_readings,
-)
-from scenarioutil import suite_config
+from oracles import oracle_encode_share, oracle_preprocess
 
 KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -80,29 +71,6 @@ def test_every_preprocessing_failure_matches_the_oracle(raw, rule):
     assert outcome == _outcome(oracle_preprocess, raw, rule)
 
 
-@KERNEL_SETTINGS
-@given(
-    seed=st.integers(0, 2**32),
-    kind=st.sampled_from(RULE_KINDS),
-    window=st.integers(1, 4),
-    size=st.integers(1, 40),
-    value_min=st.integers(0, 254),
-    span=st.integers(0, 255),
-    oversold=st.booleans(),
-)
-def test_device_readings_match_randint(seed, kind, window, size, value_min, span, oversold):
-    value_max = min(value_min + span, 254)
-    config = suite_config(preprocessing=kind, window=window, datum_size_bytes=size,
-                          value_min=value_min, value_max=value_max)
-    rng, reference = random.Random(seed), random.Random(seed)
-    count = size + (window - 1 if kind == "moving_average" else 0)
-    low, high = (value_max + 1, 255) if oversold else (value_min, value_max)
-    assert participants._device_readings(config, rng, oversold) == oracle_readings(
-        reference, low, high, count
-    )
-    assert rng.getstate() == reference.getstate()
-
-
 _shares = st.builds(
     SecretShare,
     provider_index=st.integers(0, 65_535),
@@ -119,33 +87,3 @@ def test_share_records_match_the_oracle(shares):
     assert records == [oracle_encode_share(s) for s in shares]
     assert wire.decode_shares(b"".join(records)) == shares
 
-
-ALL_MTYPES = {
-    "attest", "att_report", "solicit", "data_shares", "share_delivery",
-    "group_key", "register", "notice_buy", "ciphertext", "notice_accept",
-    "notice_key", "leaked_share", "leaked_key",
-}
-
-
-def test_every_payload_shape_hashes_like_the_oracle(monkeypatch):
-    """Every message of every standard script, an unmerged query and a
-    shared-key group of two hashes as the generic walk hashes it."""
-    seen = set()
-
-    def both(mtype, payload):
-        digest = _payload_digest(mtype, payload)
-        assert digest == oracle_payload_digest(mtype, payload), mtype
-        seen.add(mtype)
-        return digest
-
-    configs = [
-        suite_config(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=5)
-        for name in netsim.standard_scripts(suite_config())
-    ] + [
-        suite_config(merged_query=False, seed=2),
-        suite_config(n_nodes=10, threshold=6, max_faulty=4, shared_key=True, seed=6),
-    ]
-    monkeypatch.setattr(netsim, "_payload_digest", both)
-    for config in configs:
-        run_scenario(config)
-    assert seen == ALL_MTYPES

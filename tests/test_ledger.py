@@ -197,24 +197,56 @@ def test_shared_commitment_reveals_for_all_members():
     assert len(_gas_entries(fx.ledger, "revealKey")) == 1
 
 
-def test_reveal_of_an_already_public_key_moves_the_session_to_key_out():
-    """A group member accepted after its leader's reveal reveals the same
-    key; its session moves to KEY_OUT like the others, and the first
-    reveal's key and block stay."""
-    fx = build_listing(n=4, t=3, shared_key_nodes=(1, 2))
+def test_reveal_of_an_already_public_key_opens_a_full_window():
+    """A group member accepted a whole timeout after its leader's reveal
+    reveals the same key: its session moves to KEY_OUT with a dispute
+    window of its own, while the key and its first reveal block stay."""
+    fx = build_listing(n=4, t=2, shared_key_nodes=(1, 2), tamper_nodes=(2,))
     fx.initialize_all()
     fx.ledger.query(CONSUMER, fx.cid)
     fx.accept_sessions([1])
     fx.reveal_sessions([1])
-    first_block = fx.contract.reveal_block[2]
-    fx.ledger.advance_block(2)
-    fx.accept_sessions([2])
-    fx.reveal_sessions([2])
-    status = fx.contract.buyers[CONSUMER].status
-    assert status[1] == status[2] == SessionStatus.KEY_OUT
+    fx.ledger.advance_block(12)
+    fx.ledger.settle_timeouts(fx.cid)
+    fx.accept_sessions([2, 3, 4])
+    fx.reveal_sessions([2, 3, 4])
+    record = fx.contract.buyers[CONSUMER]
+    assert record.status[1] == SessionStatus.SETTLED
+    assert record.status[2] == SessionStatus.KEY_OUT
     assert fx.contract.key_revealed[2] == fx.nodes[1].key
-    assert fx.contract.reveal_block[2] == first_block
-    assert len(_gas_entries(fx.ledger, "revealKey")) == 2
+    assert fx.contract.reveal_block[2] == 0
+    assert len(_gas_entries(fx.ledger, "revealKey")) == 4
+    fx.ledger.advance_block(9)
+    fx.ledger.settle_timeouts(fx.cid)
+    assert record.status[2] == SessionStatus.KEY_OUT
+    good = [fx.evidence(j, 1) for j in (3, 4)]
+    result = fx.ledger.challenge_case2(CONSUMER, fx.cid, good, [fx.evidence(2, 1)])
+    assert result.refunded_nodes == (2,)
+    fx.ledger.assert_conserved()
+
+
+def test_second_buyer_gets_a_full_window_after_a_repeat_reveal():
+    fx = build_listing(n=2, t=1, timeout_blocks=10)
+    _drive_to_key_out(fx, [1, 2])
+    fx.ledger.advance_block(8)
+    late = "consumer-2"
+    fx.ledger.fund(late, fx.price)
+    fx.ledger.query(late, fx.cid)
+    for j in (1, 2):
+        fx.ledger.accept(late, fx.cid, j, fx.session_price)
+    fx.reveal_sessions([1, 2])
+    fx.ledger.advance_block(2)
+    fx.ledger.settle_timeouts(fx.cid)
+    assert fx.contract.buyers[CONSUMER].status[1] == SessionStatus.SETTLED
+    assert fx.contract.buyers[late].status[1] == SessionStatus.KEY_OUT
+    result = fx.ledger.challenge_case2(
+        late, fx.cid, [fx.evidence(1, 1)], [fx.evidence(2, 1)]
+    )
+    assert not result.accepted
+    fx.ledger.advance_block(8)
+    fx.ledger.settle_timeouts(fx.cid)
+    assert fx.contract.buyers[late].status[1] == SessionStatus.SETTLED
+    fx.ledger.assert_conserved()
 
 
 def test_status_read_is_metered_without_gas():

@@ -219,7 +219,33 @@ def test_payload_digest_matches_the_recursive_walk(mtype, payload):
     assert _payload_digest(mtype, payload) == oracle_payload_digest(mtype, payload)
 
 
-@pytest.mark.parametrize("name", STANDARD_NAMES)
+# configs beside the standard scripts, each with a message flow of its own
+_DIGEST_CONFIGS = {
+    "UNMERGED_QUERY": dict(merged_query=False, seed=2),
+    "SHARED_KEY_GROUP": dict(n_nodes=10, threshold=6, max_faulty=4, shared_key=True, seed=6),
+}
+# message types a case must send; together the cases send every type
+_MUST_SEND = {
+    "HONEST": {
+        "attest", "att_report", "solicit", "data_shares", "share_delivery",
+        "register", "notice_buy", "ciphertext", "notice_accept", "notice_key",
+    },
+    "CONSUMER_NODE_COLLUSION": {"leaked_share"},
+    "SHARED_KEY_LEAK": {"leaked_key"},
+    "SHARED_KEY_GROUP": {"group_key"},
+}
+
+
+def test_the_digest_cases_send_every_message_type():
+    assert set().union(*_MUST_SEND.values()) == {
+        "attest", "att_report", "solicit", "data_shares", "share_delivery",
+        "group_key", "register", "notice_buy", "ciphertext", "notice_accept",
+        "notice_key", "leaked_share", "leaked_key",
+    }
+    assert set(_MUST_SEND) <= set(STANDARD_NAMES) | set(_DIGEST_CONFIGS)
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES + list(_DIGEST_CONFIGS))
 def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
     checked = []
 
@@ -230,5 +256,9 @@ def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
         return digest
 
     monkeypatch.setattr(netsim, "_payload_digest", both)
-    run_scenario(suite_config(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=3))
+    config = _DIGEST_CONFIGS.get(
+        name, dict(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=3)
+    )
+    run_scenario(suite_config(**config))
     assert checked
+    assert _MUST_SEND.get(name, set()) <= set(checked)
