@@ -12,7 +12,8 @@ The package is organized around six building blocks:
   machines.
 - ``dexo.netsim``: deterministic message-passing simulator with scriptable
   Byzantine adversaries.
-- ``dexo.harness``: scenario configs, parameter sweeps, cost reports, CLI.
+- ``dexo.harness``: parameter sweeps, cost reports and the verbs behind the
+  CLI (configs live in ``dexo.config``, the CLI in ``dexo.cli``).
 """
 
 __version__ = "0.1.0"

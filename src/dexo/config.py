@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .tee import RULE_KINDS
+
 SCHEMA_VERSION = 1
 
 # wire and field limits: node indices and x-coordinates are GF(256) elements
@@ -56,7 +58,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         n, t, f = self.n_nodes, self.threshold, self.max_faulty
         if n < 1 or self.providers < 1:
-            raise ConfigError("need at least one node and one provider")
+            raise ConfigError("n_nodes and providers must be >= 1")
         if n > MAX_NODES:
             raise ConfigError(f"n_nodes {n} exceeds {MAX_NODES} (one GF(256) x-coordinate each)")
         if self.providers > MAX_PROVIDERS:
@@ -69,7 +71,7 @@ class ScenarioConfig:
             raise ConfigError(f"datum_size_bytes must lie in 1..{MAX_DATUM_SIZE}")
         if not 0 <= self.value_min <= self.value_max <= 255:
             raise ConfigError("value range must fit one byte")
-        if self.preprocessing not in ("clamp", "moving_average", "fixed_width"):
+        if self.preprocessing not in RULE_KINDS:
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
@@ -79,8 +81,6 @@ class ScenarioConfig:
             raise ConfigError("timeout_blocks must be >= 1")
         if not 0 <= self.node_fee <= self.resolved_price() // n:
             raise ConfigError("node_fee must fit within the per-session price")
-        if self.shared_key and t - f < 1:
-            raise ConfigError("shared_key needs a nonempty priority group")
 
 
 _BOOL_KEYS = {"merged_query", "shared_key"}

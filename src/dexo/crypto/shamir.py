@@ -155,23 +155,10 @@ def reconstruct(t: int, n: int, shares: list[SecretShare]) -> bytes:
 
     ordered = sorted(shares, key=lambda s: s.x_coordinate)
     basis, extras = ordered[:t], ordered[t:]
-    xs = [s.x_coordinate for s in basis]
-    y_matrix = np.stack(
-        [np.frombuffer(s.y_values, dtype=np.uint8) for s in basis]
-    )
-
-    weights = _lagrange_weights_at(0, xs)
-    secret = np.bitwise_xor.reduce(gf256.MUL[weights[:, None], y_matrix], axis=0)
-
-    offending = []
-    for extra in extras:
-        weights = _lagrange_weights_at(extra.x_coordinate, xs)
-        predicted = np.bitwise_xor.reduce(
-            gf256.MUL[weights[:, None], y_matrix], axis=0
-        )
-        if predicted.tobytes() != extra.y_values:
-            offending.append(extra.x_coordinate)
+    offending = [
+        e.x_coordinate for e in extras
+        if evaluate_at(basis, e.x_coordinate) != e.y_values
+    ]
     if offending:
         raise InconsistentSharesError(offending)
-
-    return secret.tobytes()
+    return evaluate_at(basis, 0)

@@ -27,10 +27,8 @@ from enum import Enum
 from . import wire
 from .crypto import (
     Commitment,
-    InconsistentSharesError,
     KeyMaterial,
     MerkleRoot,
-    SecretShare,
     ShamirError,
     commit,
     open_commitment,
@@ -266,9 +264,7 @@ class ContractState:
 @dataclass(frozen=True)
 class ChallengeResult:
     accepted: bool
-    reason: str
     refunded_nodes: tuple[int, ...] = ()
-    refund_amount: int = 0
 
 
 # ---------------------------------------------------------------- ledger
@@ -513,6 +509,18 @@ class Ledger:
         for i, source in enumerate(contract.data_sources):
             self._credit(source, per + (1 if i < rem else 0))
 
+    def _close(
+        self, contract: ContractState, record: BuyerRecord, j: int, status: SessionStatus
+    ) -> None:
+        """The one way escrow leaves a session: pay it out (SETTLED) or
+        return it to the buyer (REFUNDED)."""
+        amount = record.deposits.pop(j)
+        if status is SessionStatus.SETTLED:
+            self._distribute(contract, j, amount)
+        else:
+            self._credit(record.account, amount)
+        record.status[j] = status
+
     def no_complain(self, caller: str, cid: str) -> None:
         contract = self._contract(cid)
         record = contract.buyers.get(caller)
@@ -522,8 +530,7 @@ class Ledger:
             raise PendingDisputeError("sessions still awaiting key reveal")
         for j, status in record.status.items():
             if status == SessionStatus.KEY_OUT:
-                self._distribute(contract, j, record.deposits.pop(j))
-                record.status[j] = SessionStatus.SETTLED
+                self._close(contract, record, j, SessionStatus.SETTLED)
         record.no_complain_called = True
         gas = (
             GAS.no_complain_base
@@ -546,14 +553,12 @@ class Ledger:
                     status == SessionStatus.KEY_OUT
                     and self.block_height >= record.reveal_block[j] + timeout
                 ):
-                    self._distribute(contract, j, record.deposits.pop(j))
-                    record.status[j] = SessionStatus.SETTLED
+                    self._close(contract, record, j, SessionStatus.SETTLED)
                 elif (
                     status == SessionStatus.ACCEPTED
                     and self.block_height >= record.accept_block[j] + timeout
                 ):
-                    self._credit(record.account, record.deposits.pop(j))
-                    record.status[j] = SessionStatus.REFUNDED
+                    self._close(contract, record, j, SessionStatus.REFUNDED)
 
     # -- disputes
 
@@ -592,8 +597,14 @@ class Ledger:
                 )
         return record
 
-    def _phi1(self, contract: ContractState, shares: list[SecretShare]) -> bytes:
-        return reconstruct(contract.desc.threshold, contract.n_nodes, shares)
+    def _phi1(self, contract: ContractState, evidences: list[wire.ShareEvidence]) -> bytes:
+        """Reconstruct from the evidences' shares; shares that do not
+        reconstruct are :class:`SharesInconsistentError`."""
+        shares = [ev.share for ev in evidences]
+        try:
+            return reconstruct(contract.desc.threshold, contract.n_nodes, shares)
+        except ShamirError as exc:
+            raise SharesInconsistentError(str(exc)) from exc
 
     def _challenge_gas(self, caller: str, share_count: int) -> None:
         gas = GAS.challenge_base + GAS.challenge_per_share * share_count
@@ -621,30 +632,18 @@ class Ledger:
         if keyed(set1) == keyed(set2):
             raise InvalidParamsError("sets must differ in at least one share")
         record = self._challenge_gate(contract, caller, set1 + set2)
-        try:
-            d1 = self._phi1(contract, [ev.share for ev in set1])
-            d2 = self._phi1(contract, [ev.share for ev in set2])
-        except (InconsistentSharesError, ShamirError) as exc:
-            raise SharesInconsistentError(str(exc)) from exc
-        if d1 != d2:
+        d1 = self._phi1(contract, set1)
+        if d1 != self._phi1(contract, set2):
             raise SharesInconsistentError("the two reconstructions disagree")
         if conforms_to_description(d1, contract.desc):
-            return ChallengeResult(accepted=False, reason="data conforms to description")
-        refunded = []
-        total = 0
-        for j, status in record.status.items():
-            if status in (SessionStatus.ACCEPTED, SessionStatus.KEY_OUT):
-                amount = record.deposits.pop(j)
-                self._credit(record.account, amount)
-                record.status[j] = SessionStatus.REFUNDED
-                total += amount
-                refunded.append(j)
-        return ChallengeResult(
-            accepted=True,
-            reason="reconstructed data violates description",
-            refunded_nodes=tuple(sorted(refunded)),
-            refund_amount=total,
-        )
+            return ChallengeResult(accepted=False)
+        refunded = [
+            j for j, status in record.status.items()
+            if status in (SessionStatus.ACCEPTED, SessionStatus.KEY_OUT)
+        ]
+        for j in refunded:
+            self._close(contract, record, j, SessionStatus.REFUNDED)
+        return ChallengeResult(accepted=True, refunded_nodes=tuple(sorted(refunded)))
 
     def challenge_case2(
         self,
@@ -669,35 +668,20 @@ class Ledger:
         if len(providers) != 1:
             raise InvalidParamsError("all shares must target one provider")
         record = self._challenge_gate(contract, caller, good + bad)
-        try:
-            d_orig = self._phi1(contract, [ev.share for ev in good])
-        except (InconsistentSharesError, ShamirError) as exc:
-            raise SharesInconsistentError(str(exc)) from exc
+        d_orig = self._phi1(contract, good)
         if not conforms_to_description(d_orig, contract.desc):
             raise SharesInconsistentError(
                 "reference reconstruction violates the description"
             )
-        references = [ev.share for ev in good[: t - 1]]
+        references = good[: t - 1]
         refunded = []
-        total = 0
         for ev in bad:
             try:
-                d_prime = self._phi1(contract, [ev.share] + references)
-                mismatch = d_prime != d_orig
-            except ShamirError:
+                mismatch = self._phi1(contract, [ev] + references) != d_orig
+            except SharesInconsistentError:
                 mismatch = True
             if mismatch and record.status.get(ev.node_index) == SessionStatus.KEY_OUT:
-                amount = record.deposits.pop(ev.node_index)
-                self._credit(record.account, amount)
-                record.status[ev.node_index] = SessionStatus.REFUNDED
+                self._close(contract, record, ev.node_index, SessionStatus.REFUNDED)
                 contract.flagged_nodes.add(ev.node_index)
-                total += amount
                 refunded.append(ev.node_index)
-        if refunded:
-            return ChallengeResult(
-                accepted=True,
-                reason="suspect shares inconsistent with verified data",
-                refunded_nodes=tuple(sorted(refunded)),
-                refund_amount=total,
-            )
-        return ChallengeResult(accepted=False, reason="all suspect shares consistent")
+        return ChallengeResult(accepted=bool(refunded), refunded_nodes=tuple(sorted(refunded)))

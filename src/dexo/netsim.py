@@ -2,12 +2,13 @@
 
 Participants exchange messages over authenticated FIFO channels; a fixed
 (seed-shuffled) rotation delivers one message per ready participant per step,
-so a run is a pure function of (config, script, seed). When the network goes
-quiet the simulator ticks participants, and if still quiet advances the block
-height, which drives timeout settlement. One append-only run log holds, in
-order, every metered ledger call, message, note and dispute; the trace, the
-gas log and the outcome's disputes and anomalies are derived from it, and a
-trace can be re-executed and compared byte-for-byte.
+so a run is a pure function of (config, script, seed). The simulator only
+delivers messages: the exchange stage (``participants.stage3_exchange``)
+ticks the consumer when the network goes quiet and, if it stays quiet,
+advances the block height, which drives timeout settlement. One append-only
+run log holds, in order, every metered ledger call, message, note and
+dispute; the trace, the gas log and the outcome's disputes and anomalies are
+derived from it, and a trace can be re-executed and compared byte-for-byte.
 """
 
 from __future__ import annotations
@@ -472,12 +473,18 @@ def run_scenario(
     roles.stage3_exchange(sim, setup)
     ledger.assert_conserved()
 
+    # payment facts come from the ledger: the buyer was funded the price and
+    # each accept call escrowed one session's share of it
     consumer = setup.consumer
     expected = {
         d.provider_index: preprocess(d.raw, d.rule) for d in setup.devices
     }
-    paid_out = sum(ledger.balances.values()) - ledger.balances.get("consumer", 0)
+    balance = ledger.balances.get(consumer.account, 0)
+    paid_out = sum(ledger.balances.values()) - balance
     escrow_left = sum(c.escrow_total() for c in ledger.contracts.values())
+    price = config.resolved_price()
+    paid_sessions = sum(1 for c in ledger.calls() if c.function == "accept")
+    status = sorted((ledger.snapshot_buyer(setup.cid, consumer.account) or {}).items())
     outcome = ExchangeOutcome(
         reconstructed=dict(consumer.reconstructed),
         expected=expected,
@@ -486,11 +493,11 @@ def run_scenario(
         escrow_left=escrow_left,
         exchange_calls=ledger.exchange_call_count(),
         total_calls=ledger.call_count(),
-        paid_sessions=consumer.paid_sessions,
+        paid_sessions=paid_sessions,
         gas_total=ledger.total_gas(),
-        refund_to_buyer=consumer.refunds_received(ledger),
-        settled_sessions=consumer.sessions_in_state(SessionStatus.SETTLED, ledger),
-        refunded_sessions=consumer.sessions_in_state(SessionStatus.REFUNDED, ledger),
+        refund_to_buyer=balance - (price - paid_sessions * (price // config.n_nodes)),
+        settled_sessions=tuple(j for j, s in status if s is SessionStatus.SETTLED),
+        refunded_sessions=tuple(j for j, s in status if s is SessionStatus.REFUNDED),
         disputes=texts(ledger.log, Dispute),
         anomalies=texts(ledger.log, Note),
         coalition_max=monitor.max_counts(),
@@ -506,9 +513,8 @@ def run_scenario(
         f"valid={outcome.reconstruction_valid}",
         f"paid_sessions={outcome.paid_sessions}",
         f"coalition={sorted(outcome.coalition_max.items())}",
+        ledger.contracts[setup.cid].dump().rstrip(),
     ]
-    if setup.cid is not None:
-        terminal_lines.append(ledger.contracts[setup.cid].dump().rstrip())
     return Trace(
         config=config,
         script=script,

@@ -29,7 +29,6 @@ from .crypto import (
     encrypt,
     reconstruct,
 )
-from .crypto.shamir import evaluate_at  # noqa: F401  (perfbench traces calls via this binding)
 from .ledger import (
     BadKeyError,
     DataDescription,
@@ -364,17 +363,14 @@ class Consumer:
         self.mislabeled: list[tuple[int, int]] = []
         self.phase = Phase.AWAIT_CIPHERTEXTS
         self.finished_reason = ""
-        self.paid_sessions = 0
         self.reconstructed: dict[int, bytes | None] = {}
         self.reconstruction_valid = False
-        self._initial_balance = 0
         self._leaked_keys: list[KeyMaterial] = []
         self._stall_ticks = 0
 
     # -- protocol entry
 
     def start(self, sim: Simulator) -> None:
-        self._initial_balance = sim.ledger.balances.get(self.account, 0)
         self.listing = sim.ledger.snapshot_listing(self.cid)
         if not self.listing.initialized:
             self._finish(sim, "listing-never-initialized")
@@ -486,7 +482,6 @@ class Consumer:
         price = sim.ledger.contracts[self.cid].session_price
         sim.ledger.accept(self.account, self.cid, j, price)
         self.accepted.add(j)
-        self.paid_sessions += 1
         sim.monitor.record_payment()
 
     def _ingest_shares(self, sim: Simulator, j: int, key: KeyMaterial) -> None:
@@ -542,6 +537,7 @@ class Consumer:
             if not ok:
                 failing.append(provider)
         if not failing:
+            self.reconstruction_valid = True
             if self.mislabeled:
                 self._probe_mislabeled(sim)
             self._settle(sim)
@@ -738,13 +734,6 @@ class Consumer:
     # -- settlement
 
     def _settle(self, sim: Simulator) -> None:
-        if not self.reconstruction_valid:
-            desc = self.listing.desc
-            self.reconstruction_valid = all(
-                self.reconstructed.get(p) is not None
-                and conforms_to_description(self.reconstructed[p], desc)
-                for p in range(1, self.config.providers + 1)
-            )
         status = sim.ledger.snapshot_buyer(self.cid, self.account)
         if status and SessionStatus.KEY_OUT in status.values():
             sim.ledger.no_complain(self.account, self.cid)
@@ -787,19 +776,6 @@ class Consumer:
                 if not replacements and all(j in self.keys for j in self.accepted):
                     self._reconstruct_phase(sim)
 
-    def refunds_received(self, ledger) -> int:
-        spent = self.paid_sessions * (
-            self.config.resolved_price() // self.config.n_nodes
-        )
-        balance = ledger.balances.get(self.account, 0)
-        return balance - (self._initial_balance - spent)
-
-    def sessions_in_state(self, state: SessionStatus, ledger) -> tuple[int, ...]:
-        status = ledger.snapshot_buyer(self.cid, self.account)
-        if status is None:
-            return ()
-        return tuple(sorted(j for j, s in status.items() if s is state))
-
 
 # ---------------------------------------------------------------- stages
 
@@ -807,14 +783,12 @@ class Consumer:
 @dataclass
 class ProtocolSetup:
     config: ScenarioConfig
-    script: AdversaryScript
-    platform: tee.TeePlatform
     registry: tee.AttestationRegistry
     server: PDAppServer
     devices: list[DeviceHost]
     nodes: dict[int, DexoNode]
     consumer: Consumer
-    cid: str | None = None
+    cid: str
 
 
 def stage0_setup(
@@ -868,8 +842,8 @@ def stage0_setup(
     sim.drain()
 
     return ProtocolSetup(
-        config=config, script=script, platform=platform, registry=registry,
-        server=server, devices=devices, nodes=nodes, consumer=consumer, cid=cid,
+        config=config, registry=registry, server=server, devices=devices,
+        nodes=nodes, consumer=consumer, cid=cid,
     )
 
 

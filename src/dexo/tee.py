@@ -201,10 +201,8 @@ def attest_report(registry: AttestationRegistry, report: AttestationReport) -> b
 
 @dataclass
 class TeeInstance:
-    eid: str
     keypair: SignatureKeyPair = field(repr=False)
     measurement: RuntimeMeasurement
-    tampered: bool
     salt_key: bytes = field(repr=False)
     rounds: int = 0
     _rng: random.Random = field(default=None, repr=False)
@@ -225,10 +223,8 @@ class TeePlatform:
         eid = f"tee-{self._counter}"
         seed = self._rng.randbytes(32)
         self._instances[eid] = TeeInstance(
-            eid=eid,
             keypair=generate_keypair(seed),
             measurement=measure(descriptor, tampered=tampered),
-            tampered=tampered,
             salt_key=sha256(TAG_SALT, seed),
             _rng=random.Random(self._rng.getrandbits(64)),
         )

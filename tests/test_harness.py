@@ -244,10 +244,35 @@ def test_cli_value_ranges():
 # invariant exits 3.
 
 
-def _assert_config_error(capsys, code: int) -> None:
+def _assert_config_error(capsys, code: int) -> str:
     printed = capsys.readouterr().out
     assert code == 2
     assert printed.startswith("config error: ") and printed.count("\n") == 1, printed
+    return printed
+
+
+@pytest.mark.parametrize("edits,key", [
+    pytest.param({"n_nodes": "0"}, "n_nodes", id="no-nodes"),
+    pytest.param({"providers": "0"}, "providers", id="no-providers"),
+    pytest.param({"preprocessing": "median"}, "preprocessing", id="unknown-preprocessing"),
+    pytest.param({"window": "0"}, "window", id="window-below-1"),
+    pytest.param({"timeout_blocks": "0"}, "timeout_blocks", id="timeout-below-1"),
+    pytest.param({"node_fee": "101"}, "node_fee", id="node-fee-over-session-price"),
+    # the group is nodes 1..t-F, empty only if t <= F, which the threshold
+    # rule F < t already rejects
+    pytest.param({"shared_key": "true", "threshold": "2"}, "threshold",
+                 id="shared-key-with-an-empty-group"),
+    pytest.param({"merged_query": "yes"}, "merged_query", id="merged-query-not-boolean"),
+    pytest.param({"n_nodes": "five"}, "n_nodes", id="n-nodes-not-integer"),
+])
+def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
+    text = format_config(_base_config())
+    for name, value in edits.items():
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.M)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert key in _assert_config_error(capsys, code)
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,13 +1,15 @@
 """Contract operations, gas exactness, timeouts, and dispute handling."""
 
+import copy
 import dataclasses
-import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from dexo.crypto import KeyMaterial, SecretShare
+from dexo import wire
+from dexo.crypto import KeyMaterial, SecretShare, encrypt
 from dexo.ledger import (
     BadKeyError,
     BadMerkleProofError,
@@ -15,8 +17,10 @@ from dexo.ledger import (
     DoubleInitializeError,
     GasSchedule,
     InsufficientBalanceError,
+    Call,
     InvalidParamsError,
     Ledger,
+    LedgerError,
     NoAcceptedBuyerError,
     NotBuyerError,
     NotInitializedError,
@@ -473,6 +477,63 @@ def test_case2_rejects_garbage_reference_set():
     assert fx.contract.escrow_total() == 5 * fx.session_price
 
 
+# challenges whose evidence sets fail a shape check: (function, first set,
+# second set), each set given as (node, provider) pairs
+_WRONG_SHAPES = {
+    "case1 set of the wrong size": (
+        "challenge_case1", [(1, 1), (2, 1), (3, 1)], [(1, 1), (2, 1), (3, 1), (5, 1)]),
+    "case1 two providers": (
+        "challenge_case1", [(1, 1), (2, 1), (3, 1), (4, 1)], [(1, 1), (2, 1), (3, 1), (5, 2)]),
+    "case1 identical sets": (
+        "challenge_case1", [(1, 1), (2, 1), (3, 1), (4, 1)], [(1, 1), (2, 1), (3, 1), (4, 1)]),
+    "case2 reference set of the wrong size": ("challenge_case2", [(1, 1), (2, 1)], [(5, 1)]),
+    "case2 no suspects": ("challenge_case2", [(1, 1), (2, 1), (3, 1)], []),
+    "case2 two providers": ("challenge_case2", [(1, 1), (2, 1), (3, 1)], [(5, 2)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(_WRONG_SHAPES))
+def test_challenge_of_the_wrong_shape_is_rejected_after_charging_gas(shape):
+    fx = build_listing(n=5, t=3, m=2, datum_size=4)
+    _drive_to_key_out(fx, [1, 2, 3, 4, 5])
+    function, *sets = _WRONG_SHAPES[shape]
+    first, second = ([fx.evidence(j, p) for j, p in pairs] for pairs in sets)
+    before = (dict(fx.ledger.balances), fx.contract.dump(), len(fx.ledger.log))
+    with pytest.raises(InvalidParamsError):
+        getattr(fx.ledger, function)(CONSUMER, fx.cid, first, second)
+    # the challenge is charged before it is validated
+    [charged] = _gas_entries(fx.ledger, "challenge")
+    assert charged.gas == SCHEDULE.challenge_base + SCHEDULE.challenge_per_share * (
+        len(first) + len(second))
+    assert (dict(fx.ledger.balances), fx.contract.dump(), len(fx.ledger.log) - 1) == before
+
+
+def _commit_to(fx, j, shares):
+    """Have node j commit to, and deliver, these shares instead of its own."""
+    node = fx.nodes[j]
+    node.shares = shares
+    node.payload = wire.encode_node_payload(shares)
+    node.cipher = encrypt(node.key, node.payload, wire.payload_nonce(fx.contract.tid))
+    node.delta = wire.payload_root(node.cipher)
+
+
+def test_case2_refunds_a_suspect_that_cannot_be_combined_with_the_references():
+    # node 4 delivers node 1's share: its x-coordinate repeats a reference's,
+    # so the suspect and the references do not reconstruct at all
+    fx = build_listing(n=5, t=3, m=1, datum_size=4)
+    _commit_to(fx, 4, fx.nodes[1].shares)
+    _drive_to_key_out(fx, [1, 2, 3, 4, 5])
+    good = [fx.evidence(j, 1) for j in (1, 2, 3)]
+    bad = [fx.evidence(4, 1)]
+    before = fx.ledger.balances[CONSUMER]
+    result = fx.ledger.challenge_case2(CONSUMER, fx.cid, good, bad)
+    assert result.accepted and result.refunded_nodes == (4,)
+    assert fx.contract.flagged_nodes == {4}
+    assert fx.contract.buyers[CONSUMER].status[4] == SessionStatus.REFUNDED
+    assert fx.ledger.balances[CONSUMER] == before + fx.session_price
+    fx.ledger.assert_conserved()
+
+
 # ---------------------------------------------------------------- invariants
 
 
@@ -485,33 +546,128 @@ def test_key_reveal_soundness_over_full_flow():
         assert open_commitment(key, fx.contract.commitment[j])
 
 
-def test_currency_conserved_over_random_interleavings():
-    rng = random.Random(42)
-    for trial in range(25):
-        fx = build_listing(n=4, t=2, m=2, timeout_blocks=4, seed=trial)
-        fx.initialize_all()
-        fx.ledger.fund("buyer-2", fx.price)
-        actions = ["query", "accept", "reveal", "no_complain", "advance", "settle"]
-        for _ in range(30):
-            op = rng.choice(actions)
-            buyer = rng.choice([CONSUMER, "buyer-2"])
-            j = rng.randint(1, 4)
-            try:
-                if op == "query":
-                    fx.ledger.query(buyer, fx.cid)
-                elif op == "accept":
-                    fx.ledger.accept(buyer, fx.cid, j, fx.session_price)
-                elif op == "reveal":
-                    fx.reveal_sessions([j])
-                elif op == "no_complain":
-                    fx.ledger.no_complain(buyer, fx.cid)
-                elif op == "advance":
-                    fx.ledger.advance_block(rng.randint(1, 3))
-                else:
-                    fx.ledger.settle_timeouts(fx.cid)
-            except Exception:
-                pass
-            fx.ledger.assert_conserved()
+BUYERS = (CONSUMER, "buyer-2")
+OPEN = (SessionStatus.ACCEPTED, SessionStatus.KEY_OUT)
+TERMINAL = (SessionStatus.SETTLED, SessionStatus.REFUNDED)
+NODE = st.integers(1, 4)
+RIGHT = st.sampled_from([True, True, True, False])  # right payment or key, 3 in 4
+
+
+def _mostly(live: list, arbitrary: st.SearchStrategy) -> st.SearchStrategy:
+    """Three draws in four from the live choices, if there are any."""
+    if not live:
+        return arbitrary
+    pick = st.sampled_from(live)
+    return st.one_of(pick, pick, pick, arbitrary)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Arbitrary contract call sequences from two buyers against one listing
+    in which nodes 1 and 2 share a key and node 4 committed to bad shares.
+    Most draws pick among the sessions and nodes the contract's state makes
+    live, so that sequences reach reveals, settlement and disputes; the rest
+    are arbitrary.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.fx = build_listing(n=4, t=2, m=2, timeout_blocks=4,
+                                tamper_nodes=(4,), shared_key_nodes=(1, 2))
+        self.fx.initialize_all()
+        self.ledger = self.fx.ledger
+        self.ledger.fund(BUYERS[1], self.fx.price)
+        self.terminal: dict[tuple[str, int], SessionStatus] = {}
+
+    def _sessions(self, status: SessionStatus) -> list[tuple[str, int]]:
+        return sorted(
+            (buyer, j) for buyer, rec in self.fx.contract.buyers.items()
+            for j, s in rec.status.items() if s is status
+        )
+
+    def _attempt(self, call, *args, charged_on_revert=False) -> None:
+        """Make one call. A rejected call may change nothing but the log,
+        which gains the challenge's gas and nothing else."""
+        before = copy.deepcopy(self.fx.contract), dict(self.ledger.balances), list(self.ledger.log)
+        try:
+            call(*args)
+        except LedgerError:
+            log = self.ledger.log
+            if charged_on_revert:
+                assert type(log[-1]) is Call and log[-1].function == "challenge"
+                log = log[:-1]
+            assert (self.fx.contract, self.ledger.balances, log) == before
+
+    @initialize(buyer=st.sampled_from(BUYERS), j=st.one_of(st.none(), NODE))
+    def first_query(self, buyer, j):
+        self.ledger.query(buyer, self.fx.cid, j)
+
+    @rule(buyer=st.sampled_from(BUYERS), j=st.one_of(st.none(), NODE))
+    def query(self, buyer, j):
+        self._attempt(self.ledger.query, buyer, self.fx.cid, j)
+
+    @rule(data=st.data(), right=RIGHT)
+    def accept(self, data, right):
+        buyer, j = data.draw(_mostly(self._sessions(SessionStatus.QUERIED),
+                                     st.tuples(st.sampled_from(BUYERS), NODE)))
+        payment = self.fx.session_price + (0 if right else 1)
+        self._attempt(self.ledger.accept, buyer, self.fx.cid, j, payment)
+
+    @rule(data=st.data(), right=RIGHT)
+    def reveal_key(self, data, right):
+        live = [j for _, j in self._sessions(SessionStatus.ACCEPTED)]
+        node = self.fx.nodes[data.draw(_mostly(live, NODE))]
+        key = node.key if right else KeyMaterial(bytes(32))
+        self._attempt(self.ledger.reveal_key, node.account, self.fx.cid, key)
+
+    @rule(buyer=st.sampled_from(BUYERS))
+    def no_complain(self, buyer):
+        self._attempt(self.ledger.no_complain, buyer, self.fx.cid)
+
+    @rule(count=st.integers(1, 3))
+    def advance_block(self, count):
+        self.ledger.advance_block(count)
+
+    @rule()
+    def settle_timeouts(self):
+        self.ledger.settle_timeouts(self.fx.cid)
+
+    @rule(data=st.data(), provider=st.integers(1, 2))
+    def challenge_case2(self, data, provider):
+        key_out = self._sessions(SessionStatus.KEY_OUT)
+        buyer = data.draw(_mostly([b for b, _ in key_out], st.sampled_from(BUYERS)))
+        public = sorted(self.fx.contract.key_revealed)
+        pairs = [[a, b] for a in public for b in public if a != b]
+        good = data.draw(_mostly(pairs, st.lists(NODE, max_size=3, unique=True)))
+        bad = data.draw(st.lists(_mostly(public, NODE), min_size=1, max_size=2, unique=True))
+        evidence = [self.fx.evidence(j, provider) for j in good + bad]
+        self._attempt(self.ledger.challenge_case2, buyer, self.fx.cid,
+                      evidence[: len(good)], evidence[len(good):], charged_on_revert=True)
+
+    @invariant()
+    def currency_is_conserved(self):
+        self.ledger.assert_conserved()
+        assert all(v >= 0 for v in self.ledger.balances.values())
+
+    @invariant()
+    def escrow_is_the_open_sessions_deposits(self):
+        for rec in self.fx.contract.buyers.values():
+            open_sessions = {j for j, s in rec.status.items() if s in OPEN}
+            assert rec.deposits == dict.fromkeys(open_sessions, self.fx.session_price)
+
+    @invariant()
+    def settled_and_refunded_sessions_never_change(self):
+        for buyer, rec in self.fx.contract.buyers.items():
+            for j, status in rec.status.items():
+                if status in TERMINAL:
+                    assert self.terminal.setdefault((buyer, j), status) is status
+        for (buyer, j), status in self.terminal.items():
+            assert self.fx.contract.buyers[buyer].status[j] is status
+
+
+LedgerMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=50, deadline=None, derandomize=True, database=None
+)
+TestLedgerStateMachine = LedgerMachine.TestCase
 
 
 def test_balances_never_negative():
