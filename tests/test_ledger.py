@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -668,6 +669,35 @@ LedgerMachine.TestCase.settings = settings(
     max_examples=100, stateful_step_count=50, deadline=None, derandomize=True, database=None
 )
 TestLedgerStateMachine = LedgerMachine.TestCase
+
+
+def test_currency_conserved_over_random_interleavings():
+    rng = random.Random(42)
+    for trial in range(25):
+        fx = build_listing(n=4, t=2, m=2, timeout_blocks=4, seed=trial)
+        fx.initialize_all()
+        fx.ledger.fund("buyer-2", fx.price)
+        actions = ["query", "accept", "reveal", "no_complain", "advance", "settle"]
+        for _ in range(30):
+            op = rng.choice(actions)
+            buyer = rng.choice([CONSUMER, "buyer-2"])
+            j = rng.randint(1, 4)
+            try:
+                if op == "query":
+                    fx.ledger.query(buyer, fx.cid)
+                elif op == "accept":
+                    fx.ledger.accept(buyer, fx.cid, j, fx.session_price)
+                elif op == "reveal":
+                    fx.reveal_sessions([j])
+                elif op == "no_complain":
+                    fx.ledger.no_complain(buyer, fx.cid)
+                elif op == "advance":
+                    fx.ledger.advance_block(rng.randint(1, 3))
+                else:
+                    fx.ledger.settle_timeouts(fx.cid)
+            except Exception:
+                pass
+            fx.ledger.assert_conserved()
 
 
 def test_balances_never_negative():
