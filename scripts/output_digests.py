@@ -3,8 +3,10 @@
 leaves traces, gas logs, contract dumps and summaries byte-identical.
 
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
-and 90210 it prints one line ``<workload> <seed> <label> <sha256>``, where
-the digest covers the serialized trace followed by the run summary.
+and 90210, and for the first 200 randomized adversary schedules of the test
+suite (``scenarioutil.random_cases``, seed 208), it prints one line
+``<workload> <seed> <label> <sha256>``, where the digest covers the
+serialized trace followed by the run summary.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
@@ -22,13 +24,21 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from dexo.harness import summarize  # noqa: E402
 from dexo.netsim import run_scenario  # noqa: E402
+from scenarioutil import random_cases  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
 SEEDS = (1, 90210)
+RANDOM_SCHEDULES = 200
+
+
+def _digest(config, script) -> str:
+    trace = run_scenario(config, script)
+    return hashlib.sha256((trace.serialize() + summarize(trace)).encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:
@@ -36,11 +46,11 @@ def digests() -> dict[str, str]:
     for workload in WORKLOADS:
         for seed in SEEDS:
             for scenario in build(workload, seed):
-                trace = run_scenario(scenario.config, scenario.script)
-                text = trace.serialize() + summarize(trace)
-                out[f"{workload} {seed} {scenario.label}"] = hashlib.sha256(
-                    text.encode()
-                ).hexdigest()
+                out[f"{workload} {seed} {scenario.label}"] = _digest(
+                    scenario.config, scenario.script
+                )
+    for case, (config, script) in enumerate(random_cases(RANDOM_SCHEDULES)):
+        out[f"random_schedules 208 case={case},{script.name}"] = _digest(config, script)
     return out
 
 

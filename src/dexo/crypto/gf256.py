@@ -1,9 +1,9 @@
 """Arithmetic in GF(2^8) with the AES reduction polynomial x^8+x^4+x^3+x+1.
 
-Addition is XOR. Multiplication uses log/antilog tables built once at import
-time from a generator of the multiplicative group. A full 256x256 product
-table is also materialized as a numpy array so polynomial evaluation over
-whole byte strings can be done without Python-level loops per byte.
+Addition is XOR. Log/antilog tables are built once at import time from a
+generator of the multiplicative group, and from them the full 256x256
+product table ``MUL``, so polynomial evaluation over whole byte strings can
+be done without Python-level loops per byte.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ def _build_tables() -> tuple[list[int], list[int]]:
 
 _EXP, _LOG = _build_tables()
 
-# exp table doubled so mul() can skip one modulo reduction
-EXP = np.array(_EXP + _EXP, dtype=np.uint8)
+EXP = np.array(_EXP, dtype=np.uint8)
 LOG = np.array(_LOG, dtype=np.int32)
 
 # MUL[a, b] = a * b in GF(256)
@@ -49,20 +48,6 @@ _la = LOG.reshape(256, 1) + LOG.reshape(1, 256)
 MUL = EXP[_la % 255].copy()
 MUL[0, :] = 0
 MUL[:, 0] = 0
-
-
-def mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(EXP[int(LOG[a]) + int(LOG[b])])
-
-
-def inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return int(EXP[255 - int(LOG[a])])
-
-
 _MUL_FLAT = MUL.ravel()
 
 

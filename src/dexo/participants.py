@@ -37,7 +37,7 @@ from .ledger import (
     SessionStatus,
     conforms_to_description,
 )
-from .netsim import AdversaryScript, Dispute, Message, Simulator
+from .netsim import Action, AdversaryScript, Dispute, Message, Simulator
 
 RATIFIED_TA = b"data-market-trusted-formatter-v1"
 
@@ -165,8 +165,8 @@ class PDAppServer:
         provider = payload["provider"]
         pairs = list(zip(payload["shares"], payload["reports"]))
         destinations = {s.node_index: (s, r) for s, r in pairs}
-        if self.script.role_action("server", "permute", "stage1_forward"):
-            rule = self.script.rule_for("permute")
+        if self.script.role_action(Action.PERMUTE):
+            rule = self.script.rule_for(Action.PERMUTE)
             if provider == (rule.target or 1) and self.config.n_nodes >= 3:
                 destinations[2], destinations[3] = destinations[3], destinations[2]
         for node_index, (share, report) in sorted(destinations.items()):
@@ -205,8 +205,8 @@ class DexoNode:
         self.attestation_failed = False
         self.reveal_attempted = False
 
-    def _act(self, action: str, trigger: str) -> bool:
-        return self.script.node_action(self.index, action, trigger)
+    def _act(self, action: Action) -> bool:
+        return self.script.node_action(self.index, action)
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         handler = {
@@ -225,7 +225,7 @@ class DexoNode:
         self.received[provider] = msg.payload["report"]
         if self.index in self.script.corrupted_nodes:
             sim.monitor.record_share(provider, share.x_coordinate)
-        if self._act("leak_to", "stage1_receive") and "consumer" in self.script.corrupted_roles:
+        if self._act(Action.LEAK_TO):
             sim.send(self.name, "consumer", "leaked_share",
                      {"provider": provider, "share": share})
 
@@ -234,11 +234,11 @@ class DexoNode:
         self._maybe_leak_key(sim, self.group_key)
 
     def _maybe_leak_key(self, sim: Simulator, key: KeyMaterial) -> None:
-        if self._act("leak_key", "stage2_key") and "consumer" in self.script.corrupted_roles:
+        if self._act(Action.LEAK_KEY):
             sim.send(self.name, "consumer", "leaked_key", {"key": key})
 
     def _on_register(self, sim: Simulator, msg: Message) -> None:
-        if self._act("refuse", "stage2_register"):
+        if self._act(Action.REFUSE_REGISTER):
             sim.note(f"{self.name}: refused to register")
             return
         for provider, report in sorted(self.received.items()):
@@ -249,13 +249,13 @@ class DexoNode:
             return
         reports = [self.received[p] for p in sorted(self.received)]
         self.shares = [r.share for r in reports]
-        if self._act("substitute_share", "stage2_commit"):
+        if self._act(Action.SUBSTITUTE_SHARE):
             self.shares = [
                 SecretShare(s.provider_index, s.node_index, s.x_coordinate,
                             self.rng.randbytes(len(s.y_values)))
                 for s in self.shares
             ]
-        elif self._act("corrupt_bytes", "stage2_commit"):
+        elif self._act(Action.CORRUPT_BYTES):
             self.shares = [
                 SecretShare(s.provider_index, s.node_index, s.x_coordinate,
                             bytes(b ^ m for b, m in
@@ -288,11 +288,11 @@ class DexoNode:
         status = sim.ledger.read(self.account, self.cid, buyer, self.index)
         if status is not SessionStatus.QUERIED or self.cipher is None:
             return
-        if self._act("drop", "stage3_deliver"):
+        if self._act(Action.DROP):
             sim.note(f"{self.name}: dropped ciphertext delivery")
             return
         cipher = self.cipher
-        if self._act("equivocate", "stage3_deliver"):
+        if self._act(Action.EQUIVOCATE):
             cipher = bytes([cipher[0] ^ 0xFF]) + cipher[1:]
             sim.note(f"{self.name}: equivocated on delivery")
         sim.send(self.name, buyer, "ciphertext",
@@ -304,11 +304,11 @@ class DexoNode:
         if status is not SessionStatus.ACCEPTED or self.reveal_attempted:
             return
         self.reveal_attempted = True
-        if self._act("withhold_key", "stage3_reveal"):
+        if self._act(Action.WITHHOLD_KEY):
             sim.note(f"{self.name}: withheld key")
             return
         key = self.key
-        if self._act("wrong_key", "stage3_reveal"):
+        if self._act(Action.WRONG_KEY):
             key = KeyMaterial(self.rng.randbytes(32))
         try:
             sim.ledger.reveal_key(self.account, self.cid, key)
@@ -349,7 +349,7 @@ class Consumer:
         self.cid = cid
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
-        self.refuses_payment = script.role_action("consumer", "refuse", "stage3_pay")
+        self.refuses_payment = script.role_action(Action.REFUSE_PAYMENT)
         self.listing: Listing | None = None
         self.delivered: dict[int, bytes] = {}
         self.openings: dict[int, bytes] = {}  # openings blob per node, salts encrypted
@@ -393,13 +393,11 @@ class Consumer:
         elif msg.mtype == "notice_key":
             self._on_notice_key(sim, msg)
         elif msg.mtype == "leaked_share":
-            if self.corrupted:
-                share = msg.payload["share"]
-                sim.monitor.record_share(msg.payload["provider"], share.x_coordinate)
+            share = msg.payload["share"]
+            sim.monitor.record_share(msg.payload["provider"], share.x_coordinate)
         elif msg.mtype == "leaked_key":
-            if self.corrupted:
-                self._leaked_keys.append(msg.payload["key"])
-                self._derive_coalition_shares(sim)
+            self._leaked_keys.append(msg.payload["key"])
+            self._derive_coalition_shares(sim)
 
     def _derive_coalition_shares(self, sim: Simulator) -> None:
         """Account for every share a corrupted consumer can derive from the
@@ -796,7 +794,7 @@ def stage0_setup(
 ) -> ProtocolSetup:
     """Install the trusted app on every device, attest, and deploy the contract."""
     config.validate()
-    oversold = script.role_action("server", "oversell", "stage1_produce")
+    oversold = script.role_action(Action.OVERSELL)
 
     platform = tee.TeePlatform(rng=random.Random(sim.rng.getrandbits(64)))
     registry = tee.AttestationRegistry(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 from dexo.config import ScenarioConfig
-from dexo.netsim import Trace
+from dexo.netsim import Action, AdversaryScript, Rule, Trace, standard_scripts
 
 
 def suite_config(**overrides) -> ScenarioConfig:
@@ -23,6 +25,51 @@ def suite_config(**overrides) -> ScenarioConfig:
     )
     params.update(overrides)
     return ScenarioConfig(**params)
+
+
+def random_script(rng: random.Random, cfg: ScenarioConfig) -> AdversaryScript:
+    kind = rng.choice(
+        ["honest", "node_faults", "source_collusion", "consumer_collusion",
+         "permute"]
+    )
+    if kind == "honest":
+        return AdversaryScript(name="HONEST")
+    if kind == "source_collusion":
+        return standard_scripts(cfg)["SOURCE_NODE_COLLUSION"]
+    if kind == "consumer_collusion":
+        return standard_scripts(cfg)["CONSUMER_NODE_COLLUSION"]
+    if kind == "permute":
+        return standard_scripts(cfg)["SERVER_PERMUTE"]
+    count = rng.randint(1, cfg.max_faulty)
+    nodes = rng.sample(range(1, cfg.n_nodes + 1), count)
+    actions = [Action.SUBSTITUTE_SHARE, Action.CORRUPT_BYTES, Action.DROP,
+               Action.EQUIVOCATE, Action.WITHHOLD_KEY, Action.WRONG_KEY]
+    return AdversaryScript(
+        name=f"RANDOM_{'_'.join(str(j) for j in sorted(nodes))}",
+        corrupted_nodes=frozenset(nodes),
+        rules=tuple(Rule(rng.choice(actions), j) for j in nodes),
+    )
+
+
+def random_cases(count: int, seed: int = 208):
+    """``count`` randomized (config, script) pairs on small configs: N=5..9,
+    t <= N-2 (a description dispute needs two differing (t+1)-share
+    combinations, so at least t+2 delivered shares), one node action per
+    corrupted node or a standard collusion script."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        f = rng.randint(1, (n - 1) // 2)
+        t = rng.randint(f + 1, min(n - f, n - 2))
+        cfg = ScenarioConfig(
+            n_nodes=n, threshold=t, max_faulty=f,
+            providers=rng.randint(1, 3),
+            datum_size_bytes=rng.randint(8, 12),
+            value_min=0, value_max=30,
+            timeout_blocks=rng.randint(3, 12),
+            seed=rng.randrange(2**32),
+        )
+        yield cfg, random_script(rng, cfg)
 
 
 def assert_fair_exchange(trace: Trace) -> None:

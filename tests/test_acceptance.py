@@ -12,10 +12,10 @@ from dexo.config import ScenarioConfig
 from dexo.crypto import create_shares, reconstruct
 from dexo.harness import build_cost_report, family_configs
 from dexo.ledger import GasSchedule
-from dexo.netsim import AdversaryScript, Rule, replay, run_scenario, standard_scripts
+from dexo.netsim import replay, run_scenario, standard_scripts
 from listingutil import CONSUMER, build_listing
 from oracles import oracle_interpolate_at, oracle_reconstruct
-from scenarioutil import assert_conserved, assert_fair_exchange, suite_config
+from scenarioutil import assert_conserved, assert_fair_exchange, random_cases, suite_config
 
 
 def _ok(name: str) -> None:
@@ -27,7 +27,8 @@ def _ok(name: str) -> None:
 
 def test_call_count_law():
     """Honest merged-query run makes exactly 3N+3t+2 contract calls,
-    independent of the provider count; under 5 s per scenario.
+    independent of the provider count, and with each node holding its own
+    key sends exactly N*M + 4M + 4N + t messages; under 5 s per scenario.
     """
     for n, t in [(5, 3), (10, 6), (20, 10)]:
         f = min(t - 1, n - t, (n - 1) // 2)
@@ -45,11 +46,14 @@ def test_call_count_law():
             assert outcome.exchange_calls == 3 * n + 3 * t + 2, (
                 f"(N={n},t={t},M={m}): {outcome.exchange_calls} calls"
             )
+            assert len(trace.events) == n * m + 4 * m + 4 * n + t, (
+                f"(N={n},t={t},M={m}): {len(trace.events)} messages"
+            )
             assert outcome.reconstruction_valid
             assert replay(trace)
             per_m.add(outcome.exchange_calls)
         assert len(per_m) == 1, f"call count varies with M at (N={n},t={t})"
-    _ok("call-count law: 3N+3t+2, independent of provider count, replayable")
+    _ok("call-count law: 3N+3t+2 calls, N*M+4M+4N+t messages, replayable")
 
 
 # ------------------------------------------------------ 2. session reduction
@@ -242,65 +246,14 @@ def test_adversarial_script_suite():
 # ------------------------------------------- 7 & 8. atomicity + determinism
 
 
-def _random_script(rng: random.Random, cfg: ScenarioConfig) -> AdversaryScript:
-    kind = rng.choice(
-        ["honest", "node_faults", "source_collusion", "consumer_collusion",
-         "permute"]
-    )
-    if kind == "honest":
-        return AdversaryScript(name="HONEST")
-    if kind == "source_collusion":
-        return standard_scripts(cfg)["SOURCE_NODE_COLLUSION"]
-    if kind == "consumer_collusion":
-        return standard_scripts(cfg)["CONSUMER_NODE_COLLUSION"]
-    if kind == "permute":
-        return standard_scripts(cfg)["SERVER_PERMUTE"]
-    count = rng.randint(1, cfg.max_faulty)
-    nodes = rng.sample(range(1, cfg.n_nodes + 1), count)
-    actions = ["substitute_share", "corrupt_bytes", "drop", "equivocate",
-               "withhold_key", "wrong_key"]
-    triggers = {
-        "substitute_share": "stage2_commit", "corrupt_bytes": "stage2_commit",
-        "drop": "stage3_deliver", "equivocate": "stage3_deliver",
-        "withhold_key": "stage3_reveal", "wrong_key": "stage3_reveal",
-    }
-    rules = []
-    for j in nodes:
-        action = rng.choice(actions)
-        rules.append(Rule(triggers[action], action, j))
-    return AdversaryScript(
-        name=f"RANDOM_{'_'.join(str(j) for j in sorted(nodes))}",
-        corrupted_nodes=frozenset(nodes),
-        rules=tuple(rules),
-    )
-
-
 def test_atomicity_and_replay_over_randomized_runs():
     """200 randomized (config, script, seed) runs: providers are paid iff the
     buyer reconstructed valid data, currency is conserved, and every trace
     replays byte-identically.
     """
-    rng = random.Random(208)
-    violations = 0
-    for case in range(200):
-        n = rng.randint(5, 9)
-        f_max = (n - 1) // 2
-        f = rng.randint(1, f_max)
-        # keep t <= N-2: a description dispute needs two differing (t+1)-share
-        # combinations, which requires at least t+2 delivered shares
-        t = rng.randint(f + 1, min(n - f, n - 2))
-        cfg = ScenarioConfig(
-            n_nodes=n, threshold=t, max_faulty=f,
-            providers=rng.randint(1, 3),
-            datum_size_bytes=rng.randint(8, 12),
-            value_min=0, value_max=30,
-            timeout_blocks=rng.randint(3, 12),
-            seed=rng.randrange(2**32),
-        )
-        script = _random_script(rng, cfg)
+    for case, (cfg, script) in enumerate(random_cases(200)):
         trace = run_scenario(cfg, script)
         assert_fair_exchange(trace)
         assert_conserved(trace)
         assert replay(trace), f"case {case}: trace not reproducible"
-    assert violations == 0
     _ok("atomicity + conservation + replay: 200/200 randomized runs clean")

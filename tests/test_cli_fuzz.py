@@ -18,8 +18,10 @@ import functools
 import io
 import os
 import tempfile
+from ast import literal_eval
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,3 +186,16 @@ def check_replay(text: str) -> int:
 @given(damaged_traces())
 def test_a_damaged_trace_replays_or_is_rejected(text):
     check_replay(text)
+
+
+@pytest.mark.parametrize(
+    "rule, corrupted",
+    [(["stage3_reveal", "drop", 0], [1]), (["stage3_reveal", "withhold_key", 2], [1])],
+    ids=["no such action", "target not corrupted"],
+)
+def test_a_trace_whose_script_cannot_fire_is_rejected(rule, corrupted):
+    lines = list(base_trace(0))
+    at = lines.index("[script]") + 1
+    script = literal_eval(lines[at])
+    lines[at] = repr({**script, "corrupted_nodes": corrupted, "rules": [rule]})
+    assert check_replay("\n".join(lines) + "\n") == 2

@@ -9,13 +9,12 @@ Regenerate (only when an on-chain change is intended) with:
 """
 
 import json
-import random
 from pathlib import Path
 
 from dexo.config import ScenarioConfig
 from dexo.netsim import Trace, run_scenario
-from scenarioutil import suite_config
-from test_acceptance import SUITE_EXPECTATIONS, _random_script
+from scenarioutil import random_cases, suite_config
+from test_acceptance import SUITE_EXPECTATIONS
 
 GOLDEN = Path(__file__).parent / "golden_dispute_outcomes.json"
 RANDOM_CASES = 30
@@ -37,20 +36,8 @@ def dispute_runs():
         )
         yield f"TAMPER_SHARES n=13 seed={seed}", cfg, None
     # the same draws as test_atomicity_and_replay_over_randomized_runs
-    rng = random.Random(208)
-    for case in range(RANDOM_CASES):
-        n = rng.randint(5, 9)
-        f = rng.randint(1, (n - 1) // 2)
-        t = rng.randint(f + 1, min(n - f, n - 2))
-        cfg = ScenarioConfig(
-            n_nodes=n, threshold=t, max_faulty=f,
-            providers=rng.randint(1, 3),
-            datum_size_bytes=rng.randint(8, 12),
-            value_min=0, value_max=30,
-            timeout_blocks=rng.randint(3, 12),
-            seed=rng.randrange(2**32),
-        )
-        yield f"random case {case}", cfg, _random_script(rng, cfg)
+    for case, (cfg, script) in enumerate(random_cases(RANDOM_CASES)):
+        yield f"random case {case}", cfg, script
 
 
 def outcome_record(trace: Trace) -> dict:

@@ -11,7 +11,6 @@ from dexo.config import ConfigError, ScenarioConfig, format_config, parse_config
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare
 from dexo.netsim import (
     AdversaryScript,
-    Rule,
     ScriptError,
     _payload_digest,
     parse_trace_header,
@@ -22,7 +21,7 @@ from dexo.netsim import (
 )
 from dexo.tee import AttestationReport, RuntimeMeasurement
 from oracles import oracle_payload_digest
-from scenarioutil import suite_config
+from scenarioutil import random_cases, suite_config
 
 STANDARD_NAMES = [
     "HONEST",
@@ -86,21 +85,63 @@ def test_consumer_collusion_marks_consumer():
     assert "server" in catalog["SOURCE_NODE_COLLUSION"].corrupted_roles
 
 
+def _script(*rules, **fields) -> AdversaryScript:
+    """A script read back from its trace form: ``[trigger, name, target]``
+    rules and sorted lists."""
+    data = dict(name="CUSTOM", corrupted_nodes=[], corrupted_roles=[],
+                tampered_providers=[], rules=list(rules), requires_shared_key=False)
+    return AdversaryScript.from_dict({**data, **fields})
+
+
 def test_script_validation():
     cfg = suite_config()
     with pytest.raises(ScriptError):
         AdversaryScript(
             name="TOO_MANY", corrupted_nodes=frozenset({1, 2, 3, 4})
         ).validate(cfg)
-    with pytest.raises(ScriptError):
-        AdversaryScript(
-            name="BAD_ACTION", corrupted_nodes=frozenset({1}),
-            rules=(Rule("x", "explode"),),
-        ).validate(cfg)
+    for pair in (["x", "explode"], ["stage3_reveal", "drop"], ["stage2_commit", "refuse"]):
+        with pytest.raises(ScriptError, match="no action"):
+            _script([*pair, 0], corrupted_nodes=[1])
     with pytest.raises(ScriptError):
         standard_scripts(cfg)["SHARED_KEY_LEAK"].validate(cfg)  # shared_key off
     with pytest.raises(ScriptError):
         resolve_script(suite_config(adversary="NO_SUCH_SCRIPT"))
+
+
+# each would run exactly as if no adversary were there
+NEVER_FIRING = {
+    "node target not corrupted": (["stage3_reveal", "withhold_key", 2], {"corrupted_nodes": [1]}),
+    "server not corrupted": (["stage1_forward", "permute", 0], {}),
+    "oversell, consumer corrupted": (["stage1_produce", "oversell", 0],
+                                     {"corrupted_roles": ["consumer"]}),
+    "consumer not corrupted": (["stage3_pay", "refuse", 0], {"corrupted_roles": ["server"]}),
+    "provider not tampered": (["stage0_install", "tamper_tee", 2], {"tampered_providers": [1]}),
+    "leak_to, no consumer": (["stage1_receive", "leak_to", 0], {"corrupted_nodes": [1]}),
+    "leak_key, no consumer": (["stage2_key", "leak_key", 1], {"corrupted_nodes": [1]}),
+}
+
+
+@pytest.mark.parametrize("case", NEVER_FIRING)
+def test_a_rule_that_never_fires_is_rejected(case):
+    rule, fields = NEVER_FIRING[case]
+    script = _script(rule, **fields)
+    with pytest.raises(ScriptError, match="can never fire"):
+        script.validate(suite_config(shared_key=True))
+
+
+def test_every_standard_and_random_script_can_fire():
+    """Only the checks older than the firing rule reject a standard script:
+    SHARED_KEY_LEAK corrupts one node, which F=0 does not allow."""
+    for n in range(3, 14):
+        for f in range((n + 1) // 2):
+            for t in range(f + 1, n - f + 1):
+                cfg = ScenarioConfig(n, t, f, 1, shared_key=True, value_max=100)
+                for name, script in standard_scripts(cfg).items():
+                    if f == 0 and name == "SHARED_KEY_LEAK":
+                        continue
+                    script.validate(cfg)
+    for cfg, script in random_cases(2000):
+        script.validate(cfg)
 
 
 def test_script_dict_roundtrip():
@@ -155,17 +196,6 @@ def test_threshold_band_accepts_boundary():
 # ---------------------------------------------------------------- payload digests
 
 
-@dataclasses.dataclass(frozen=True)
-class _Envelope:
-    label: str
-    body: object
-    _scratch: int = 0
-
-
-class _Blob(bytes):
-    pass
-
-
 _digests = st.binary(min_size=32, max_size=32)
 _shares = st.builds(
     SecretShare,
@@ -174,10 +204,11 @@ _shares = st.builds(
     x_coordinate=st.integers(min_value=1, max_value=255),
     y_values=st.binary(max_size=12),
 )
+_measurements = st.builds(RuntimeMeasurement, digest=_digests)
 _reports = st.builds(
     AttestationReport,
     share=_shares,
-    measurement=st.builds(RuntimeMeasurement, digest=_digests),
+    measurement=_measurements,
     signature=st.binary(min_size=64, max_size=64),
     platform_public_key=_digests,
     salt=_digests,
@@ -188,26 +219,20 @@ _reports = st.builds(
         leaf_count=st.integers(min_value=0, max_value=65_535),
     ),
 )
+# the value types protocol messages carry
 _leaves = st.one_of(
     st.binary(max_size=20),
-    st.binary(max_size=8).map(_Blob),
     st.integers(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=6),
     _shares,
     _reports,
     st.builds(KeyMaterial, key=_digests),
+    _measurements,
 )
 _payloads = st.recursive(
     _leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=5), inner, max_size=4),
-        st.dictionaries(st.integers(), inner, max_size=3),
-        st.builds(_Envelope, label=st.text(max_size=4), body=inner,
-                  _scratch=st.integers()),
     ),
     max_leaves=12,
 )
@@ -217,6 +242,31 @@ _payloads = st.recursive(
 @given(mtype=st.text(max_size=12), payload=_payloads)
 def test_payload_digest_matches_the_recursive_walk(mtype, payload):
     assert _payload_digest(mtype, payload) == oracle_payload_digest(mtype, payload)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Envelope:
+    body: bytes
+
+
+class _Blob(bytes):
+    pass
+
+
+# shapes the oracle's isinstance walk hashes but no protocol message carries
+UNSENT_SHAPES = {
+    "tuple": (b"x",), "str": "text", "None": None, "bool": True, "float": 1.5,
+    "bytearray": bytearray(b"x"), "bytes subclass": _Blob(b"x"),
+    "dataclass": _Envelope(b"x"), "int key": {1: b"x"}, "bytes key": {b"k": 1},
+}
+
+
+@pytest.mark.parametrize("shape", UNSENT_SHAPES)
+def test_a_payload_type_no_message_sends_is_rejected(shape):
+    value = UNSENT_SHAPES[shape]
+    for payload in ({"v": value}, {"v": [1, {"w": value}]}):
+        with pytest.raises(TypeError):
+            _payload_digest("m", payload)
 
 
 # configs beside the standard scripts, each with a message flow of its own

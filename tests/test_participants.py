@@ -10,6 +10,7 @@ from dexo.config import ScenarioConfig
 from dexo.crypto import SecretShare, primitives
 from dexo.ledger import Ledger, SessionStatus
 from dexo.netsim import (
+    Action,
     AdversaryScript,
     CoalitionMonitor,
     Dispute,
@@ -193,7 +194,7 @@ def test_wrong_key_behaves_like_withholding():
     script = AdversaryScript(
         name="WRONG_KEY",
         corrupted_nodes=frozenset({1}),
-        rules=(Rule("stage3_reveal", "wrong_key"),),
+        rules=(Rule(Action.WRONG_KEY),),
     )
     trace = run_scenario(suite_config(seed=9), script)
     o = trace.outcome
@@ -227,8 +228,7 @@ def test_unauthenticated_consistent_node_is_never_refunded():
     script = AdversaryScript(
         name="TAMPER_TWO_GARBLE_ONE",
         corrupted_nodes=frozenset({1, 2, 3}),
-        rules=(Rule("stage2_commit", "substitute_share", 1),
-               Rule("stage2_commit", "substitute_share", 2)),
+        rules=(Rule(Action.SUBSTITUTE_SHARE, 1), Rule(Action.SUBSTITUTE_SHARE, 2)),
     )
     sim = Simulator(Ledger(), random.Random(config.seed),
                     CoalitionMonitor(config.threshold, config.threshold))
@@ -339,7 +339,7 @@ def test_drop_delivery_falls_back_to_other_nodes():
     script = AdversaryScript(
         name="DROP",
         corrupted_nodes=frozenset({1, 2}),
-        rules=(Rule("stage3_deliver", "drop"),),
+        rules=(Rule(Action.DROP),),
     )
     trace = run_scenario(suite_config(seed=15), script)
     o = trace.outcome
@@ -352,7 +352,7 @@ def test_equivocating_delivery_is_never_paid():
     script = AdversaryScript(
         name="EQUIVOCATE",
         corrupted_nodes=frozenset({1}),
-        rules=(Rule("stage3_deliver", "equivocate"),),
+        rules=(Rule(Action.EQUIVOCATE),),
     )
     trace = run_scenario(suite_config(seed=16), script)
     o = trace.outcome
@@ -366,7 +366,7 @@ def test_refusing_node_blocks_listing():
     script = AdversaryScript(
         name="REFUSE",
         corrupted_nodes=frozenset({1}),
-        rules=(Rule("stage2_register", "refuse"),),
+        rules=(Rule(Action.REFUSE_REGISTER),),
     )
     trace = run_scenario(suite_config(seed=17), script)
     o = trace.outcome
