@@ -1,14 +1,14 @@
 """Arithmetic in GF(2^8) with the AES reduction polynomial x^8+x^4+x^3+x+1.
 
 Addition is XOR. Log/antilog tables are built once at import time from a
-generator of the multiplicative group, and from them the full 256x256
-product table ``MUL``, so polynomial evaluation over whole byte strings can
-be done without Python-level loops per byte.
+generator of the multiplicative group, and from them one ``bytes.translate``
+table per multiplier a, so ``data.translate(MUL[a])`` multiplies a whole
+byte string by a without a Python-level loop per byte.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
 
 REDUCING_POLY = 0x11B
 GENERATOR = 0x03
@@ -38,29 +38,30 @@ def _build_tables() -> tuple[list[int], list[int]]:
     return exp, log
 
 
-_EXP, _LOG = _build_tables()
-
-EXP = np.array(_EXP, dtype=np.uint8)
-LOG = np.array(_LOG, dtype=np.int32)
-
-# MUL[a, b] = a * b in GF(256)
-_la = LOG.reshape(256, 1) + LOG.reshape(1, 256)
-MUL = EXP[_la % 255].copy()
-MUL[0, :] = 0
-MUL[:, 0] = 0
-_MUL_FLAT = MUL.ravel()
+EXP, LOG = _build_tables()
 
 
-def poly_eval_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of polynomials at several points by Horner's rule.
+# MUL[a][b] = a * b in GF(256): row a translates log b (255 standing for
+# log 0) through EXP rotated by log a, plus a trailing zero for b = 0
+_LOGS, _EXPS = bytes([255] + LOG[1:]), bytes(EXP)
+MUL = (bytes(256),) + tuple(
+    _LOGS.translate(_EXPS[LOG[a]:] + _EXPS[:LOG[a]] + b"\x00") for a in range(1, 256)
+)
 
-    ``coeffs`` has shape (degree+1, width): row k holds the coefficient of
-    x^k for ``width`` independent polynomials. Returns shape
-    (len(xs), width); row i is the evaluation at xs[i]. Each step gathers
-    x * acc from the flat product table at index (x << 8) | acc.
-    """
-    rows = xs.astype(np.intp).reshape(-1, 1) << 8
-    acc = np.broadcast_to(coeffs[-1], (len(xs), coeffs.shape[1])).copy()
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = _MUL_FLAT[rows | acc] ^ coeffs[k]
-    return acc
+
+@lru_cache(maxsize=256)
+def _power_tables(k: int) -> tuple[bytes, ...]:
+    """The product tables of x^k for x = 1..255, in order of x."""
+    return tuple(MUL[EXP[LOG[x] * k % 255]] for x in range(1, 256))
+
+
+def poly_eval_range(coeffs: list[bytes], n: int) -> bytes:
+    """Evaluate ``width`` byte-wise polynomials, ``coeffs[k]`` holding their
+    coefficients of x^k, at x = 1..n: row x-1 of the n rows returned holds
+    the values at x. Each term c_k * x^k is one translate per x, summed by
+    XOR over one integer spanning all rows."""
+    acc = int.from_bytes(coeffs[0] * n, "big")
+    for k in range(1, len(coeffs)):
+        tables = _power_tables(k)[:n]
+        acc ^= int.from_bytes(b"".join(map(coeffs[k].translate, tables)), "big")
+    return acc.to_bytes(n * len(coeffs[0]), "big")

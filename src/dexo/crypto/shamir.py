@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
-
-from . import gf256
+from .gf256 import EXP, LOG, MUL, poly_eval_range
 
 
 class ShamirError(Exception):
@@ -78,61 +77,49 @@ def create_shares(
         rng = random.Random(rng)
 
     width = len(datum)
-    coeffs = np.empty((t, width), dtype=np.uint8)
-    coeffs[0] = np.frombuffer(datum, dtype=np.uint8)
-    for k in range(1, t):
-        coeffs[k] = np.frombuffer(rng.randbytes(width), dtype=np.uint8)
-
-    xs = np.arange(1, n + 1, dtype=np.uint8)
-    ys = gf256.poly_eval_many(coeffs, xs)
+    coeffs = [datum] + [rng.randbytes(width) for _ in range(1, t)]
+    ys = poly_eval_range(coeffs, n)
     return [
         SecretShare(
             provider_index=provider_index,
             node_index=x,
             x_coordinate=x,
-            y_values=ys[x - 1].tobytes(),
+            y_values=ys[(x - 1) * width:x * width],
         )
         for x in range(1, n + 1)
     ]
 
 
-def _lagrange_weights_at(x_target: int, xs: list[int]) -> np.ndarray:
+@lru_cache(maxsize=4096)
+def _lagrange_weights_at(x_target: int, xs: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients w_i with p(x_target) = sum_i w_i * y_i over GF(256).
 
-    Computed in the log domain; all pairwise differences are nonzero because
-    the x-coordinates are distinct and nonzero.
+    Computed in the log domain; all differences are nonzero because the
+    x-coordinates are distinct, nonzero and differ from x_target.
     """
-    x = np.asarray(xs, dtype=np.int64)
-    k = len(xs)
-    log_num = gf256.LOG[x_target ^ x].astype(np.int64)
-    pair_logs = gf256.LOG[x.reshape(-1, 1) ^ x.reshape(1, -1)].astype(np.int64)
-    np.fill_diagonal(pair_logs, 0)
-    log_den = pair_logs.sum(axis=1)
-    exponent = (log_num.sum() - log_num - log_den) % 255
-    weights = gf256.EXP[exponent].astype(np.uint8)
-    if k == 1:
-        weights = np.array([1], dtype=np.uint8)
-    return weights
+    log_num = [LOG[x_target ^ x] for x in xs]
+    total = sum(log_num)
+    return tuple(
+        EXP[(total - log_num[i] - sum(LOG[xi ^ x] for x in xs if x != xi)) % 255]
+        for i, xi in enumerate(xs)
+    )
 
 
 def evaluate_at(shares: list[SecretShare], x_target: int) -> bytes:
     """Evaluate the polynomial interpolating exactly these shares at a point.
 
     Lets a holder of t shares predict what any further share must contain,
-    which is how inconsistent shares are told apart from honest ones.
-    """
-    xs = [s.x_coordinate for s in shares]
+    which is how inconsistent shares are told apart from honest ones. All
+    shares must have the same width."""
+    xs = tuple(s.x_coordinate for s in shares)
     if len(set(xs)) != len(xs):
         raise DuplicateXCoordinateError(f"duplicate x-coordinates in {sorted(xs)}")
     if x_target in xs:
         return next(s for s in shares if s.x_coordinate == x_target).y_values
-    y_matrix = np.stack(
-        [np.frombuffer(s.y_values, dtype=np.uint8) for s in shares]
-    )
-    weights = _lagrange_weights_at(x_target, xs)
-    return np.bitwise_xor.reduce(
-        gf256.MUL[weights[:, None], y_matrix], axis=0
-    ).tobytes()
+    acc = 0
+    for w, s in zip(_lagrange_weights_at(x_target, xs), shares):
+        acc ^= int.from_bytes(s.y_values.translate(MUL[w]), "big")
+    return acc.to_bytes(len(shares[0].y_values), "big")
 
 
 def reconstruct(t: int, n: int, shares: list[SecretShare]) -> bytes:

@@ -94,6 +94,8 @@ class AdversaryScript:
             )
         if any(not 1 <= j <= config.n_nodes for j in self.corrupted_nodes):
             raise ScriptError(f"{self.name}: corrupted node out of range")
+        if any(not 1 <= i <= config.providers for i in self.tampered_providers):
+            raise ScriptError(f"{self.name}: tampered provider out of range")
         if self.requires_shared_key and not config.shared_key:
             raise ScriptError(f"{self.name} requires the shared_key optimization")
         # a rule that can never fire would run as if no adversary were there
@@ -106,6 +108,9 @@ class AdversaryScript:
                 fires = role in self.corrupted_roles
             if r.action in (Action.LEAK_TO, Action.LEAK_KEY):
                 fires = fires and "consumer" in self.corrupted_roles
+            if r.action is Action.PERMUTE:  # swaps nodes 2 and 3 of one provider
+                provider = r.target or 1
+                fires = fires and config.n_nodes >= 3 and 1 <= provider <= config.providers
             if not fires:
                 raise ScriptError(f"{self.name}: {r.action.label} at {r.action.trigger} "
                                   f"(target {r.target}) can never fire")

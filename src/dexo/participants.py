@@ -167,7 +167,7 @@ class PDAppServer:
         destinations = {s.node_index: (s, r) for s, r in pairs}
         if self.script.role_action(Action.PERMUTE):
             rule = self.script.rule_for(Action.PERMUTE)
-            if provider == (rule.target or 1) and self.config.n_nodes >= 3:
+            if provider == (rule.target or 1):
                 destinations[2], destinations[3] = destinations[3], destinations[2]
         for node_index, (share, report) in sorted(destinations.items()):
             sim.send(

@@ -14,9 +14,10 @@ measurement, which is exactly what registration is meant to catch.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
+from operator import sub
 
 from . import wire
 from .crypto import (
@@ -51,6 +52,7 @@ class PreprocessingFailure(TeeError):
 
 RULE_KINDS = ("clamp", "moving_average", "fixed_width")
 READING_WIDTH = 2
+_SATURATE = bytes(1) + b"\xff" * 255  # a nonzero high byte becomes all ones
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,13 @@ class PreprocessingRule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.value_min > self.value_max:
             raise ValueError("value_min must not exceed value_max")
-        if self.value_max > 255:
-            raise ValueError("value_max does not fit one byte")
+        if self.value_min < 0 or self.value_max > 255:
+            raise ValueError("value range does not fit one byte")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
 
-def _parse_readings(raw: bytes) -> np.ndarray:
+def _parse_readings(raw: bytes) -> tuple[int, ...]:
     width = READING_WIDTH
     if not raw:
         raise PreprocessingFailure("raw input is empty")
@@ -85,7 +87,7 @@ def _parse_readings(raw: bytes) -> np.ndarray:
         raise PreprocessingFailure(
             f"raw length {len(raw)} is not a multiple of reading width {width}"
         )
-    return np.frombuffer(raw, dtype=f">u{width}").astype(np.int64)
+    return struct.unpack(f">{len(raw) // width}H", raw)  # H: 2-byte readings
 
 
 def encode_readings(values: list[int]) -> bytes:
@@ -95,22 +97,29 @@ def encode_readings(values: list[int]) -> bytes:
 def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
     """Format raw readings per the rule; output conforms to the declared range."""
     readings = _parse_readings(raw)
-    if rule.kind == "clamp":
-        values = np.clip(readings, rule.value_min, rule.value_max)
-    elif rule.kind == "moving_average":
+    lo, hi = rule.value_min, rule.value_max
+    if rule.kind == "fixed_width":  # readings must already conform
+        outside = [v for v in readings if v < lo or v > hi]
+        if outside:
+            raise PreprocessingFailure(f"readings out of range: {outside}")
+        return bytes(readings)
+    if rule.kind == "moving_average":
         w = rule.window
         if len(readings) < w:
             raise PreprocessingFailure(
                 f"{len(readings)} readings cannot fill window {w}"
             )
-        sums = np.convolve(readings, np.ones(w, dtype=np.int64), mode="valid")
-        values = np.clip((sums + w // 2) // w, rule.value_min, rule.value_max)
-    else:  # fixed_width: readings must already conform
-        outside = (readings < rule.value_min) | (readings > rule.value_max)
-        if outside.any():
-            raise PreprocessingFailure(f"readings out of range: {readings[outside].tolist()}")
-        values = readings
-    return values.astype(np.uint8).tobytes()
+        half, top = w // 2, 256 * w - w // 2  # a mean (s + half) // w > 255 iff s >= top
+        running = [0, *accumulate(readings)]  # running[i]: sum of the first i
+        sums = map(sub, running[w:], running)
+        capped = bytes([255 if s >= top else (s + half) // w for s in sums])
+    else:  # clamp: a reading's low byte ORed with its saturated high byte
+        capped = (int.from_bytes(raw[1::2], "big")
+                  | int.from_bytes(raw[::2].translate(_SATURATE), "big")
+                  ).to_bytes(len(readings), "big")
+    # capped holds min(value, 255) per value; one table clamps it to [lo, hi]
+    clamp = bytes([lo] * lo) + bytes(range(lo, hi + 1)) + bytes([hi] * (255 - hi))
+    return capped.translate(clamp)
 
 
 # ---------------------------------------------------------------- instances

@@ -1,7 +1,10 @@
 """Cost reports, sweeps, CLI verbs, and golden-file interface stability."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,6 +241,16 @@ def test_cli_value_ranges():
     assert cli._parse_values("1,4..6,9") == [1, 4, 5, 6, 9]
 
 
+def test_the_cli_imports_no_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, dexo.cli, dexo.harness, dexo.netsim; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
+
+
 # ---------------------------------------------------------------- CLI exit codes
 #
 # Every input error exits 2 with one "config error:" line; every broken run
@@ -282,6 +295,16 @@ def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
         lambda line: line.replace("'corrupted_nodes': []", "'corrupted_nodes': [1, 2, 3]"),
         id="fails-validation",
     ),
+    pytest.param(
+        lambda line: line.replace("'corrupted_roles': []", "'corrupted_roles': ['server']")
+        .replace("'rules': []", "'rules': [['stage1_forward', 'permute', 3]]"),
+        id="permutes-a-provider-past-the-last",
+    ),
+    pytest.param(
+        lambda line: line.replace("'tampered_providers': []", "'tampered_providers': [3]")
+        .replace("'rules': []", "'rules': [['stage0_install', 'tamper_tee', 3]]"),
+        id="tampers-a-provider-past-the-last",
+    ),
 ])
 def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):
     out = tmp_path / "out"
@@ -293,6 +316,13 @@ def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):
     lines[at] = edit(lines[at])
     trace_path.write_text("\n".join(lines) + "\n")
     _assert_config_error(capsys, cli.main(["replay", str(trace_path)]))
+
+
+def test_cli_rejects_a_permutation_with_fewer_than_three_nodes(tmp_path, capsys):
+    path = _write_config(tmp_path, n_nodes=2, threshold=1, max_faulty=0,
+                         adversary="SERVER_PERMUTE")
+    code = cli.main(["run", path, "--out", str(tmp_path / "out")])
+    assert "permute" in _assert_config_error(capsys, code)
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep", "compare", "example-config"])

@@ -116,6 +116,8 @@ NEVER_FIRING = {
                                      {"corrupted_roles": ["consumer"]}),
     "consumer not corrupted": (["stage3_pay", "refuse", 0], {"corrupted_roles": ["server"]}),
     "provider not tampered": (["stage0_install", "tamper_tee", 2], {"tampered_providers": [1]}),
+    "permute past the last provider": (["stage1_forward", "permute", 4],
+                                       {"corrupted_roles": ["server"]}),
     "leak_to, no consumer": (["stage1_receive", "leak_to", 0], {"corrupted_nodes": [1]}),
     "leak_key, no consumer": (["stage2_key", "leak_key", 1], {"corrupted_nodes": [1]}),
 }
@@ -127,6 +129,20 @@ def test_a_rule_that_never_fires_is_rejected(case):
     script = _script(rule, **fields)
     with pytest.raises(ScriptError, match="can never fire"):
         script.validate(suite_config(shared_key=True))
+
+
+def test_a_provider_or_node_pair_the_run_lacks_is_rejected():
+    cfg = suite_config()  # 3 providers
+    _script(["stage1_forward", "permute", 3], corrupted_roles=["server"]).validate(cfg)
+    with pytest.raises(ScriptError, match="tampered provider out of range"):
+        _script(["stage0_install", "tamper_tee", 4], tampered_providers=[4]).validate(cfg)
+    with pytest.raises(ScriptError, match="tampered provider out of range"):
+        _script(tampered_providers=[0]).validate(cfg)
+    # the permutation swaps nodes 2 and 3
+    for n in (1, 2):
+        small = ScenarioConfig(n, 1, 0, 1)
+        with pytest.raises(ScriptError, match="can never fire"):
+            standard_scripts(small)["SERVER_PERMUTE"].validate(small)
 
 
 def test_every_standard_and_random_script_can_fire():

@@ -21,6 +21,7 @@ from dexo.crypto import (
     create_shares,
     reconstruct,
 )
+from dexo.crypto.shamir import evaluate_at
 
 from oracles import omul as _omul
 from oracles import oracle_interpolate_at, oracle_reconstruct
@@ -159,6 +160,23 @@ def test_any_t_subset_reconstructs(data):
     subset = data.draw(st.permutations(shares)).copy()[:t]
     assert reconstruct(t, n, subset) == datum
     assert oracle_reconstruct(subset) == datum
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_evaluate_at_matches_oracle_at_any_point(data):
+    xs = data.draw(st.lists(st.integers(1, 255), min_size=1, max_size=8, unique=True))
+    width = data.draw(st.integers(1, 4))
+    shares = [
+        SecretShare(1, x, x, data.draw(st.binary(min_size=width, max_size=width)))
+        for x in xs
+    ]
+    x_target = data.draw(st.integers(0, 255))
+    got = evaluate_at(shares, x_target)
+    assert list(got) == [
+        oracle_interpolate_at(x_target, [(s.x_coordinate, s.y_values[b]) for s in shares])
+        for b in range(width)
+    ]
 
 
 @pytest.mark.parametrize("t,n", [(2, 3), (2, 5), (3, 4), (3, 5)])

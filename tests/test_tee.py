@@ -75,6 +75,8 @@ def test_rule_validation():
         PreprocessingRule(kind="clamp", value_min=5, value_max=4)
     with pytest.raises(ValueError):
         PreprocessingRule(kind="clamp", value_min=0, value_max=256)
+    with pytest.raises(ValueError):
+        PreprocessingRule(kind="clamp", value_min=-1, value_max=4)
 
 
 def test_raw_length_must_match_reading_width():
