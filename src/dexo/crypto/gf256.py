@@ -8,8 +8,6 @@ byte string by a without a Python-level loop per byte.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 REDUCING_POLY = 0x11B
 GENERATOR = 0x03
 
@@ -49,12 +47,6 @@ MUL = (bytes(256),) + tuple(
 )
 
 
-@lru_cache(maxsize=256)
-def _power_tables(k: int) -> tuple[bytes, ...]:
-    """The product tables of x^k for x = 1..255, in order of x."""
-    return tuple(MUL[EXP[LOG[x] * k % 255]] for x in range(1, 256))
-
-
 def poly_eval_range(coeffs: list[bytes], n: int) -> bytes:
     """Evaluate ``width`` byte-wise polynomials, ``coeffs[k]`` holding their
     coefficients of x^k, at x = 1..n: row x-1 of the n rows returned holds
@@ -62,6 +54,6 @@ def poly_eval_range(coeffs: list[bytes], n: int) -> bytes:
     XOR over one integer spanning all rows."""
     acc = int.from_bytes(coeffs[0] * n, "big")
     for k in range(1, len(coeffs)):
-        tables = _power_tables(k)[:n]
+        tables = [MUL[EXP[LOG[x] * k % 255]] for x in range(1, n + 1)]  # x^k
         acc ^= int.from_bytes(b"".join(map(coeffs[k].translate, tables)), "big")
     return acc.to_bytes(n * len(coeffs[0]), "big")

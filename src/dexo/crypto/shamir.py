@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf256 import EXP, LOG, MUL, poly_eval_range
 
@@ -90,8 +89,7 @@ def create_shares(
     ]
 
 
-@lru_cache(maxsize=4096)
-def _lagrange_weights_at(x_target: int, xs: tuple[int, ...]) -> tuple[int, ...]:
+def _lagrange_weights_at(x_target: int, xs: list[int]) -> list[int]:
     """Coefficients w_i with p(x_target) = sum_i w_i * y_i over GF(256).
 
     Computed in the log domain; all differences are nonzero because the
@@ -99,10 +97,10 @@ def _lagrange_weights_at(x_target: int, xs: tuple[int, ...]) -> tuple[int, ...]:
     """
     log_num = [LOG[x_target ^ x] for x in xs]
     total = sum(log_num)
-    return tuple(
+    return [
         EXP[(total - log_num[i] - sum(LOG[xi ^ x] for x in xs if x != xi)) % 255]
         for i, xi in enumerate(xs)
-    )
+    ]
 
 
 def evaluate_at(shares: list[SecretShare], x_target: int) -> bytes:
@@ -111,7 +109,7 @@ def evaluate_at(shares: list[SecretShare], x_target: int) -> bytes:
     Lets a holder of t shares predict what any further share must contain,
     which is how inconsistent shares are told apart from honest ones. All
     shares must have the same width."""
-    xs = tuple(s.x_coordinate for s in shares)
+    xs = [s.x_coordinate for s in shares]
     if len(set(xs)) != len(xs):
         raise DuplicateXCoordinateError(f"duplicate x-coordinates in {sorted(xs)}")
     if x_target in xs:

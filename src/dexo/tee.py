@@ -52,7 +52,6 @@ class PreprocessingFailure(TeeError):
 
 RULE_KINDS = ("clamp", "moving_average", "fixed_width")
 READING_WIDTH = 2
-_SATURATE = bytes(1) + b"\xff" * 255  # a nonzero high byte becomes all ones
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,12 @@ def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
             raise PreprocessingFailure(
                 f"{len(readings)} readings cannot fill window {w}"
             )
-        half, top = w // 2, 256 * w - w // 2  # a mean (s + half) // w > 255 iff s >= top
+        half = w // 2
         running = [0, *accumulate(readings)]  # running[i]: sum of the first i
         sums = map(sub, running[w:], running)
-        capped = bytes([255 if s >= top else (s + half) // w for s in sums])
-    else:  # clamp: a reading's low byte ORed with its saturated high byte
-        capped = (int.from_bytes(raw[1::2], "big")
-                  | int.from_bytes(raw[::2].translate(_SATURATE), "big")
-                  ).to_bytes(len(readings), "big")
+        capped = bytes([min((s + half) // w, 255) for s in sums])
+    else:  # clamp
+        capped = bytes([min(v, 255) for v in readings])
     # capped holds min(value, 255) per value; one table clamps it to [lo, hi]
     clamp = bytes([lo] * lo) + bytes(range(lo, hi + 1)) + bytes([hi] * (255 - hi))
     return capped.translate(clamp)
