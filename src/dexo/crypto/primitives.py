@@ -67,6 +67,13 @@ def keystream_xor(
     transform is deterministic for a fixed (key, nonce) and a segment of a
     longer message can be recomputed in isolation given its offset. Encrypt
     and decrypt are the same operation.
+
+    This function holds no state. Within a run, nodes and the consumer reach
+    it through ``dexo.wire.PayloadMemo.xor``, which keeps each (key, nonce)
+    stream and calls this function only for the part not yet computed. That
+    is sound because the stream is a pure function of (key, nonce); it also
+    means a repeated (key, nonce) shows as a memo hit, so counting calls
+    here counts distinct streams, not encryptions.
     """
     if not data:
         return b""

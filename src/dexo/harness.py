@@ -18,7 +18,6 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import zip_longest
-from multiprocessing import Pool
 
 from .config import ConfigError, ScenarioConfig, format_config, load_config
 from .ledger import MODEL_ESTIMATED_FUNCTIONS
@@ -122,6 +121,8 @@ def build_cost_report(
     and deterministic, so they may execute in parallel.
     """
     if parallel and len(labeled_configs) > 1:
+        from multiprocessing import Pool  # imported here: serial runs never pay for it
+
         # one task per run: costs vary widely with N, so fine-grained
         # scheduling avoids a straggler worker
         with Pool(min(os.cpu_count() or 1, len(labeled_configs))) as pool:

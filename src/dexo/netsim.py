@@ -25,6 +25,7 @@ from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import KeyMaterial, SecretShare
 from .ledger import InvariantViolation, Ledger, SessionStatus
 from .tee import AttestationReport, RuntimeMeasurement, preprocess
+from .wire import PayloadMemo
 
 
 class ScriptError(Exception):
@@ -98,6 +99,9 @@ class AdversaryScript:
             raise ScriptError(f"{self.name}: tampered provider out of range")
         if self.requires_shared_key and not config.shared_key:
             raise ScriptError(f"{self.name} requires the shared_key optimization")
+        if sum(r.action is Action.PERMUTE for r in self.rules) > 1:
+            # the server applies the first permute rule only
+            raise ScriptError(f"{self.name}: more than one permute rule")
         # a rule that can never fire would run as if no adversary were there
         targets = {"node": self.corrupted_nodes, "provider": self.tampered_providers}
         for r in self.rules:
@@ -342,6 +346,7 @@ class Simulator:
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
         self.log = ledger.log  # the run log, shared with the ledger
+        self.memo = PayloadMemo()  # payload roots and keystreams, for this run only
         self._rotation: list[str] = []
 
     def register(self, participant) -> None:

@@ -25,8 +25,6 @@ from .crypto import (
     SecretShare,
     ShamirError,
     commit,
-    decrypt,
-    encrypt,
     reconstruct,
 )
 from .ledger import (
@@ -209,15 +207,9 @@ class DexoNode:
         return self.script.node_action(self.index, action)
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
-        handler = {
-            "share_delivery": self._on_share_delivery,
-            "group_key": self._on_group_key,
-            "register": self._on_register,
-            "notice_buy": self._on_notice_buy,
-            "notice_accept": self._on_notice_accept,
-        }.get(msg.mtype)
+        handler = self._HANDLERS.get(msg.mtype)
         if handler:
-            handler(sim, msg)
+            handler(self, sim, msg)
 
     def _on_share_delivery(self, sim: Simulator, msg: Message) -> None:
         provider = msg.payload["provider"]
@@ -267,19 +259,19 @@ class DexoNode:
             self._maybe_leak_key(sim, self.key)
         nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
         payload = wire.encode_node_payload(self.shares)
-        self.cipher = encrypt(self.key, payload, nonce)
+        self.cipher = sim.memo.xor(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
         # longer opens to its device's signed root; only the salts are secret
         openings = [
             wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
             for r in reports
         ]
+        salts_nonce = wire.openings_nonce(nonce, self.index)
         self.openings = wire.encode_openings(
-            wire.xor_salts(openings, self.key, wire.openings_nonce(nonce, self.index)),
-            self.config.n_nodes,
+            wire.xor_salts(openings, self.key, salts_nonce, sim.memo), self.config.n_nodes
         )
         sim.ledger.initialize(
-            self.account, self.cid, wire.payload_root(self.cipher), commit(self.key)
+            self.account, self.cid, sim.memo.root(self.cipher), commit(self.key)
         )
         self.initialized = True
 
@@ -316,6 +308,14 @@ class DexoNode:
             sim.note(f"{self.name}: reveal rejected (bad key)")
             return
         sim.send(self.name, buyer, "notice_key", {"node": self.index})
+
+    _HANDLERS = {
+        "share_delivery": _on_share_delivery,
+        "group_key": _on_group_key,
+        "register": _on_register,
+        "notice_buy": _on_notice_buy,
+        "notice_accept": _on_notice_accept,
+    }
 
 
 # ---------------------------------------------------------------- consumer
@@ -412,7 +412,7 @@ class Consumer:
                 if com != opened or j not in self.delivered:
                     continue
                 try:
-                    shares = wire.decode_shares(decrypt(key, self.delivered[j], nonce))
+                    shares = wire.decode_shares(sim.memo.xor(key, self.delivered[j], nonce))
                 except ValueError:
                     continue
                 for share in shares:
@@ -422,7 +422,7 @@ class Consumer:
         j = msg.payload["node"]
         self.responded.add(j)
         cipher = msg.payload["cipher"]
-        if wire.payload_root(cipher) == self.listing.delta[j]:
+        if sim.memo.root(cipher) == self.listing.delta[j]:
             self.delivered[j] = cipher
             self.openings[j] = msg.payload.get("openings", b"")
         else:
@@ -486,7 +486,7 @@ class Consumer:
         if j not in self.delivered:
             return
         nonce = wire.payload_nonce(self.listing.tid)
-        payload = decrypt(key, self.delivered[j], nonce)
+        payload = sim.memo.xor(key, self.delivered[j], nonce)
         try:
             shares = wire.decode_shares(payload)
         except ValueError:
@@ -568,7 +568,7 @@ class Consumer:
 
     # -- disputes
 
-    def _is_authentic(self, j: int, provider: int) -> bool:
+    def _is_authentic(self, sim: Simulator, j: int, provider: int) -> bool:
         """Does node j's share of ``provider`` open to the device-signed root
         in the node's openings blob? The proof's leaf is the share's own node
         label. A missing or malformed blob authenticates nothing. Blobs are
@@ -582,7 +582,7 @@ class Consumer:
             except ValueError:
                 records = []
             nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
-            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce)
+            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce, sim.memo)
         if (j, provider) not in self._authentic:
             records = self._opened[j]
             verdict = False
@@ -598,7 +598,9 @@ class Consumer:
             self._authentic[j, provider] = verdict
         return self._authentic[j, provider]
 
-    def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:
+    def _reference(
+        self, sim: Simulator, provider: int, count: int
+    ) -> list[tuple[SecretShare, int]]:
         """Up to ``count`` authentic (share, node) entries for one provider:
         nodes in ascending order, skipping a repeated x-coordinate. Shares
         past the last entry needed are not checked.
@@ -609,7 +611,8 @@ class Consumer:
             if len(entries) == count:
                 break
             share = self.node_shares[j].get(provider)
-            if share is None or share.x_coordinate in xs or not self._is_authentic(j, provider):
+            if (share is None or share.x_coordinate in xs
+                    or not self._is_authentic(sim, j, provider)):
                 continue
             entries.append((share, j))
             xs.add(share.x_coordinate)
@@ -646,7 +649,7 @@ class Consumer:
         t, n = self.config.threshold, self.config.n_nodes
         desc = self.listing.desc
         for provider in failing:
-            entries = self._reference(provider, t + 2)
+            entries = self._reference(sim, provider, t + 2)
             if len(entries) < t + 2:
                 continue
             datum = reconstruct(t, n, [s for s, _ in entries[:t]])
@@ -665,7 +668,7 @@ class Consumer:
         references: dict[int, list[tuple[SecretShare, int]]] = {}
         data: dict[int, bytes] = {}
         for provider in range(1, self.config.providers + 1):
-            entries = self._reference(provider, t)
+            entries = self._reference(sim, provider, t)
             if len(entries) < t:
                 break
             datum = reconstruct(t, n, [s for s, _ in entries])
@@ -694,7 +697,7 @@ class Consumer:
                 for j in sorted(self.node_shares)
                 if j not in good and j not in already_refunded
                 and provider in self.node_shares[j]
-                and not self._is_authentic(j, provider)
+                and not self._is_authentic(sim, j, provider)
             ]
             if not accused:
                 continue
@@ -716,7 +719,7 @@ class Consumer:
         t = self.config.threshold
         for j, provider in sorted(set(self.mislabeled), key=lambda e: (e[1], e[0])):
             share = self.node_shares.get(j, {}).get(provider)
-            good_entries = self._reference(provider, t)
+            good_entries = self._reference(sim, provider, t)
             if share is None or len(good_entries) < t:
                 continue
             ordered = sorted(

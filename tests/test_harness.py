@@ -241,14 +241,24 @@ def test_cli_value_ranges():
     assert cli._parse_values("1,4..6,9") == [1, 4, 5, 6, 9]
 
 
-def test_the_cli_imports_no_numpy():
+def _cli_loads(module: str) -> str:
+    """Whether importing the CLI in a fresh interpreter loads ``module``,
+    as that interpreter prints it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, dexo.cli, dexo.harness, dexo.netsim; print('numpy' in sys.modules)"
+    probe = f"import sys, dexo.cli, dexo.harness, dexo.netsim; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_the_cli_imports_no_numpy():
+    assert _cli_loads("numpy") == "False\n"
+
+
+def test_only_a_parallel_sweep_imports_multiprocessing():
+    assert _cli_loads("multiprocessing") == "False\n"
 
 
 # ---------------------------------------------------------------- CLI exit codes
@@ -299,6 +309,12 @@ def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
         lambda line: line.replace("'corrupted_roles': []", "'corrupted_roles': ['server']")
         .replace("'rules': []", "'rules': [['stage1_forward', 'permute', 3]]"),
         id="permutes-a-provider-past-the-last",
+    ),
+    pytest.param(
+        lambda line: line.replace("'corrupted_roles': []", "'corrupted_roles': ['server']")
+        .replace("'rules': []", "'rules': [['stage1_forward', 'permute', 1], "
+                 "['stage1_forward', 'permute', 2]]"),
+        id="permutes-twice",
     ),
     pytest.param(
         lambda line: line.replace("'tampered_providers': []", "'tampered_providers': [3]")

@@ -145,6 +145,17 @@ def test_a_provider_or_node_pair_the_run_lacks_is_rejected():
             standard_scripts(small)["SERVER_PERMUTE"].validate(small)
 
 
+def test_a_second_permute_rule_is_rejected():
+    """The server swaps one provider's shares, by the first permute rule; a
+    second rule would run as if it were not there."""
+    cfg = suite_config()  # 3 providers
+    server = {"corrupted_roles": ["server"]}
+    _script(["stage1_forward", "permute", 2], **server).validate(cfg)
+    with pytest.raises(ScriptError, match="more than one permute rule"):
+        _script(["stage1_forward", "permute", 1], ["stage1_forward", "permute", 2],
+                **server).validate(cfg)
+
+
 def test_every_standard_and_random_script_can_fire():
     """Only the checks older than the firing rule reject a standard script:
     SHARED_KEY_LEAK corrupts one node, which F=0 does not allow."""

@@ -14,9 +14,11 @@ from dexo.netsim import (
     AdversaryScript,
     CoalitionMonitor,
     Dispute,
+    Note,
     Rule,
     Sent,
     Simulator,
+    replay,
     run_scenario,
     standard_scripts,
     texts,
@@ -165,7 +167,7 @@ def test_consumer_rejects_an_altered_opening():
     sim, setup = _staged_run(suite_config(seed=20))
     consumer = setup.consumer
     j = min(consumer.share_keys)
-    assert all(consumer._is_authentic(j, p) for p in range(1, 4))
+    assert all(consumer._is_authentic(sim, j, p) for p in range(1, 4))
     opening = consumer._opened[j][0]
     salt = bytes([opening.salt[0] ^ 1]) + opening.salt[1:]
     consumer._opened[j][0] = dataclasses.replace(opening, salt=salt)
@@ -173,7 +175,7 @@ def test_consumer_rejects_an_altered_opening():
         consumer._opened[j][1], siblings=consumer._opened[j][2].siblings
     )
     consumer._authentic.clear()
-    assert [consumer._is_authentic(j, p) for p in range(1, 4)] == [False, False, True]
+    assert [consumer._is_authentic(sim, j, p) for p in range(1, 4)] == [False, False, True]
 
 
 # ---------------------------------------------------------------- adversaries
@@ -293,7 +295,7 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     consumer = setup.consumer
     assert consumer.node_shares
     for j in consumer.node_shares:
-        assert all(consumer._is_authentic(j, p) for p in range(1, config.providers + 1))
+        assert all(consumer._is_authentic(sim, j, p) for p in range(1, config.providers + 1))
 
 
 def test_source_collusion_full_refund():
@@ -348,7 +350,7 @@ def test_drop_delivery_falls_back_to_other_nodes():
     assert_fair_exchange(trace)
 
 
-def test_equivocating_delivery_is_never_paid():
+def test_equivocating_delivery_is_never_paid(monkeypatch):
     script = AdversaryScript(
         name="EQUIVOCATE",
         corrupted_nodes=frozenset({1}),
@@ -358,8 +360,29 @@ def test_equivocating_delivery_is_never_paid():
     o = trace.outcome
     assert o.reconstruction_valid
     assert 1 not in o.settled_sessions
-    assert any("digest mismatch" in a for a in o.anomalies)
+    assert "consumer: digest mismatch from node 1" in o.anomalies
     assert_fair_exchange(trace)
+    # the altered bytes miss the run's root memo: one more root, not a reuse
+    roots = count_calls(monkeypatch, wire, "merkle_root")
+    sim, setup = _staged_run(suite_config(seed=16), script)
+    assert len(roots["merkle_root"]) == setup.config.n_nodes + 1
+    assert "consumer: digest mismatch from node 1" in texts(sim.log, Note)
+    assert 1 not in setup.consumer.delivered and 1 not in setup.consumer.accepted
+    assert sim.ledger.snapshot_buyer(setup.cid, "consumer")[1] is SessionStatus.QUERIED
+
+
+def test_each_payload_root_is_computed_once_per_run(monkeypatch):
+    """The node's δ_j and the consumer's check of delivery j share one
+    Merkle root; a replay is a new run and computes every root again."""
+    n = 5
+    roots = count_calls(monkeypatch, wire, "merkle_root")
+    trace = run_scenario(ScenarioConfig(n_nodes=n, threshold=3, max_faulty=2, providers=3,
+                                        seed=21))
+    assert trace.outcome.reconstruction_valid
+    assert len(roots["merkle_root"]) == n
+    roots["merkle_root"].clear()
+    assert replay(trace)
+    assert len(roots["merkle_root"]) == n
 
 
 def test_refusing_node_blocks_listing():
