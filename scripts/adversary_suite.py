@@ -16,7 +16,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dexo.config import ScenarioConfig
-from dexo.netsim import run_scenario, standard_scripts
+from dexo.netsim import ScriptError, run_scenario, standard_scripts
+
+FIELDS = ["script", "outcome", "data_valid", "paid_sessions", "paid_out",
+          "refunded_to_buyer", "refunded_sessions", "max_coalition_shares", "disputes"]
 
 
 def main() -> int:
@@ -46,7 +49,12 @@ def main() -> int:
             shared_key=(name == "SHARED_KEY_LEAK"),
             seed=args.seed,
         )
-        outcome = run_scenario(config).outcome
+        try:
+            outcome = run_scenario(config).outcome
+        except ScriptError as exc:  # the script cannot run under this config
+            rows.append({"script": name, "outcome": f"rejected: {exc}"})
+            print(f"{name:26s} rejected: {exc}")
+            continue
         rows.append({
             "script": name,
             "outcome": outcome.finished_reason,
@@ -65,7 +73,7 @@ def main() -> int:
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     print(f"\nwrote {args.out}")

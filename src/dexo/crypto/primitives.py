@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -66,14 +65,8 @@ def keystream_xor(
     The stream is SHA-256(key || nonce || counter) in 32-byte blocks, so the
     transform is deterministic for a fixed (key, nonce) and a segment of a
     longer message can be recomputed in isolation given its offset. Encrypt
-    and decrypt are the same operation.
-
-    This function holds no state. Within a run, nodes and the consumer reach
-    it through ``dexo.wire.PayloadMemo.xor``, which keeps each (key, nonce)
-    stream and calls this function only for the part not yet computed. That
-    is sound because the stream is a pure function of (key, nonce); it also
-    means a repeated (key, nonce) shows as a memo hit, so counting calls
-    here counts distinct streams, not encryptions.
+    and decrypt are the same operation. Nothing caches this function, so
+    every encryption and decryption in a run is one call here.
     """
     if not data:
         return b""
@@ -90,14 +83,6 @@ def keystream_xor(
     stream = stream[skip : skip + len(data)]
     xored = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return xored.to_bytes(len(data), "big")
-
-
-def encrypt(key: KeyMaterial, plaintext: bytes, nonce: bytes) -> bytes:
-    return keystream_xor(key, plaintext, nonce)
-
-
-def decrypt(key: KeyMaterial, ciphertext: bytes, nonce: bytes) -> bytes:
-    return keystream_xor(key, ciphertext, nonce)
 
 
 @dataclass(frozen=True)
@@ -119,14 +104,9 @@ def sign(private_key: Ed25519PrivateKey, message: bytes) -> bytes:
     return private_key.sign(message)
 
 
-@lru_cache(maxsize=4096)
-def _public_key_object(public_key: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public_key)
-
-
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        _public_key_object(public_key).verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

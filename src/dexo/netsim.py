@@ -72,9 +72,13 @@ class AdversaryScript:
     requires_shared_key: bool = False
 
     def node_action(self, node_index: int, action: Action) -> bool:
-        return node_index in self.corrupted_nodes and any(
-            r.action is action and r.target in (0, node_index) for r in self.rules
-        )
+        return node_index in self.corrupted_nodes and self._aims_at(node_index, action)
+
+    def provider_action(self, provider_index: int, action: Action) -> bool:
+        return provider_index in self.tampered_providers and self._aims_at(provider_index, action)
+
+    def _aims_at(self, index: int, action: Action) -> bool:
+        return any(r.action is action and r.target in (0, index) for r in self.rules)
 
     def role_action(self, action: Action) -> bool:
         return action.role in self.corrupted_roles and self.rule_for(action) is not None
@@ -106,8 +110,8 @@ class AdversaryScript:
         targets = {"node": self.corrupted_nodes, "provider": self.tampered_providers}
         for r in self.rules:
             role = r.action.role
-            if role in targets:
-                fires = r.target in (0, *targets[role])
+            if role in targets:  # target 0 aims at every corrupted node or tampered provider
+                fires = r.target in targets[role] if r.target else bool(targets[role])
             else:
                 fires = role in self.corrupted_roles
             if r.action in (Action.LEAK_TO, Action.LEAK_KEY):
@@ -118,6 +122,10 @@ class AdversaryScript:
             if not fires:
                 raise ScriptError(f"{self.name}: {r.action.label} at {r.action.trigger} "
                                   f"(target {r.target}) can never fire")
+        for i in sorted(self.tampered_providers):
+            if not self.provider_action(i, Action.TAMPER_TEE):
+                raise ScriptError(f"{self.name}: tampering provider {i} can never fire "
+                                  f"without a {Action.TAMPER_TEE.label} rule")
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +354,7 @@ class Simulator:
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
         self.log = ledger.log  # the run log, shared with the ledger
-        self.memo = PayloadMemo()  # payload roots and keystreams, for this run only
+        self.memo = PayloadMemo()  # payload roots, for this run only
         self._rotation: list[str] = []
 
     def register(self, participant) -> None:

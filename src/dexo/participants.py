@@ -25,6 +25,7 @@ from .crypto import (
     SecretShare,
     ShamirError,
     commit,
+    keystream_xor,
     reconstruct,
 )
 from .ledger import (
@@ -259,7 +260,7 @@ class DexoNode:
             self._maybe_leak_key(sim, self.key)
         nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
         payload = wire.encode_node_payload(self.shares)
-        self.cipher = sim.memo.xor(self.key, payload, nonce)
+        self.cipher = keystream_xor(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
         # longer opens to its device's signed root; only the salts are secret
         openings = [
@@ -268,7 +269,7 @@ class DexoNode:
         ]
         salts_nonce = wire.openings_nonce(nonce, self.index)
         self.openings = wire.encode_openings(
-            wire.xor_salts(openings, self.key, salts_nonce, sim.memo), self.config.n_nodes
+            wire.xor_salts(openings, self.key, salts_nonce), self.config.n_nodes
         )
         sim.ledger.initialize(
             self.account, self.cid, sim.memo.root(self.cipher), commit(self.key)
@@ -412,7 +413,7 @@ class Consumer:
                 if com != opened or j not in self.delivered:
                     continue
                 try:
-                    shares = wire.decode_shares(sim.memo.xor(key, self.delivered[j], nonce))
+                    shares = wire.decode_shares(keystream_xor(key, self.delivered[j], nonce))
                 except ValueError:
                     continue
                 for share in shares:
@@ -486,7 +487,7 @@ class Consumer:
         if j not in self.delivered:
             return
         nonce = wire.payload_nonce(self.listing.tid)
-        payload = sim.memo.xor(key, self.delivered[j], nonce)
+        payload = keystream_xor(key, self.delivered[j], nonce)
         try:
             shares = wire.decode_shares(payload)
         except ValueError:
@@ -568,7 +569,7 @@ class Consumer:
 
     # -- disputes
 
-    def _is_authentic(self, sim: Simulator, j: int, provider: int) -> bool:
+    def _is_authentic(self, j: int, provider: int) -> bool:
         """Does node j's share of ``provider`` open to the device-signed root
         in the node's openings blob? The proof's leaf is the share's own node
         label. A missing or malformed blob authenticates nothing. Blobs are
@@ -582,7 +583,7 @@ class Consumer:
             except ValueError:
                 records = []
             nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
-            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce, sim.memo)
+            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce)
         if (j, provider) not in self._authentic:
             records = self._opened[j]
             verdict = False
@@ -598,9 +599,7 @@ class Consumer:
             self._authentic[j, provider] = verdict
         return self._authentic[j, provider]
 
-    def _reference(
-        self, sim: Simulator, provider: int, count: int
-    ) -> list[tuple[SecretShare, int]]:
+    def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:
         """Up to ``count`` authentic (share, node) entries for one provider:
         nodes in ascending order, skipping a repeated x-coordinate. Shares
         past the last entry needed are not checked.
@@ -612,7 +611,7 @@ class Consumer:
                 break
             share = self.node_shares[j].get(provider)
             if (share is None or share.x_coordinate in xs
-                    or not self._is_authentic(sim, j, provider)):
+                    or not self._is_authentic(j, provider)):
                 continue
             entries.append((share, j))
             xs.add(share.x_coordinate)
@@ -649,7 +648,7 @@ class Consumer:
         t, n = self.config.threshold, self.config.n_nodes
         desc = self.listing.desc
         for provider in failing:
-            entries = self._reference(sim, provider, t + 2)
+            entries = self._reference(provider, t + 2)
             if len(entries) < t + 2:
                 continue
             datum = reconstruct(t, n, [s for s, _ in entries[:t]])
@@ -668,7 +667,7 @@ class Consumer:
         references: dict[int, list[tuple[SecretShare, int]]] = {}
         data: dict[int, bytes] = {}
         for provider in range(1, self.config.providers + 1):
-            entries = self._reference(sim, provider, t)
+            entries = self._reference(provider, t)
             if len(entries) < t:
                 break
             datum = reconstruct(t, n, [s for s, _ in entries])
@@ -697,7 +696,7 @@ class Consumer:
                 for j in sorted(self.node_shares)
                 if j not in good and j not in already_refunded
                 and provider in self.node_shares[j]
-                and not self._is_authentic(sim, j, provider)
+                and not self._is_authentic(j, provider)
             ]
             if not accused:
                 continue
@@ -719,7 +718,7 @@ class Consumer:
         t = self.config.threshold
         for j, provider in sorted(set(self.mislabeled), key=lambda e: (e[1], e[0])):
             share = self.node_shares.get(j, {}).get(provider)
-            good_entries = self._reference(sim, provider, t)
+            good_entries = self._reference(provider, t)
             if share is None or len(good_entries) < t:
                 continue
             ordered = sorted(
@@ -808,7 +807,7 @@ def stage0_setup(
 
     devices = []
     for i in range(1, config.providers + 1):
-        tampered = i in script.tampered_providers
+        tampered = script.provider_action(i, Action.TAMPER_TEE)
         eid = platform.install(RATIFIED_TA, tampered=tampered)
         registry.register_key(platform.public_key(eid))
         raw = tee.encode_readings(_device_readings(config, sim.rng, oversold))

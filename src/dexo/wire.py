@@ -176,40 +176,24 @@ def payload_root(node_payload_cipher: bytes) -> MerkleRoot:
 
 
 class PayloadMemo:
-    """Each node payload's Merkle root and each (key, nonce) keystream,
-    computed once in a run.
+    """Each node payload's Merkle root, computed once in a run.
 
-    Both memoize a pure function by its full input: a root by the whole
-    ciphertext, a stream by the key bytes and the nonce, never by object
-    identity. So a memo hit returns the bytes a fresh computation would,
-    and an altered ciphertext or another nonce is a miss. A memo belongs
-    to one :class:`~dexo.netsim.Simulator`, so nothing outlives its run.
+    Roots are keyed by the whole ciphertext, never by object identity, so
+    a hit returns the root a fresh computation would and an altered
+    ciphertext is a miss. A memo belongs to one
+    :class:`~dexo.netsim.Simulator`, so nothing outlives its run.
     """
 
-    __slots__ = ("_roots", "_streams")
+    __slots__ = ("_roots",)
 
     def __init__(self) -> None:
         self._roots: dict[bytes, MerkleRoot] = {}
-        # (key bytes, nonce) -> the stream from offset 0, as far as asked for
-        self._streams: dict[tuple[bytes, bytes], bytes] = {}
 
     def root(self, node_payload_cipher: bytes) -> MerkleRoot:
         root = self._roots.get(node_payload_cipher)
         if root is None:
             root = self._roots[node_payload_cipher] = payload_root(node_payload_cipher)
         return root
-
-    def xor(self, key: KeyMaterial, data: bytes, nonce: bytes, offset: int = 0) -> bytes:
-        """``keystream_xor(key, data, nonce, offset)``, read from the held
-        stream, which is extended first if this range runs past it."""
-        end = offset + len(data)
-        slot = (key.key, nonce)
-        stream = self._streams.get(slot, b"")
-        if len(stream) < end:
-            stream += keystream_xor(key, bytes(end - len(stream)), nonce, len(stream))
-            self._streams[slot] = stream
-        xored = int.from_bytes(data, "big") ^ int.from_bytes(stream[offset:end], "big")
-        return xored.to_bytes(len(data), "big")
 
 
 # ---------------------------------------------------------------- openings
@@ -250,13 +234,11 @@ def openings_nonce(nonce: bytes, node_index: int) -> bytes:
     return nonce + b"|openings|" + node_index.to_bytes(1, "big")
 
 
-def xor_salts(
-    openings: list[Opening], key: KeyMaterial, nonce: bytes, memo: PayloadMemo
-) -> list[Opening]:
+def xor_salts(openings: list[Opening], key: KeyMaterial, nonce: bytes) -> list[Opening]:
     """The records with every salt encrypted, or decrypted: one keystream
     over the concatenated salts, salt i at byte offset 32·(i−1).
     """
-    salts = memo.xor(key, b"".join(o.salt for o in openings), nonce)
+    salts = keystream_xor(key, b"".join(o.salt for o in openings), nonce)
     return [
         Opening(o.public_key, o.signature, salts[at : at + _SALT_LEN], o.siblings)
         for o, at in zip(openings, range(0, len(salts), _SALT_LEN))

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 
 from dexo import wire
-from dexo.crypto import Commitment, KeyMaterial, MerkleRoot, SecretShare, commit, create_shares, encrypt
+from dexo.crypto import Commitment, KeyMaterial, MerkleRoot, SecretShare, commit, create_shares, keystream_xor
 from dexo.ledger import DataDescription, Ledger
 
 CONSUMER = "consumer"
@@ -138,7 +138,7 @@ def build_listing(
             ]
         key = shared if j in shared_key_nodes else KeyMaterial(rng.randbytes(32))
         payload = wire.encode_node_payload(shares)
-        cipher = encrypt(key, payload, wire.payload_nonce(ledger.contracts[cid].tid))
+        cipher = keystream_xor(key, payload, wire.payload_nonce(ledger.contracts[cid].tid))
         fixture.nodes[j] = NodeFixture(
             index=j,
             account=sellers[j - 1],

@@ -51,17 +51,6 @@ def oracle_reconstruct(shares) -> bytes:
     return bytes(out)
 
 
-def oracle_keystream(key: bytes, nonce: bytes, offset: int, length: int) -> bytes:
-    """Bytes [offset, offset + length) of the stream SHA-256(key ‖ nonce ‖
-    counter), built from block 0 every time."""
-    stream = b""
-    counter = 0
-    while len(stream) < offset + length:
-        stream += hashlib.sha256(key + nonce + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return stream[offset : offset + length]
-
-
 # ---------------------------------------------------------------- per-share kernels
 # The straight-line Python forms that the library's packed and vectorized
 # kernels replaced; they must agree value for value.

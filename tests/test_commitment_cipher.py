@@ -13,8 +13,6 @@ from dexo.crypto import (
     Commitment,
     KeyMaterial,
     commit,
-    decrypt,
-    encrypt,
     keystream_xor,
     open_commitment,
 )
@@ -61,14 +59,14 @@ def test_encrypt_roundtrip(length):
     rng = random.Random(length)
     k = KeyMaterial(rng.randbytes(32))
     pt = rng.randbytes(length)
-    assert decrypt(k, encrypt(k, pt, b"nonce"), b"nonce") == pt
+    assert keystream_xor(k, keystream_xor(k, pt, b"nonce"), b"nonce") == pt
 
 
 def test_encrypt_preserves_length_and_is_deterministic():
     k = KeyMaterial(random.Random(5).randbytes(32))
     pt = b"deterministic payload"
-    c1 = encrypt(k, pt, b"tid-1")
-    c2 = encrypt(k, pt, b"tid-1")
+    c1 = keystream_xor(k, pt, b"tid-1")
+    c2 = keystream_xor(k, pt, b"tid-1")
     assert c1 == c2
     assert len(c1) == len(pt)
 
@@ -79,14 +77,14 @@ def test_different_keys_give_different_ciphertexts():
     for _ in range(100):
         k1 = KeyMaterial(rng.randbytes(32))
         k2 = KeyMaterial(rng.randbytes(32))
-        assert encrypt(k1, pt, b"n") != encrypt(k2, pt, b"n")
+        assert keystream_xor(k1, pt, b"n") != keystream_xor(k2, pt, b"n")
 
 
 def test_cipher_golden_vector():
     k = KeyMaterial(bytes.fromhex(GOLDEN["cipher_key"]))
     nonce = bytes.fromhex(GOLDEN["cipher_nonce"])
     pt = bytes.fromhex(GOLDEN["cipher_plaintext"])
-    assert encrypt(k, pt, nonce).hex() == GOLDEN["cipher_ciphertext"]
+    assert keystream_xor(k, pt, nonce).hex() == GOLDEN["cipher_ciphertext"]
 
 
 def test_keystream_segment_matches_full_encryption():
@@ -94,7 +92,7 @@ def test_keystream_segment_matches_full_encryption():
     rng = random.Random(7)
     k = KeyMaterial(rng.randbytes(32))
     pt = rng.randbytes(200)
-    whole = encrypt(k, pt, b"tid")
+    whole = keystream_xor(k, pt, b"tid")
     for offset, length in [(0, 10), (5, 64), (31, 2), (32, 32), (97, 103)]:
         segment = keystream_xor(k, pt[offset : offset + length], b"tid", offset=offset)
         assert segment == whole[offset : offset + length]

@@ -1,5 +1,7 @@
 """Cost reports, sweeps, CLI verbs, and golden-file interface stability."""
 
+import ast
+import csv
 import math
 import os
 import re
@@ -261,6 +263,39 @@ def test_only_a_parallel_sweep_imports_multiprocessing():
     assert _cli_loads("multiprocessing") == "False\n"
 
 
+def test_adversary_suite_lists_a_script_the_config_rejects(tmp_path):
+    """At F=0 no node can be corrupted, so the node scripts are config
+    errors; the suite reports each as a row and runs the rest."""
+    suite = Path(__file__).resolve().parent.parent / "scripts" / "adversary_suite.py"
+    out = tmp_path / "suite.csv"
+    subprocess.run([sys.executable, str(suite), "--faulty", "0", "--out", str(out)],
+                   capture_output=True, text=True, timeout=120, check=True)
+    with out.open() as fh:
+        outcomes = {row["script"]: row["outcome"] for row in csv.DictReader(fh)}
+    assert outcomes["WITHHOLD_KEYS"] == (
+        "rejected: WITHHOLD_KEYS: withhold_key at stage3_reveal (target 0) can never fire")
+    assert outcomes["HONEST"] == "settled"
+    assert len(outcomes) == 8
+
+
+def test_no_function_in_dexo_is_cached_across_runs():
+    """A ``functools`` cache on a function would carry state from one run,
+    or one benchmark pass, into the next; per-run memos live on the run's
+    objects instead."""
+    cached = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "dexo").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    cached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert cached == []
+
+
 # ---------------------------------------------------------------- CLI exit codes
 #
 # Every input error exits 2 with one "config error:" line; every broken run
@@ -320,6 +355,10 @@ def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
         lambda line: line.replace("'tampered_providers': []", "'tampered_providers': [3]")
         .replace("'rules': []", "'rules': [['stage0_install', 'tamper_tee', 3]]"),
         id="tampers-a-provider-past-the-last",
+    ),
+    pytest.param(
+        lambda line: line.replace("'tampered_providers': []", "'tampered_providers': [1]"),
+        id="tampers-a-provider-without-a-rule",
     ),
 ])
 def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):

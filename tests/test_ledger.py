@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from dexo import wire
-from dexo.crypto import KeyMaterial, SecretShare, encrypt
+from dexo.crypto import KeyMaterial, SecretShare, keystream_xor
 from dexo.ledger import (
     BadKeyError,
     BadMerkleProofError,
@@ -514,7 +514,7 @@ def _commit_to(fx, j, shares):
     node = fx.nodes[j]
     node.shares = shares
     node.payload = wire.encode_node_payload(shares)
-    node.cipher = encrypt(node.key, node.payload, wire.payload_nonce(fx.contract.tid))
+    node.cipher = keystream_xor(node.key, node.payload, wire.payload_nonce(fx.contract.tid))
     node.delta = wire.payload_root(node.cipher)
 
 

@@ -120,6 +120,12 @@ NEVER_FIRING = {
                                        {"corrupted_roles": ["server"]}),
     "leak_to, no consumer": (["stage1_receive", "leak_to", 0], {"corrupted_nodes": [1]}),
     "leak_key, no consumer": (["stage2_key", "leak_key", 1], {"corrupted_nodes": [1]}),
+    # target 0 aims at every corrupted node or tampered provider: here none
+    "withhold_key, nobody corrupted": (["stage3_reveal", "withhold_key", 0], {}),
+    "substitute_share, nobody corrupted": (["stage2_commit", "substitute_share", 0], {}),
+    "tamper_tee, nobody tampered": (["stage0_install", "tamper_tee", 0], {}),
+    "tampered provider without a rule": (["stage0_install", "tamper_tee", 1],
+                                         {"tampered_providers": [1, 2]}),
 }
 
 
@@ -156,15 +162,22 @@ def test_a_second_permute_rule_is_rejected():
                 **server).validate(cfg)
 
 
+# at F=0 no node is corrupted, so a node rule can never fire, and
+# SHARED_KEY_LEAK's one corrupted node exceeds F
+NODE_SCRIPTS = {"WITHHOLD_KEYS", "TAMPER_SHARES", "CONSUMER_NODE_COLLUSION", "SHARED_KEY_LEAK"}
+
+
 def test_every_standard_and_random_script_can_fire():
-    """Only the checks older than the firing rule reject a standard script:
-    SHARED_KEY_LEAK corrupts one node, which F=0 does not allow."""
+    """Standard scripts with node rules are config errors at F=0; every
+    other standard script, and every random one, can fire."""
     for n in range(3, 14):
         for f in range((n + 1) // 2):
             for t in range(f + 1, n - f + 1):
                 cfg = ScenarioConfig(n, t, f, 1, shared_key=True, value_max=100)
                 for name, script in standard_scripts(cfg).items():
-                    if f == 0 and name == "SHARED_KEY_LEAK":
+                    if f == 0 and name in NODE_SCRIPTS:
+                        with pytest.raises(ScriptError):
+                            script.validate(cfg)
                         continue
                     script.validate(cfg)
     for cfg, script in random_cases(2000):

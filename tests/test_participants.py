@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dexo import tee, wire
+from dexo import participants, tee, wire
 from dexo.config import ScenarioConfig
 from dexo.crypto import SecretShare, primitives
 from dexo.ledger import Ledger, SessionStatus
@@ -164,10 +164,10 @@ def test_altered_shares_cost_no_verification(monkeypatch):
 
 
 def test_consumer_rejects_an_altered_opening():
-    sim, setup = _staged_run(suite_config(seed=20))
+    _, setup = _staged_run(suite_config(seed=20))
     consumer = setup.consumer
     j = min(consumer.share_keys)
-    assert all(consumer._is_authentic(sim, j, p) for p in range(1, 4))
+    assert all(consumer._is_authentic(j, p) for p in range(1, 4))
     opening = consumer._opened[j][0]
     salt = bytes([opening.salt[0] ^ 1]) + opening.salt[1:]
     consumer._opened[j][0] = dataclasses.replace(opening, salt=salt)
@@ -175,7 +175,7 @@ def test_consumer_rejects_an_altered_opening():
         consumer._opened[j][1], siblings=consumer._opened[j][2].siblings
     )
     consumer._authentic.clear()
-    assert [consumer._is_authentic(sim, j, p) for p in range(1, 4)] == [False, False, True]
+    assert [consumer._is_authentic(j, p) for p in range(1, 4)] == [False, False, True]
 
 
 # ---------------------------------------------------------------- adversaries
@@ -263,7 +263,7 @@ def test_registration_encrypts_the_payload_and_the_salts_only(monkeypatch):
         encrypted.append(len(data))
         return keystream_xor(key, data, nonce, offset)
 
-    for module in (primitives, wire):
+    for module in (primitives, wire, participants):
         monkeypatch.setattr(module, "keystream_xor", counting)
     stage2_register(sim, setup)
     payload = config.providers * wire.record_length(config.datum_size_bytes)
@@ -295,7 +295,7 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     consumer = setup.consumer
     assert consumer.node_shares
     for j in consumer.node_shares:
-        assert all(consumer._is_authentic(sim, j, p) for p in range(1, config.providers + 1))
+        assert all(consumer._is_authentic(j, p) for p in range(1, config.providers + 1))
 
 
 def test_source_collusion_full_refund():

@@ -4,12 +4,9 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dexo import wire
-from dexo.crypto import KeyMaterial, SecretShare, create_shares, encrypt
-from oracles import oracle_keystream
+from dexo.crypto import KeyMaterial, SecretShare, create_shares, keystream_xor
 
 
 def _node_blob(seed: int, m: int, t: int, n: int, size: int, node: int):
@@ -22,7 +19,7 @@ def _node_blob(seed: int, m: int, t: int, n: int, size: int, node: int):
         shares.append(all_shares[node - 1])
     key = KeyMaterial(rng.randbytes(32))
     payload = wire.encode_node_payload(shares)
-    cipher = encrypt(key, payload, b"tid-1")
+    cipher = keystream_xor(key, payload, b"tid-1")
     return shares, key, payload, cipher
 
 
@@ -140,26 +137,3 @@ def test_memo_root_is_the_payload_root_of_the_same_bytes():
     altered = bytes([cipher[0] ^ 1]) + cipher[1:]
     assert memo.root(altered) == wire.payload_root(altered) != memo.root(cipher)
 
-
-_NONCES = (b"tid-1", b"tid-1|openings|\x01")
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(
-    st.tuples(st.sampled_from(_NONCES), st.integers(0, 300), st.binary(max_size=120)),
-    min_size=1, max_size=12,
-))
-def test_memo_keystream_matches_a_stream_built_from_scratch(requests):
-    """Any sequence of ranges, unaligned and past what the memo holds, under
-    two nonces of one key: each answer is the data XOR its own nonce's
-    stream, never the other nonce's."""
-    memo = wire.PayloadMemo()
-    key = KeyMaterial(bytes(range(32)))
-    for nonce, offset, data in requests:
-        got = memo.xor(key, data, nonce, offset)
-        stream = oracle_keystream(key.key, nonce, offset, len(data))
-        assert got == bytes(a ^ b for a, b in zip(data, stream))
-        if len(data) >= 16:  # a chance match of 16 bytes is 2^-128
-            other = _NONCES[nonce == _NONCES[0]]
-            theirs = oracle_keystream(key.key, other, offset, len(data))
-            assert got != bytes(a ^ b for a, b in zip(data, theirs))
