@@ -6,23 +6,26 @@ and how many shares the adversary coalition ever held.
 Usage:
     python scripts/adversary_suite.py [--nodes 7] [--threshold 4]
         [--faulty 3] [--providers 3] [--seed 0] [--out out/suite.csv]
+
+An invalid configuration prints one ``config error:`` line and exits 2.
 """
 
 import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dexo.config import ScenarioConfig
+from dexo.config import ConfigError, ScenarioConfig
 from dexo.netsim import ScriptError, run_scenario, standard_scripts
 
 FIELDS = ["script", "outcome", "data_valid", "paid_sessions", "paid_out",
           "refunded_to_buyer", "refunded_sessions", "max_coalition_shares", "disputes"]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--nodes", type=int, default=7)
     parser.add_argument("--threshold", type=int, default=4)
@@ -30,25 +33,27 @@ def main() -> int:
     parser.add_argument("--providers", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out/adversary_suite.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+
+    base = ScenarioConfig(
+        n_nodes=args.nodes,
+        threshold=args.threshold,
+        max_faulty=args.faulty,
+        providers=args.providers,
+        datum_size_bytes=8,
+        value_min=0,
+        value_max=100,
+        seed=args.seed,
+    )
+    try:
+        base.validate()
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return 2
 
     rows = []
-    names = sorted(standard_scripts(
-        ScenarioConfig(args.nodes, args.threshold, args.faulty, args.providers)
-    ))
-    for name in names:
-        config = ScenarioConfig(
-            n_nodes=args.nodes,
-            threshold=args.threshold,
-            max_faulty=args.faulty,
-            providers=args.providers,
-            datum_size_bytes=8,
-            value_min=0,
-            value_max=100,
-            adversary=name,
-            shared_key=(name == "SHARED_KEY_LEAK"),
-            seed=args.seed,
-        )
+    for name in sorted(standard_scripts(base)):
+        config = replace(base, adversary=name, shared_key=(name == "SHARED_KEY_LEAK"))
         try:
             outcome = run_scenario(config).outcome
         except ScriptError as exc:  # the script cannot run under this config

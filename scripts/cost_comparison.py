@@ -8,6 +8,9 @@ Feed and API Call style delivery. Writes one CSV per bytes-per-user setting.
 Usage:
     python scripts/cost_comparison.py [--providers 60] [--n-min 5] [--n-max 50]
         [--out-dir out] [--parallel]
+
+An invalid configuration or an empty node range prints one ``config error:``
+line and exits 2, before any CSV is written.
 """
 
 import argparse
@@ -16,27 +19,37 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from dexo.config import ConfigError
 from dexo.harness import build_cost_report, family_configs
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--providers", type=int, default=60)
     parser.add_argument("--n-min", type=int, default=5)
     parser.add_argument("--n-max", type=int, default=50)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--parallel", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     n_values = list(range(args.n_min, args.n_max + 1))
+    sweeps = {}
+    try:
+        if not n_values:
+            raise ConfigError(f"empty node range {args.n_min}..{args.n_max}")
+        for bytes_per_user in (10, 100):
+            sweeps[bytes_per_user] = [
+                labeled
+                for rule in ("half", "two_thirds")
+                for labeled in family_configs(n_values, rule, providers=args.providers,
+                                              datum_size=bytes_per_user)
+            ]
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return 2
+
     os.makedirs(args.out_dir, exist_ok=True)
-    for bytes_per_user in (10, 100):
-        configs = []
-        for rule in ("half", "two_thirds"):
-            configs.extend(
-                family_configs(n_values, rule, providers=args.providers,
-                               datum_size=bytes_per_user)
-            )
+    for bytes_per_user, configs in sweeps.items():
         report = build_cost_report(configs, parallel=args.parallel)
         path = os.path.join(args.out_dir, f"cost_{bytes_per_user}b_per_user.csv")
         with open(path, "w") as fh:

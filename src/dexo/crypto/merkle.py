@@ -31,7 +31,9 @@ class MerkleRoot:
     leaf_count: int
 
 
-@dataclass(frozen=True, slots=True)
+# write-once, enforced by tests/test_write_once.py: `frozen` would make
+# every construction three to six times as slow
+@dataclass(slots=True)
 class MerkleProof:
     leaf_index: int
     siblings: tuple[bytes, ...]

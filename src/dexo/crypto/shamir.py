@@ -46,7 +46,9 @@ class InconsistentSharesError(ShamirError):
         super().__init__(f"shares at x={offending_x} are off the polynomial")
 
 
-@dataclass(frozen=True, slots=True)
+# write-once, enforced by tests/test_write_once.py: `frozen` would make
+# every construction three to six times as slow
+@dataclass(slots=True)
 class SecretShare:
     provider_index: int
     node_index: int

@@ -129,7 +129,9 @@ GAS = GasSchedule()
 MODEL_ESTIMATED_FUNCTIONS = frozenset({"query", "challenge"})
 
 
-@dataclass(frozen=True, slots=True)
+# write-once, enforced by tests/test_write_once.py: `frozen` would make
+# every construction three to six times as slow
+@dataclass(slots=True)
 class Call:
     """One metered contract call in the run log."""
 

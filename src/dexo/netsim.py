@@ -304,7 +304,10 @@ def _payload_digest(mtype: str, payload: dict) -> str:
     return hashlib.sha256(b"".join(out)).hexdigest()[:16]
 
 
-@dataclass(frozen=True, slots=True)
+# the four run records below are write-once, enforced by
+# tests/test_write_once.py: `frozen` would make every construction three
+# to six times as slow
+@dataclass(slots=True)
 class Message:
     sender: str
     receiver: str
@@ -312,7 +315,7 @@ class Message:
     payload: dict
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Sent:
     """A message in the run log; its sequence number is its place among the
     run's messages. It holds the payload's digest, not the payload: a trace
@@ -324,14 +327,14 @@ class Sent:
     payload_hash: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Note:
     """An anomaly a participant observed."""
 
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Dispute:
     """A challenge the consumer submitted, with the contract's answer."""
 

@@ -135,7 +135,9 @@ def measure(descriptor: bytes, tampered: bool = False) -> RuntimeMeasurement:
     )
 
 
-@dataclass(frozen=True, slots=True)
+# write-once, enforced by tests/test_write_once.py: `frozen` would make
+# every construction three to six times as slow
+@dataclass(slots=True)
 class AttestationReport:
     """One share with its opening: the salt of its commitment and the Merkle
     path from that commitment to the root the device signed.

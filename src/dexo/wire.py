@@ -205,7 +205,9 @@ _DIGEST_LEN = 32
 _FIXED_LEN = _PUBLIC_KEY_LEN + _SIGNATURE_LEN + _SALT_LEN
 
 
-@dataclass(frozen=True, slots=True)
+# write-once, enforced by tests/test_write_once.py: `frozen` would make
+# every construction three to six times as slow
+@dataclass(slots=True)
 class Opening:
     """What authenticates one share record: the device's platform public key,
     its signature over the datum's Merkle root, the salt of the share's

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib.util
 import math
 import os
 import re
@@ -276,6 +277,34 @@ def test_adversary_suite_lists_a_script_the_config_rejects(tmp_path):
         "rejected: WITHHOLD_KEYS: withhold_key at stage3_reveal (target 0) can never fire")
     assert outcomes["HONEST"] == "settled"
     assert len(outcomes) == 8
+
+
+def _script_module(name: str):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("script,argv,message", [
+    ("adversary_suite", ["--faulty", "4"], "max_faulty 4 must be < n/2 = 3.5"),
+    ("cost_comparison", ["--providers", "0"], "n_nodes and providers must be >= 1"),
+    ("cost_comparison", ["--n-min", "0"], "n_nodes and providers must be >= 1"),
+    ("cost_comparison", ["--n-max", "300"],
+     "n_nodes 256 exceeds 255 (one GF(256) x-coordinate each)"),
+    ("cost_comparison", ["--n-min", "10", "--n-max", "5"], "empty node range 10..5"),
+], ids=["suite-faulty-4", "cost-providers-0", "cost-n-min-0", "cost-n-max-300",
+        "cost-empty-range"])
+def test_scripts_exit_2_on_a_bad_config(tmp_path, capsys, script, argv, message):
+    """Like the CLI, each script prints one ``config error:`` line, exits 2,
+    and writes nothing."""
+    out = tmp_path / "out"
+    target = ["--out", str(out / "suite.csv")] if script == "adversary_suite" else [
+        "--out-dir", str(out)]
+    assert _script_module(script).main(argv + target) == 2
+    assert capsys.readouterr().out == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_no_function_in_dexo_is_cached_across_runs():

@@ -8,6 +8,8 @@ import pytest
 
 from dexo import tee
 from dexo.crypto import MerkleProof, SecretShare, reconstruct
+from dexo.ledger import Call
+from dexo.netsim import Dispute, Message, Note, Sent
 from dexo.tee import (
     AttestationRegistry,
     PreprocessingFailure,
@@ -19,7 +21,9 @@ from dexo.tee import (
     measure,
     preprocess,
 )
+from dexo.wire import Opening
 from scenarioutil import count_calls
+from test_write_once import WRITE_ONCE
 
 RATIFIED = b"trusted-data-formatter"
 
@@ -327,7 +331,18 @@ def test_verdicts_belong_to_one_registry():
 def test_slotted_values_survive_pickling():
     _, _, registry, _, reports = _reports(seed=27)
     report = reports[4]
-    for value in (report, report.share, report.proof):
+    values = (
+        report, report.share, report.proof,
+        Opening(report.platform_public_key, report.signature, report.salt,
+                report.proof.siblings),
+        Message("device-1", "server", "report", {"report": report}),
+        Sent("device-1", "server", "report", "0123456789abcdef"),
+        Note("consumer: digest mismatch from node 1"),
+        Dispute("case2 accepted=True"),
+        Call(3, "node-1", "commit", 21_000),
+    )
+    assert {type(value) for value in values} == WRITE_ONCE
+    for value in values:
         assert not hasattr(value, "__dict__")
         assert pickle.loads(pickle.dumps(value)) == value
     assert isinstance(report.share, SecretShare)
