@@ -1,6 +1,6 @@
-"""Command-line front door: run scenarios, sweep parameters, compare costs,
-and replay traces. Exit codes: 0 success, 2 config error, 3 invariant
-violation or replay mismatch.
+"""Command-line front door: run scenarios, sweep parameters (each sweep row
+carries the per-call oracle costs), and replay traces. Exit codes: 0 success,
+2 config error, 3 invariant violation or replay mismatch.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--parallel", action="store_true")
     p_sweep.add_argument("--usd", action="store_true")
 
-    p_cmp = sub.add_parser("compare", help="append per-call oracle costs to a report")
-    p_cmp.add_argument("report")
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--usd", action="store_true")
-
     p_rep = sub.add_parser("replay", help="re-execute a trace and compare")
     p_rep.add_argument("trace")
 
@@ -84,8 +79,6 @@ def main(argv: list[str] | None = None) -> int:
                 parallel=args.parallel,
                 usd=args.usd,
             )
-        elif args.verb == "compare":
-            harness.run_compare(args.report, out_path=args.out, usd=args.usd)
         elif args.verb == "replay":
             if not harness.run_replay(args.trace):
                 return EXIT_INVARIANT_VIOLATION

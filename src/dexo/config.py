@@ -2,8 +2,8 @@
 
 One config fully determines a simulation run (together with its adversary
 script, which the ``adversary`` key names). Files are line-oriented
-``key = value`` pairs; ``#`` starts a comment; unknown keys are errors so a
-config can never silently misspell a knob.
+``key = value`` pairs; ``#`` starts a comment; unknown and repeated keys are
+errors so a config can never silently misspell or override a knob.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def parse_config(text: str) -> ScenarioConfig:
     known = {f.name for f in fields(ScenarioConfig)}
     values: dict = {}
     version = None
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,6 +99,9 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = (p.strip() for p in line.partition("="))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         if key == "schema_version":
             version = value
             continue

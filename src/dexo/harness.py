@@ -1,9 +1,10 @@
 """Scenario runner, parameter sweeps, and on-chain cost reporting.
 
-The cost model compares a simulated exchange against an oracle service that
-delivers data points through individual contract calls: a Price Feed call
-costs 216,844 gas and a generic API call 1,470,295 gas, each delivering one
-datum. The simulator side is the exact sum of its metered gas log.
+Each cost-report row compares a simulated exchange against an oracle service
+that delivers data points through individual contract calls: a Price Feed
+call costs 216,844 gas and a generic API call 1,470,295 gas, each delivering
+one datum, so a run of M providers costs M such calls. The simulator side is
+the exact sum of its metered gas log.
 
 The verbs below raise on bad input or a broken run; ``dexo.cli`` turns what
 they raise into an exit code.
@@ -48,8 +49,8 @@ class CostRow:
     total_calls: int
     exchange_calls: int
     sessions: int
-    gas_chainlink_pricefeed: int = 0
-    gas_chainlink_apicall: int = 0
+    gas_chainlink_pricefeed: int
+    gas_chainlink_apicall: int
 
 
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(CostRow)]
@@ -76,21 +77,6 @@ class CostReport:
             writer.writerow(values)
         return out.getvalue()
 
-    @staticmethod
-    def from_csv(text: str) -> "CostReport":
-        rows = []
-        try:
-            for record in csv.DictReader(io.StringIO(text)):
-                rows.append(CostRow(**{
-                    c: (record[c] if c == "label" else int(record[c]))
-                    for c in REPORT_COLUMNS
-                }))
-        except KeyError as exc:
-            raise ConfigError(f"cannot read report: no column {exc}") from None
-        except (csv.Error, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot read report: {exc}") from None
-        return CostReport(rows=rows)
-
 
 def _row_from_trace(label: str, trace: Trace) -> CostRow:
     config = trace.config
@@ -106,6 +92,8 @@ def _row_from_trace(label: str, trace: Trace) -> CostRow:
         total_calls=trace.outcome.total_calls,
         exchange_calls=trace.outcome.exchange_calls,
         sessions=trace.outcome.paid_sessions,
+        gas_chainlink_pricefeed=config.providers * CHAINLINK_PRICE_FEED_GAS,
+        gas_chainlink_apicall=config.providers * CHAINLINK_API_CALL_GAS,
     )
 
 
@@ -129,26 +117,7 @@ def build_cost_report(
             rows = pool.map(_run_row, labeled_configs, chunksize=1)
     else:
         rows = [_run_row(lc) for lc in labeled_configs]
-    return compare_chainlink(CostReport(rows=rows))
-
-
-def compare_chainlink(report: CostReport) -> CostReport:
-    """Fill in what delivering the same data volume costs on-chain, one datum
-    per call."""
-    rows = []
-    for row in report.rows:
-        if row.data_bytes == 0 or row.datum_size == 0:
-            calls = 0
-        else:
-            calls = math.ceil(row.data_bytes / row.datum_size)
-        rows.append(
-            dataclasses.replace(
-                row,
-                gas_chainlink_pricefeed=calls * CHAINLINK_PRICE_FEED_GAS,
-                gas_chainlink_apicall=calls * CHAINLINK_API_CALL_GAS,
-            )
-        )
-    return CostReport(rows=rows)
+    return CostReport(rows)
 
 
 def crossover_lines(report: CostReport) -> list[str]:
@@ -183,6 +152,8 @@ def derive_configs(
 ) -> list[tuple[str, ScenarioConfig]]:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"cannot sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if not values:
+        raise ConfigError(f"no values to sweep {axis} over")
     derived = []
     for value in values:
         config = dataclasses.replace(base, **{axis: value})
@@ -294,18 +265,6 @@ def run_sweep(
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(text)
-    print(text, end="")
-    for line in crossover_lines(report):
-        print(line)
-
-
-def run_compare(report_path: str, out_path: str | None = None, usd: bool = False) -> None:
-    with open(report_path, encoding="utf-8") as fh:
-        report = compare_chainlink(CostReport.from_csv(fh.read()))
-    text = report.to_csv(usd=usd)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
     print(text, end="")
     for line in crossover_lines(report):
         print(line)

@@ -195,13 +195,10 @@ class DexoNode:
         self.cid = cid
         self.rng = random.Random(key_seed)
         self.received: dict[int, tee.AttestationReport] = {}  # by provider
-        self.shares: list[SecretShare] = []
         self.key: KeyMaterial | None = None
         self.group_key: KeyMaterial | None = None
         self.cipher: bytes | None = None
         self.openings: bytes | None = None
-        self.initialized = False
-        self.attestation_failed = False
         self.reveal_attempted = False
 
     def _act(self, action: Action) -> bool:
@@ -234,32 +231,29 @@ class DexoNode:
         if self._act(Action.REFUSE_REGISTER):
             sim.note(f"{self.name}: refused to register")
             return
+        attestation_failed = False
         for provider, report in sorted(self.received.items()):
             if not tee.attest_report(self.registry, report):
-                self.attestation_failed = True
+                attestation_failed = True
                 sim.note(f"{self.name}: attestation failed for provider {provider}")
-        if self.attestation_failed or len(self.received) < self.config.providers:
+        if attestation_failed or len(self.received) < self.config.providers:
             return
         reports = [self.received[p] for p in sorted(self.received)]
-        self.shares = [r.share for r in reports]
-        if self._act(Action.SUBSTITUTE_SHARE):
-            self.shares = [
+        shares = [r.share for r in reports]
+        # one random draw per share: it replaces the share's bytes, or masks them
+        substitute = self._act(Action.SUBSTITUTE_SHARE)
+        if substitute or self._act(Action.CORRUPT_BYTES):
+            shares = [
                 SecretShare(s.provider_index, s.node_index, s.x_coordinate,
-                            self.rng.randbytes(len(s.y_values)))
-                for s in self.shares
-            ]
-        elif self._act(Action.CORRUPT_BYTES):
-            self.shares = [
-                SecretShare(s.provider_index, s.node_index, s.x_coordinate,
-                            bytes(b ^ m for b, m in
+                            bytes(m if substitute else b ^ m for b, m in
                                   zip(s.y_values, self.rng.randbytes(len(s.y_values)))))
-                for s in self.shares
+                for s in shares
             ]
         self.key = self.group_key or KeyMaterial(self.rng.randbytes(32))
         if self.group_key is None:
             self._maybe_leak_key(sim, self.key)
         nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
-        payload = wire.encode_node_payload(self.shares)
+        payload = wire.encode_node_payload(shares)
         self.cipher = keystream_xor(self.key, payload, nonce)
         # built from the reports as received, so a share altered above no
         # longer opens to its device's signed root; only the salts are secret
@@ -274,7 +268,6 @@ class DexoNode:
         sim.ledger.initialize(
             self.account, self.cid, sim.memo.root(self.cipher), commit(self.key)
         )
-        self.initialized = True
 
     def _on_notice_buy(self, sim: Simulator, msg: Message) -> None:
         buyer = msg.sender
@@ -374,7 +367,7 @@ class Consumer:
     def start(self, sim: Simulator) -> None:
         self.listing = sim.ledger.snapshot_listing(self.cid)
         if not self.listing.initialized:
-            self._finish(sim, "listing-never-initialized")
+            self._finish("listing-never-initialized")
             return
         if self.config.merged_query:
             sim.ledger.query(self.account, self.cid)
@@ -465,11 +458,11 @@ class Consumer:
 
     def _accept_phase(self, sim: Simulator) -> None:
         if self.refuses_payment:
-            self._finish(sim, "refused-payment")
+            self._finish("refused-payment")
             return
         chosen = self._choose_sessions()
         if chosen is None:
-            self._finish(sim, "too-few-valid-deliveries")
+            self._finish("too-few-valid-deliveries")
             return
         self.phase = Phase.AWAIT_KEYS
         for j in chosen:
@@ -662,7 +655,7 @@ class Consumer:
                 for p in range(1, self.config.providers + 1):
                     self.reconstructed.setdefault(p, None)
                 self.reconstruction_valid = False
-                self._finish(sim, "aborted-by-dispute")
+                self._finish("aborted-by-dispute")
                 return
         references: dict[int, list[tuple[SecretShare, int]]] = {}
         data: dict[int, bytes] = {}
@@ -675,7 +668,7 @@ class Consumer:
                 break
             references[provider], data[provider] = entries, datum
         if len(data) < self.config.providers:
-            self._finish(sim, "no-valid-reconstruction")
+            self._finish("no-valid-reconstruction")
             return
         self._dispute_case2(sim, references)
         self.reconstructed.update(data)
@@ -737,13 +730,13 @@ class Consumer:
         status = sim.ledger.snapshot_buyer(self.cid, self.account)
         if status and SessionStatus.KEY_OUT in status.values():
             sim.ledger.no_complain(self.account, self.cid)
-        self._finish(sim, "settled")
+        self._finish("settled")
 
     @property
     def finished(self) -> bool:
         return self.phase is Phase.DONE
 
-    def _finish(self, sim: Simulator, reason: str) -> None:
+    def _finish(self, reason: str) -> None:
         self.finished_reason = reason
         self.phase = Phase.DONE
 
@@ -759,7 +752,7 @@ class Consumer:
             if chosen is not None:
                 self._accept_phase(sim)
             elif self._stall_ticks > 2:
-                self._finish(sim, "too-few-valid-deliveries")
+                self._finish("too-few-valid-deliveries")
         elif self.phase is Phase.AWAIT_KEYS:
             status = sim.ledger.snapshot_buyer(self.cid, self.account)
             refunded = {

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import importlib.util
 import math
 import os
@@ -23,10 +24,8 @@ from dexo.config import (
 from dexo.harness import (
     CHAINLINK_API_CALL_GAS,
     CHAINLINK_PRICE_FEED_GAS,
-    CostReport,
-    CostRow,
     build_cost_report,
-    compare_chainlink,
+    crossover_lines,
     family_configs,
     sweep,
     valid_fault_bound,
@@ -48,37 +47,35 @@ def _base_config(**overrides):
 # ---------------------------------------------------------------- reports
 
 
-def test_report_csv_roundtrip():
-    report = sweep(_base_config(), "providers", [1, 2, 3])
-    again = CostReport.from_csv(report.to_csv())
-    assert again.rows == report.rows
+def _report_digest(report) -> str:
+    text = report.to_csv() + report.to_csv(usd=True) + "\n".join(crossover_lines(report))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cost_report_bytes_are_pinned():
+    """Plain and USD CSVs plus crossover lines of a providers sweep (it
+    crosses at M=16) and of a two-rule family (it crosses twice), hashed
+    against digests recorded before the report code was last changed."""
+    swept = sweep(_base_config(), "providers", [1, 8, 16, 24])
+    assert crossover_lines(swept) == [
+        "providers=16: cheaper than the per-call price feed from here on"
+        " (3388937 < 3469504)"]
+    assert _report_digest(swept) == (
+        "2205cbadba2fed4cd6540b364706dd633fbc0daae72811a5417504eb57ae9d1d")
+    family = build_cost_report(family_configs([5, 8], "two_thirds", 18, 10)
+                               + family_configs([5, 8], "half", 18, 10))
+    assert len(crossover_lines(family)) == 2
+    assert _report_digest(family) == (
+        "eefdf3cdd1c58bbd177523b2bee6197828617919891ef4a8124599fa4061bab7")
 
 
 def test_chainlink_columns_use_percall_constants():
-    rows = [
-        CostRow(
-            label="x", n_nodes=5, threshold=3, max_faulty=2, providers=m,
-            datum_size=10, data_bytes=m * 10, total_gas_dexo=1, total_calls=1,
-            exchange_calls=1, sessions=3,
-        )
-        for m in (1, 7, 30)
-    ]
-    report = compare_chainlink(CostReport(rows=rows))
+    report = sweep(_base_config(), "providers", [1, 7, 30])
     for row in report.rows:
         calls = math.ceil(row.data_bytes / row.datum_size)
+        assert calls == row.providers
         assert row.gas_chainlink_pricefeed == calls * CHAINLINK_PRICE_FEED_GAS
         assert row.gas_chainlink_apicall == calls * CHAINLINK_API_CALL_GAS
-
-
-def test_zero_volume_costs_nothing_on_chain():
-    row = CostRow(
-        label="none", n_nodes=5, threshold=3, max_faulty=2, providers=0,
-        datum_size=10, data_bytes=0, total_gas_dexo=0, total_calls=0,
-        exchange_calls=0, sessions=0,
-    )
-    report = compare_chainlink(CostReport(rows=[row]))
-    assert report.rows[0].gas_chainlink_pricefeed == 0
-    assert report.rows[0].gas_chainlink_apicall == 0
 
 
 def test_settlement_gas_is_linear_in_providers():
@@ -219,16 +216,20 @@ def test_cli_replay_names_the_first_divergent_line(tmp_path, capsys):
     ]
 
 
-def test_cli_sweep_and_compare(tmp_path):
+@pytest.mark.parametrize("usd", [False, True], ids=["gas", "usd"])
+def test_cli_sweep_prints_the_report_it_writes(tmp_path, capsys, usd):
     cfg_path = _write_config(tmp_path)
     out_csv = tmp_path / "sweep.csv"
-    rc = cli.main(["sweep", cfg_path, "--axis", "providers",
-                   "--values", "1,2,3", "--out", str(out_csv)])
+    rc = cli.main(["sweep", cfg_path, "--axis", "providers", "--values", "1,16",
+                   "--out", str(out_csv)] + ["--usd"] * usd)
     assert rc == 0
-    rc = cli.main(["compare", str(out_csv), "--out", str(tmp_path / "cmp.csv")])
-    assert rc == 0
-    header = out_csv.read_text().splitlines()[0]
-    assert header.split(",")[:3] == ["label", "n_nodes", "threshold"]
+    text = out_csv.read_text()
+    header = text.splitlines()[0].split(",")
+    assert header[:3] == ["label", "n_nodes", "threshold"]
+    assert header[-2:] == (["usd_dexo", "usd_pricefeed"] if usd else
+                           ["gas_chainlink_pricefeed", "gas_chainlink_apicall"])
+    crossover = "providers=16: cheaper than the per-call price feed from here on"
+    assert capsys.readouterr().out.startswith(text + crossover)
 
 
 def test_cli_replay_roundtrip(tmp_path):
@@ -409,19 +410,14 @@ def test_cli_rejects_a_permutation_with_fewer_than_three_nodes(tmp_path, capsys)
     assert "permute" in _assert_config_error(capsys, code)
 
 
-@pytest.mark.parametrize("verb", ["run", "sweep", "compare", "example-config"])
+@pytest.mark.parametrize("verb", ["run", "sweep", "example-config"])
 def test_cli_rejects_an_output_path_under_a_regular_file(tmp_path, capsys, verb):
     cfg_path = _write_config(tmp_path)
-    report = tmp_path / "report.csv"
-    assert cli.main(["sweep", cfg_path, "--axis", "seed", "--values", "1",
-                     "--out", str(report)]) == 0
-    capsys.readouterr()
     blocked = str(tmp_path / "scenario.cfg" / "out")  # under a regular file
     argv = {
         "run": ["run", cfg_path, "--out", blocked],
         "sweep": ["sweep", cfg_path, "--axis", "seed", "--values", "1",
                   "--out", blocked + "/sweep.csv"],
-        "compare": ["compare", str(report), "--out", blocked],
         "example-config": ["example-config", blocked],
     }[verb]
     _assert_config_error(capsys, cli.main(argv))
@@ -433,10 +429,26 @@ def test_cli_sweep_rejects_values_that_are_not_integers(tmp_path, capsys):
     _assert_config_error(capsys, cli.main(argv))
 
 
-def test_cli_compare_rejects_a_short_report_row(tmp_path, capsys):
-    report = tmp_path / "report.csv"
-    report.write_text(",".join(harness.REPORT_COLUMNS) + "\nx,5\n")
-    _assert_config_error(capsys, cli.main(["compare", str(report)]))
+@pytest.mark.parametrize("values", ["5..1", ","], ids=["empty-range", "empty-list"])
+def test_cli_rejects_an_empty_sweep(tmp_path, capsys, values):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", _write_config(tmp_path), "--axis", "seed", "--values", values,
+            "--out", str(out)]
+    printed = _assert_config_error(capsys, cli.main(argv))
+    assert printed == "config error: no values to sweep seed over\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("n_nodes", "7"), ("schema_version", "1")])
+def test_cli_rejects_a_repeated_config_key(tmp_path, capsys, key, value):
+    """A later line must not silently override an earlier one."""
+    lines = format_config(_base_config()).splitlines()
+    first = 1 + next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    path = tmp_path / "scenario.cfg"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    printed = _assert_config_error(capsys, code)
+    assert printed == f"config error: line {len(lines) + 1}: {key} repeats line {first}\n"
 
 
 def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
