@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import harness
-from .config import ConfigError
+from .config import ConfigError, load_config
 from .crypto import ShamirError
 from .ledger import InvariantViolation, LedgerError
 from .netsim import ScriptError
@@ -19,20 +19,30 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INVARIANT_VIOLATION = 3
 
 
-def _parse_values(text: str) -> list[int]:
+def _parse_values(text: str, check) -> list[int]:
+    """The integers a ``--values`` list names. Both ends of each lo..hi
+    range go through ``check`` before the range is expanded."""
     values = []
     for part in text.split(","):
         part = part.strip()
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                values.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                values.append(int(part))
+            if ".." not in part:
+                values.extend([int(part)] if part else [])
+                continue
+            lo, hi = part.split("..", 1)
+            span = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ConfigError(
                 f"--values: {part!r} is neither an integer nor a lo..hi range"
             ) from None
+        if span:
+            check(span[0])
+            check(span[-1])
+        try:
+            len(span)
+        except OverflowError:
+            raise ConfigError(f"--values: {part!r} holds too many values") from None
+        values.extend(span)
     return values
 
 
@@ -71,10 +81,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "run":
             harness.run(args.config, out_dir=args.out, usd=args.usd)
         elif args.verb == "sweep":
+            base = load_config(args.config)
             harness.run_sweep(
-                args.config,
+                base,
                 axis=args.axis,
-                values=_parse_values(args.values),
+                values=_parse_values(
+                    args.values, lambda v: harness.derive_configs(base, args.axis, [v])
+                ),
                 out_path=args.out,
                 parallel=args.parallel,
                 usd=args.usd,

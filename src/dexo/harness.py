@@ -253,14 +253,14 @@ def run(config_path: str, out_dir: str = "out", usd: bool = False) -> None:
 
 
 def run_sweep(
-    config_path: str,
+    base: ScenarioConfig,
     axis: str,
     values: list[int],
     out_path: str,
     parallel: bool = False,
     usd: bool = False,
 ) -> None:
-    report = sweep(load_config(config_path), axis, values, parallel=parallel)
+    report = sweep(base, axis, values, parallel=parallel)
     text = report.to_csv(usd=usd)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:

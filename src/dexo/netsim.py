@@ -460,6 +460,8 @@ def parse_trace_header(text: str) -> tuple[ScenarioConfig, AdversaryScript]:
         raise ConfigError(f"cannot read trace: [script] lacks {exc}") from None
     except (ScriptError, SyntaxError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read trace: [script] {exc}") from None
+    except (RecursionError, MemoryError):  # the parser's limits, hit on deep nesting
+        raise ConfigError("cannot read trace: [script] nests too deeply") from None
     return config, script
 
 

@@ -21,7 +21,6 @@ from . import tee, wire
 from .config import ScenarioConfig
 from .crypto import (
     KeyMaterial,
-    MerkleProof,
     SecretShare,
     ShamirError,
     commit,
@@ -255,16 +254,9 @@ class DexoNode:
         nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
         payload = wire.encode_node_payload(shares)
         self.cipher = keystream_xor(self.key, payload, nonce)
-        # built from the reports as received, so a share altered above no
-        # longer opens to its device's signed root; only the salts are secret
-        openings = [
-            wire.Opening(r.platform_public_key, r.signature, r.salt, r.proof.siblings)
-            for r in reports
-        ]
-        salts_nonce = wire.openings_nonce(nonce, self.index)
-        self.openings = wire.encode_openings(
-            wire.xor_salts(openings, self.key, salts_nonce), self.config.n_nodes
-        )
+        # sealed from the reports as received, so a share altered above no
+        # longer opens to its device's signed root
+        self.openings = tee.seal_openings(reports, self.key, nonce, self.index)
         sim.ledger.initialize(
             self.account, self.cid, sim.memo.root(self.cipher), commit(self.key)
         )
@@ -352,7 +344,7 @@ class Consumer:
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
         self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's blobs
-        self._opened: dict[int, list[wire.Opening]] = {}  # decoded, salts decrypted
+        self._opened: dict[int, dict[int, tee.AttestationReport]] = {}  # by node, provider
         self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
         self.phase = Phase.AWAIT_CIPHERTEXTS
@@ -569,27 +561,16 @@ class Consumer:
         opened once and verdicts kept, so each share is checked at most once.
         """
         if j not in self._opened:
-            try:
-                records = wire.decode_openings(
-                    self.openings[j], self.config.providers, self.config.n_nodes
-                )
-            except ValueError:
-                records = []
-            nonce = wire.openings_nonce(wire.payload_nonce(self.listing.tid), j)
-            self._opened[j] = wire.xor_salts(records, self.share_keys[j], nonce)
+            self._opened[j] = tee.open_openings(
+                self.openings[j], self.node_shares[j], self.share_keys[j],
+                wire.payload_nonce(self.listing.tid), j, self.config.n_nodes,
+                self.registry.expected_measurement,
+            )
         if (j, provider) not in self._authentic:
-            records = self._opened[j]
-            verdict = False
-            if provider <= len(records):
-                o = records[provider - 1]
-                share = self.node_shares[j][provider]
-                proof = MerkleProof(share.node_index - 1, o.siblings, self.config.n_nodes)
-                report = tee.AttestationReport(
-                    share, self.registry.expected_measurement, o.signature,
-                    o.public_key, o.salt, proof,
-                )
-                verdict = tee.attest_report(self.registry, report)
-            self._authentic[j, provider] = verdict
+            report = self._opened[j].get(provider)
+            self._authentic[j, provider] = (
+                report is not None and tee.attest_report(self.registry, report)
+            )
         return self._authentic[j, provider]
 
     def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:

@@ -9,6 +9,19 @@ report iff the share's opening leads to a root whose signature verifies
 under a registered platform key and the measurement equals the ratified
 value. A tampered instance is modeled by a flag that perturbs its
 measurement, which is exactly what registration is meant to catch.
+
+A node passes its shares' openings on to the consumer in one openings blob:
+:func:`seal_openings` builds it from the node's reports and
+:func:`open_openings` turns it back into reports ready for
+:func:`attest_report`. For every share record, in provider order, the blob
+holds the device's platform key, its signature over the datum's Merkle root,
+the salt of the share's commitment and the commitment's path to that root.
+Only the salts are encrypted, under the node's key and its own openings
+nonce, as one keystream over the concatenated salts (salt i at byte offset
+32·(i−1)); the key, signature and siblings travel in the clear. Siblings are
+salted commitments, which hide the shares they commit to, but a neighbour's
+sibling is this node's commitment, so its salt would let anyone brute-force
+the one-byte values of this node's share.
 """
 
 from __future__ import annotations
@@ -23,13 +36,16 @@ from . import wire
 from .crypto import (
     TAG_SALT,
     TAG_SHARE,
+    KeyMaterial,
     MerkleProof,
     SecretShare,
     SignatureKeyPair,
     create_shares,
     generate_keypair,
+    keystream_xor,
     merkle_proofs,
     path_root,
+    proof_length,
     sha256,
     sign,
     verify,
@@ -205,6 +221,89 @@ def attest_report(registry: AttestationRegistry, report: AttestationReport) -> b
         return False
     registry.verified[pair] = message
     return True
+
+
+# ---------------------------------------------------------------- openings
+
+_KEY_LEN, _SIGNATURE_LEN, _SALT_LEN, _DIGEST_LEN = 32, 64, 32, 32
+_SALT_AT = _KEY_LEN + _SIGNATURE_LEN  # offsets inside one openings record
+_PATH_AT = _SALT_AT + _SALT_LEN
+
+
+def openings_nonce(nonce: bytes, node_index: int) -> bytes:
+    """Nonce of the salts in node j's openings blob, derived from its
+    payload ``nonce``.
+
+    It differs from the payload nonce, so one key never encrypts the payload
+    and the salts under the same keystream, and it differs per node, so a
+    priority group sharing one key never reuses a keystream either.
+    """
+    return nonce + b"|openings|" + node_index.to_bytes(1, "big")
+
+
+def seal_openings(
+    reports: list[AttestationReport], key: KeyMaterial, nonce: bytes, node_index: int
+) -> bytes:
+    """Node j's openings blob: one fixed-width record per report, in the
+    order given (provider order), with the salts encrypted under the node's
+    ``key`` and payload ``nonce``.
+
+    A record is the platform key, the root signature, the salt, then the
+    proof's siblings, leaf first. The leaf index is not sent; it follows
+    from the share's node label.
+    """
+    for r in reports:
+        siblings = r.proof.siblings
+        if (len(r.platform_public_key) != _KEY_LEN or len(r.signature) != _SIGNATURE_LEN
+                or len(r.salt) != _SALT_LEN or len(siblings) != proof_length(r.proof.leaf_count)
+                or any(len(d) != _DIGEST_LEN for d in siblings)):
+            raise ValueError("opening record has the wrong width")
+    salts = keystream_xor(key, b"".join(r.salt for r in reports),
+                          openings_nonce(nonce, node_index))
+    return b"".join(
+        r.platform_public_key + r.signature + salts[at : at + _SALT_LEN]
+        + b"".join(r.proof.siblings)
+        for r, at in zip(reports, range(0, len(salts), _SALT_LEN))
+    )
+
+
+def open_openings(
+    blob: bytes,
+    shares: dict[int, SecretShare],
+    key: KeyMaterial,
+    nonce: bytes,
+    node_index: int,
+    n_nodes: int,
+    measurement: RuntimeMeasurement,
+) -> dict[int, AttestationReport]:
+    """Inverse of :func:`seal_openings` on node j's blob and the ``shares``
+    decrypted from its payload, keyed by provider: one report per share,
+    record i opening provider i's share, each claiming ``measurement``.
+
+    The blob must hold one record per share in an ``n_nodes``-leaf tree;
+    one of any other length opens to nothing.
+    """
+    width = _PATH_AT + _DIGEST_LEN * proof_length(n_nodes)
+    count = len(shares)
+    if len(blob) != count * width:
+        return {}
+    salts = keystream_xor(
+        key,
+        b"".join(blob[at + _SALT_AT : at + _PATH_AT] for at in range(0, len(blob), width)),
+        openings_nonce(nonce, node_index),
+    )
+    reports = {}
+    for provider, share in shares.items():
+        if 1 <= provider <= count:
+            at = (provider - 1) * width
+            path = range(at + _PATH_AT, at + width, _DIGEST_LEN)
+            siblings = tuple(blob[i : i + _DIGEST_LEN] for i in path)
+            reports[provider] = AttestationReport(
+                share, measurement, blob[at + _KEY_LEN : at + _SALT_AT], blob[at : at + _KEY_LEN],
+                salts[(provider - 1) * _SALT_LEN : provider * _SALT_LEN],
+                MerkleProof(share.node_index - 1, siblings, n_nodes),
+            )
+    return reports
 
 
 @dataclass

@@ -1,17 +1,7 @@
 """Canonical byte encodings used on the wire and inside dispute evidence.
 
 A node's ciphertext blob is the encryption of its share records concatenated
-in provider order. Beside it travels the node's openings blob: for every
-share record, the device's platform key, its signature over the datum's
-Merkle root, the salt of the share's commitment and the commitment's path to
-that root, which lets the consumer tell authentic shares from altered ones.
-Only the salts are encrypted, under the node's key and its own openings
-nonce, as one keystream over the concatenated salts (salt i at byte offset
-32·(i−1)); the key, signature and siblings travel in the clear. Siblings are
-salted commitments, which hide the shares they commit to, but a neighbour's
-sibling is this node's commitment, so its salt would let anyone brute-force
-the one-byte values of this node's share.
-Records are fixed-width for a given listing (every
+in provider order. Records are fixed-width for a given listing (every
 provider's datum has the advertised size), so the byte range of provider i's
 record, and hence the Merkle leaves covering it, are computable by anyone who
 knows the listing description. Dispute evidence exploits this: the contract
@@ -33,7 +23,6 @@ from .crypto import (
     merkle_proofs,
     merkle_root,
     merkle_verify,
-    proof_length,
 )
 
 CHUNK_SIZE = 32
@@ -195,92 +184,3 @@ class PayloadMemo:
             root = self._roots[node_payload_cipher] = payload_root(node_payload_cipher)
         return root
 
-
-# ---------------------------------------------------------------- openings
-
-_PUBLIC_KEY_LEN = 32
-_SIGNATURE_LEN = 64
-_SALT_LEN = 32
-_DIGEST_LEN = 32
-_FIXED_LEN = _PUBLIC_KEY_LEN + _SIGNATURE_LEN + _SALT_LEN
-
-
-# write-once, enforced by tests/test_write_once.py: `frozen` would make
-# every construction three to six times as slow
-@dataclass(slots=True)
-class Opening:
-    """What authenticates one share record: the device's platform public key,
-    its signature over the datum's Merkle root, the salt of the share's
-    commitment and the commitment's sibling path, leaf first.
-    """
-
-    public_key: bytes
-    signature: bytes
-    salt: bytes
-    siblings: tuple[bytes, ...]
-
-
-def opening_length(n_nodes: int) -> int:
-    """Width of one openings record when each datum is shared among n nodes."""
-    return _FIXED_LEN + _DIGEST_LEN * proof_length(n_nodes)
-
-
-def openings_nonce(nonce: bytes, node_index: int) -> bytes:
-    """Nonce of the salts in node j's openings blob, derived from its
-    payload ``nonce``.
-
-    It differs from the payload nonce, so one key never encrypts the payload
-    and the salts under the same keystream, and it differs per node, so a
-    priority group sharing one key never reuses a keystream either.
-    """
-    return nonce + b"|openings|" + node_index.to_bytes(1, "big")
-
-
-def xor_salts(openings: list[Opening], key: KeyMaterial, nonce: bytes) -> list[Opening]:
-    """The records with every salt encrypted, or decrypted: one keystream
-    over the concatenated salts, salt i at byte offset 32·(i−1).
-    """
-    salts = keystream_xor(key, b"".join(o.salt for o in openings), nonce)
-    return [
-        Opening(o.public_key, o.signature, salts[at : at + _SALT_LEN], o.siblings)
-        for o, at in zip(openings, range(0, len(salts), _SALT_LEN))
-    ]
-
-
-def encode_openings(openings: list[Opening], n_nodes: int) -> bytes:
-    """One fixed-width record per provider, in provider order: public key,
-    root signature, salt, then the siblings of a proof in an n-leaf tree.
-    The leaf index is not sent; it follows from the share's node label.
-    """
-    depth = proof_length(n_nodes)
-    for o in openings:
-        if (
-            len(o.public_key) != _PUBLIC_KEY_LEN
-            or len(o.signature) != _SIGNATURE_LEN
-            or len(o.salt) != _SALT_LEN
-            or len(o.siblings) != depth
-            or any(len(d) != _DIGEST_LEN for d in o.siblings)
-        ):
-            raise ValueError("opening record has the wrong width")
-    return b"".join(
-        o.public_key + o.signature + o.salt + b"".join(o.siblings) for o in openings
-    )
-
-
-def decode_openings(blob: bytes, count: int, n_nodes: int) -> list[Opening]:
-    """Inverse of :func:`encode_openings`; the blob must hold ``count`` records."""
-    width = opening_length(n_nodes)
-    if len(blob) != count * width:
-        raise ValueError(f"openings blob holds {len(blob)} bytes, expected {count} records")
-    records = []
-    for pos in range(0, len(blob), width):
-        sig_at = pos + _PUBLIC_KEY_LEN
-        salt_at = sig_at + _SIGNATURE_LEN
-        path_at = salt_at + _SALT_LEN
-        records.append(Opening(
-            blob[pos:sig_at],
-            blob[sig_at:salt_at],
-            blob[salt_at:path_at],
-            tuple(blob[i : i + _DIGEST_LEN] for i in range(path_at, pos + width, _DIGEST_LEN)),
-        ))
-    return records

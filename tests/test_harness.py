@@ -240,9 +240,11 @@ def test_cli_replay_roundtrip(tmp_path):
 
 
 def test_cli_value_ranges():
-    assert cli._parse_values("1,5,20") == [1, 5, 20]
-    assert cli._parse_values("3..6") == [3, 4, 5, 6]
-    assert cli._parse_values("1,4..6,9") == [1, 4, 5, 6, 9]
+    checked = []
+    assert cli._parse_values("1,5,20", checked.append) == [1, 5, 20]
+    assert cli._parse_values("3..6", checked.append) == [3, 4, 5, 6]
+    assert cli._parse_values("1,4..6,9,8..7", checked.append) == [1, 4, 5, 6, 9]
+    assert checked == [3, 6, 4, 6]  # the ends of each nonempty range
 
 
 def _cli_loads(module: str) -> str:
@@ -390,6 +392,9 @@ def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
         lambda line: line.replace("'tampered_providers': []", "'tampered_providers': [1]"),
         id="tampers-a-provider-without-a-rule",
     ),
+    # past the parser's recursion limit, then past its stack
+    pytest.param(lambda line: "-" * 5_000 + "1", id="nests-too-deeply"),
+    pytest.param(lambda line: "-" * 200_000 + "1", id="nests-too-deeply-for-the-parser"),
 ])
 def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):
     out = tmp_path / "out"
@@ -436,6 +441,17 @@ def test_cli_rejects_an_empty_sweep(tmp_path, capsys, values):
             "--out", str(out)]
     printed = _assert_config_error(capsys, cli.main(argv))
     assert printed == "config error: no values to sweep seed over\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["1..1000000000000", "1..100000000000000000000"],
+                         ids=["past-memory", "past-ssize-t"])
+def test_cli_rejects_an_oversized_sweep_range(tmp_path, capsys, values):
+    """Both ends of a range are checked before it is expanded."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", _write_config(tmp_path), "--axis", "n_nodes", "--values", values,
+            "--out", str(out)]
+    _assert_config_error(capsys, cli.main(argv))
     assert not out.exists()
 
 

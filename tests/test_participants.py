@@ -170,12 +170,10 @@ def test_consumer_rejects_an_altered_opening():
     consumer = setup.consumer
     j = min(consumer.share_keys)
     assert all(consumer._is_authentic(j, p) for p in range(1, 4))
-    opening = consumer._opened[j][0]
-    salt = bytes([opening.salt[0] ^ 1]) + opening.salt[1:]
-    consumer._opened[j][0] = dataclasses.replace(opening, salt=salt)
-    consumer._opened[j][1] = dataclasses.replace(
-        consumer._opened[j][1], siblings=consumer._opened[j][2].siblings
-    )
+    opened = consumer._opened[j]
+    salt = bytes([opened[1].salt[0] ^ 1]) + opened[1].salt[1:]
+    opened[1] = dataclasses.replace(opened[1], salt=salt)
+    opened[2] = dataclasses.replace(opened[2], proof=opened[3].proof)
     consumer._authentic.clear()
     assert [consumer._is_authentic(j, p) for p in range(1, 4)] == [False, False, True]
 
@@ -265,7 +263,7 @@ def test_registration_encrypts_the_payload_and_the_salts_only(monkeypatch):
         encrypted.append(len(data))
         return keystream_xor(key, data, nonce, offset)
 
-    for module in (primitives, wire, participants):
+    for module in (primitives, wire, tee, participants):
         monkeypatch.setattr(module, "keystream_xor", counting)
     stage2_register(sim, setup)
     payload = config.providers * wire.record_length(config.datum_size_bytes)
@@ -285,15 +283,22 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     config = suite_config(seed=4)
     sim, setup = _staged_run(config)
     assert len(delivered) == config.n_nodes
+    width = 32 + 64 + 32 + 32 * (config.n_nodes - 1).bit_length()
+    nonce = wire.payload_nonce(sim.ledger.contracts[setup.cid].tid)
     for payload in delivered:
         node = setup.nodes[payload["node"]]
-        records = wire.decode_openings(payload["openings"], config.providers, config.n_nodes)
-        for provider, opening in enumerate(records, 1):
-            report = node.received[provider]
-            assert opening.public_key == report.platform_public_key
-            assert opening.signature == report.signature
-            assert opening.siblings == report.proof.siblings
-            assert opening.salt != report.salt
+        blob = payload["openings"]
+        assert len(blob) == config.providers * width
+        for provider, report in node.received.items():
+            at = (provider - 1) * width
+            assert blob[at : at + 32] == report.platform_public_key
+            assert blob[at + 32 : at + 96] == report.signature
+            assert blob[at + 96 : at + 128] != report.salt
+            assert blob[at + 128 : at + width] == b"".join(report.proof.siblings)
+        shares = {p: r.share for p, r in node.received.items()}
+        opened = tee.open_openings(blob, shares, node.key, nonce, node.index,
+                                   config.n_nodes, setup.registry.expected_measurement)
+        assert opened == node.received
     consumer = setup.consumer
     assert consumer.node_shares
     for j in consumer.node_shares:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dexo import tee
-from dexo.crypto import MerkleProof, SecretShare, reconstruct
+from dexo.crypto import KeyMaterial, MerkleProof, SecretShare, reconstruct
 from dexo.ledger import Call
 from dexo.netsim import Dispute, Message, Note, Sent
 from dexo.tee import (
@@ -19,9 +19,11 @@ from dexo.tee import (
     attest_report,
     encode_readings,
     measure,
+    open_openings,
+    openings_nonce,
     preprocess,
+    seal_openings,
 )
-from dexo.wire import Opening
 from scenarioutil import count_calls
 from test_write_once import WRITE_ONCE
 
@@ -333,8 +335,6 @@ def test_slotted_values_survive_pickling():
     report = reports[4]
     values = (
         report, report.share, report.proof,
-        Opening(report.platform_public_key, report.signature, report.salt,
-                report.proof.siblings),
         Message("device-1", "server", "report", {"report": report}),
         Sent("device-1", "server", "report", "0123456789abcdef"),
         Note("consumer: digest mismatch from node 1"),
@@ -348,6 +348,78 @@ def test_slotted_values_survive_pickling():
     assert isinstance(report.share, SecretShare)
     assert isinstance(report.proof, MerkleProof)
     assert attest_report(registry, pickle.loads(pickle.dumps(report)))
+
+
+# ---------------------------------------------------------------- openings blob
+
+
+def _node_reports(n, node, providers=3):
+    """Node ``node``'s report from each of ``providers`` devices sharing
+    among ``n`` nodes, in provider order."""
+    platform = TeePlatform(rng=n)
+    registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
+    rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
+    reports = []
+    for provider in range(1, providers + 1):
+        eid = platform.install(RATIFIED)
+        registry.register_key(platform.public_key(eid))
+        _, device_reports, _ = platform.resume_gendata(
+            eid, n=n, t=min(2, n), raw=encode_readings([provider, 7, 9]), rule=rule,
+            provider_index=provider,
+        )
+        reports.append(device_reports[node - 1])
+    return registry, reports
+
+
+def test_openings_roundtrip_over_device_reports():
+    for n, depth in [(1, 0), (2, 1), (5, 3), (8, 3), (9, 4)]:
+        key = KeyMaterial(random.Random(n).randbytes(32))
+        for node in sorted({1, n // 2 + 1, n}):
+            registry, reports = _node_reports(n, node)
+            blob = seal_openings(reports, key, b"tid-1", node)
+            assert len(blob) == 3 * (32 + 64 + 32 + 32 * depth)
+            shares = {r.share.provider_index: r.share for r in reports}
+            opened = open_openings(blob, shares, key, b"tid-1", node, n,
+                                   registry.expected_measurement)
+            assert opened == {p: r for p, r in enumerate(reports, 1)}
+            assert all(attest_report(registry, r) for r in opened.values())
+            for bad in (blob[:-1], blob + b"\x00"):
+                assert open_openings(bad, shares, key, b"tid-1", node, n,
+                                     registry.expected_measurement) == {}
+
+
+def test_openings_hide_the_salts_under_the_node_key():
+    registry, reports = _node_reports(5, 2)
+    key = KeyMaterial(bytes(32))
+    blob = seal_openings(reports, key, b"tid-1", 2)
+    assert not any(r.salt in blob for r in reports)
+    shares = {p: r.share for p, r in enumerate(reports, 1)}
+    for other_key, other_node in ((KeyMaterial(bytes([1]) * 32), 2), (key, 3)):
+        opened = open_openings(blob, shares, other_key, b"tid-1", other_node, 5,
+                               registry.expected_measurement)
+        assert [r.salt for r in opened.values()] != [r.salt for r in reports]
+        assert not any(attest_report(registry, r) for r in opened.values())
+
+
+def test_sealing_rejects_a_record_of_the_wrong_width():
+    _, reports = _node_reports(5, 1)
+    good = reports[0]
+    proof = good.proof
+    for bad in (
+        dataclasses.replace(good, platform_public_key=bytes(31)),
+        dataclasses.replace(good, signature=bytes(65)),
+        dataclasses.replace(good, salt=bytes(33)),
+        dataclasses.replace(good, proof=dataclasses.replace(proof, siblings=proof.siblings[:2])),
+        dataclasses.replace(good, proof=dataclasses.replace(
+            proof, siblings=proof.siblings[:2] + (bytes(31),))),
+    ):
+        with pytest.raises(ValueError):
+            seal_openings([good, bad], KeyMaterial(bytes(32)), b"tid-1", 1)
+
+
+def test_openings_nonce_is_domain_separated():
+    nonces = {openings_nonce(b"tid-1", j) for j in range(1, 6)}
+    assert len(nonces) == 5 and b"tid-1" not in nonces
 
 
 # ---------------------------------------------------------------- signature memo

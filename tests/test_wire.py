@@ -44,39 +44,6 @@ def test_decode_rejects_truncation():
         wire.decode_shares(payload[:-1])
 
 
-def test_openings_roundtrip_and_fixed_width():
-    rng = random.Random(4)
-    for n, depth in [(1, 0), (2, 1), (5, 3), (8, 3), (9, 4)]:
-        records = [
-            wire.Opening(rng.randbytes(32), rng.randbytes(64), rng.randbytes(32),
-                         tuple(rng.randbytes(32) for _ in range(depth)))
-            for _ in range(3)
-        ]
-        blob = wire.encode_openings(records, n)
-        assert wire.opening_length(n) == 32 + 64 + 32 + 32 * depth
-        assert len(blob) == 3 * wire.opening_length(n)
-        assert wire.decode_openings(blob, 3, n) == records
-        for bad in (blob[:-1], blob + b"\x00"):
-            with pytest.raises(ValueError):
-                wire.decode_openings(bad, 3, n)
-        with pytest.raises(ValueError):
-            wire.decode_openings(blob, 2, n)
-    good = wire.Opening(bytes(32), bytes(64), bytes(32), (bytes(32),) * 3)
-    for bad in (
-        dataclasses.replace(good, public_key=bytes(31)),
-        dataclasses.replace(good, salt=bytes(33)),
-        dataclasses.replace(good, siblings=(bytes(32),) * 2),
-        dataclasses.replace(good, siblings=(bytes(32), bytes(32), bytes(31))),
-    ):
-        with pytest.raises(ValueError):
-            wire.encode_openings([bad], 5)
-
-
-def test_openings_nonce_is_domain_separated():
-    nonces = {wire.openings_nonce(b"tid-1", j) for j in range(1, 6)}
-    assert len(nonces) == 5 and b"tid-1" not in nonces
-
-
 def test_leaf_span():
     assert wire.leaf_span(0, 10) == (0, 0)
     assert wire.leaf_span(0, 32) == (0, 0)

@@ -22,12 +22,11 @@ from dexo.crypto import MerkleProof, SecretShare
 from dexo.ledger import Call
 from dexo.netsim import Dispute, Message, Note, Sent, run_scenario, standard_scripts
 from dexo.tee import AttestationReport
-from dexo.wire import Opening
 from scenarioutil import random_cases, suite_config
 from test_paper_scale import tamper_config
 
 WRITE_ONCE = {
-    SecretShare, MerkleProof, AttestationReport, Opening,
+    SecretShare, MerkleProof, AttestationReport,
     Message, Sent, Note, Dispute, Call,
 }
 
