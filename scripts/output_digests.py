@@ -5,15 +5,20 @@ leaves traces, gas logs, contract dumps and summaries byte-identical.
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
 and 90210, and for the first 200 randomized adversary schedules of the test
 suite (``scenarioutil.random_cases``, seed 208), it prints one line
-``<workload> <seed> <label> <sha256>``, where the digest covers the
-serialized trace followed by the run summary.
+``<workload> <seed> <label> <outputs sha256> <hashes sha256>``. The first
+digest covers the serialized trace without its version line and without the
+payload hash column of its ``[events]`` lines, followed by the run summary;
+the second covers that hash column alone. A change to how payloads are
+hashed then moves only the second digest, and shows whether anything else
+moved with it.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
     python scripts/output_digests.py --compare before.txt
 
-With ``--compare`` it lists the scenarios whose digest differs from (or is
-missing in) the given file, prints how many differ, and exits 1 if any do.
+With ``--compare`` it lists, part by part, the scenarios whose digest differs
+from (or is missing in) the given file, prints how many differ in each part,
+and exits 1 if any do.
 """
 
 import argparse
@@ -34,14 +39,22 @@ from workloads import build  # noqa: E402
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
 SEEDS = (1, 90210)
 RANDOM_SCHEDULES = 200
+PARTS = ("outputs", "hashes")
 
 
-def _digest(config, script) -> str:
+def _digest(config, script) -> tuple[str, str]:
     trace = run_scenario(config, script)
-    return hashlib.sha256((trace.serialize() + summarize(trace)).encode()).hexdigest()
+    _, body = trace.serialize().split("\n", 1)  # the version line
+    head, rest = body.split("[events]\n", 1)
+    events, tail = rest.split("[gas]\n", 1)
+    lines = [line.rsplit(" ", 1) for line in events.splitlines()]
+    outputs = "".join((head, "[events]\n", *(f"{e}\n" for e, _ in lines), "[gas]\n", tail,
+                       summarize(trace)))
+    hashes = "".join(f"{h}\n" for _, h in lines)
+    return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes))
 
 
-def digests() -> dict[str, str]:
+def digests() -> dict[str, tuple[str, str]]:
     out = {}
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -54,9 +67,10 @@ def digests() -> dict[str, str]:
     return out
 
 
-def read_digests(path: str) -> dict[str, str]:
+def read_digests(path: str) -> dict[str, tuple[str, str]]:
     with open(path, encoding="utf-8") as fh:
-        return dict(line.rsplit(" ", 1) for line in fh.read().splitlines() if line)
+        rows = [line.rsplit(" ", len(PARTS)) for line in fh.read().splitlines() if line]
+    return {key: tuple(parts) for key, *parts in rows}
 
 
 def main() -> int:
@@ -66,16 +80,20 @@ def main() -> int:
     args = parser.parse_args()
     current = digests()
     if args.compare is None:
-        for key, digest in current.items():
-            print(key, digest)
+        for key, parts in current.items():
+            print(key, *parts)
         return 0
     recorded = read_digests(args.compare)
-    differing = [k for k in current if recorded.get(k) != current[k]]
-    differing += [k for k in recorded if k not in current]
-    for key in differing:
-        print(f"differs: {key}")
-    print(f"{len(differing)} differing scenarios out of {len(current)}")
-    return 1 if differing else 0
+    missing = (None,) * len(PARTS)
+    any_differ = False
+    for i, part in enumerate(PARTS):
+        differing = [k for k in current if recorded.get(k, missing)[i] != current[k][i]]
+        differing += [k for k in recorded if k not in current]
+        for key in differing:
+            print(f"{part} differ: {key}")
+        print(f"{part}: {len(differing)} differing scenarios out of {len(current)}")
+        any_differ = any_differ or bool(differing)
+    return 1 if any_differ else 0
 
 
 if __name__ == "__main__":

@@ -73,8 +73,8 @@ class ScenarioConfig:
             raise ConfigError("value range must fit one byte")
         if self.preprocessing not in RULE_KINDS:
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        if not 1 <= self.window <= MAX_DATUM_SIZE:
+            raise ConfigError(f"window must lie in 1..{MAX_DATUM_SIZE}")
         if self.resolved_price() % n:
             raise ConfigError("price must divide evenly across nodes")
         if self.timeout_blocks < 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from ast import literal_eval
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import KeyMaterial, SecretShare
 from .ledger import InvariantViolation, Ledger, SessionStatus
 from .tee import AttestationReport, RuntimeMeasurement, preprocess
-from .wire import PayloadMemo
+from .wire import PayloadMemo, encode_share
 
 
 class ScriptError(Exception):
@@ -45,6 +44,7 @@ class Action(Enum):
     EQUIVOCATE = ("node", "stage3_deliver", "equivocate")
     WITHHOLD_KEY = ("node", "stage3_reveal", "withhold_key")
     WRONG_KEY = ("node", "stage3_reveal", "wrong_key")
+    SILENT_REVEAL = ("node", "stage3_reveal", "silent_reveal")
     OVERSELL = ("server", "stage1_produce", "oversell")
     PERMUTE = ("server", "stage1_forward", "permute")
     REFUSE_PAYMENT = ("consumer", "stage3_pay", "refuse")
@@ -248,37 +248,21 @@ class CoalitionMonitor:
 # ---------------------------------------------------------------- simulator
 
 
-_SHARE_PARTS = struct.Struct(">cHBB")  # b"S" | provider u16 | node u8 | x u8
-_PROOF_SHAPE = struct.Struct(">HH")  # leaf index u16 | leaf count u16
-
-
 def _encode(value, out: list) -> None:
-    """Append a payload value's byte stream to ``out`` without building
-    large reprs. One dispatch on the value's exact type, over the types
-    messages carry; share and report records go out as flat, struct-packed
-    parts. Any other type is a :class:`TypeError`.
-    """
+    """Append a payload value's byte stream to ``out``, by one dispatch on
+    its exact type over the types messages carry; any other type is a
+    :class:`TypeError`. A share is ``b"S"`` and its wire record. A report is
+    ``b"R"`` and its share as above, then its opening without the proof's
+    leaf index and count, which follow from the share's label and N."""
     cls = type(value)
     if cls is bytes:
         out += (b"b", value)
     elif cls is SecretShare:
-        out += (
-            _SHARE_PARTS.pack(b"S", value.provider_index, value.node_index, value.x_coordinate),
-            value.y_values,
-        )
+        out += (b"S", encode_share(value))
     elif cls is AttestationReport:
-        share, proof = value.share, value.proof
-        out += (
-            b"R" + _SHARE_PARTS.pack(b"S", share.provider_index, share.node_index,
-                                     share.x_coordinate),
-            share.y_values,
-            value.measurement.digest,
-            value.signature,
-            value.platform_public_key,
-            value.salt,
-            _PROOF_SHAPE.pack(proof.leaf_index, proof.leaf_count),
-        )
-        out += proof.siblings
+        out += (b"RS", encode_share(value.share), value.measurement.digest, value.signature,
+                value.platform_public_key, value.salt)
+        out += value.proof.siblings
     elif cls is list:
         out.append(b"l")
         for item in value:
@@ -417,6 +401,9 @@ class ExchangeOutcome:
     finished_reason: str = ""
 
 
+TRACE_VERSION = "# trace v2"
+
+
 @dataclass
 class Trace:
     config: ScenarioConfig
@@ -427,7 +414,7 @@ class Trace:
     outcome: ExchangeOutcome
 
     def serialize(self) -> str:
-        lines = ["# trace v1"]
+        lines = [TRACE_VERSION]
         lines.append("[config]")
         lines.append(format_config(self.config).rstrip())
         lines.append("[script]")
@@ -447,6 +434,9 @@ def parse_trace_header(text: str) -> tuple[ScenarioConfig, AdversaryScript]:
     a :class:`ConfigError`."""
     if "[config]" not in text or "[script]" not in text:
         raise ConfigError("cannot read trace: not a trace file")
+    version = text.split("\n", 1)[0]
+    if version != TRACE_VERSION:
+        raise ConfigError(f"cannot read trace: version {version!r}, expected {TRACE_VERSION!r}")
     config_part = text.split("[config]", 1)[1].split("[script]", 1)[0]
     script_part = text.split("[script]", 1)[1].split("[events]", 1)[0].strip()
     try:

@@ -98,7 +98,7 @@ class DeviceHost:
                  "signature": sig, "mpk": mpk},
             )
         elif msg.mtype == "solicit":
-            shares, reports, mpk = self.platform.resume_gendata(
+            reports = self.platform.resume_gendata(
                 self.eid,
                 n=self.config.n_nodes,
                 t=self.config.threshold,
@@ -110,8 +110,7 @@ class DeviceHost:
                 self.name,
                 msg.sender,
                 "data_shares",
-                {"provider": self.provider_index, "shares": shares,
-                 "reports": reports, "mpk": mpk},
+                {"provider": self.provider_index, "reports": reports},
             )
 
 
@@ -161,20 +160,14 @@ class PDAppServer:
 
     def _relay(self, sim: Simulator, payload: dict) -> None:
         provider = payload["provider"]
-        pairs = list(zip(payload["shares"], payload["reports"]))
-        destinations = {s.node_index: (s, r) for s, r in pairs}
+        destinations = {r.share.node_index: r for r in payload["reports"]}
         if self.script.role_action(Action.PERMUTE):
             rule = self.script.rule_for(Action.PERMUTE)
             if provider == (rule.target or 1):
                 destinations[2], destinations[3] = destinations[3], destinations[2]
-        for node_index, (share, report) in sorted(destinations.items()):
-            sim.send(
-                self.name,
-                f"node-{node_index}",
-                "share_delivery",
-                {"provider": provider, "share": share, "report": report,
-                 "mpk": payload["mpk"]},
-            )
+        for node_index, report in sorted(destinations.items()):
+            sim.send(self.name, f"node-{node_index}", "share_delivery",
+                     {"provider": provider, "report": report})
 
 
 # ---------------------------------------------------------------- node
@@ -210,8 +203,8 @@ class DexoNode:
 
     def _on_share_delivery(self, sim: Simulator, msg: Message) -> None:
         provider = msg.payload["provider"]
-        share = msg.payload["share"]
-        self.received[provider] = msg.payload["report"]
+        report = self.received[provider] = msg.payload["report"]
+        share = report.share
         if self.index in self.script.corrupted_nodes:
             sim.monitor.record_share(provider, share.x_coordinate)
         if self._act(Action.LEAK_TO):
@@ -292,6 +285,9 @@ class DexoNode:
             sim.ledger.reveal_key(self.account, self.cid, key)
         except BadKeyError:
             sim.note(f"{self.name}: reveal rejected (bad key)")
+            return
+        if self._act(Action.SILENT_REVEAL):
+            sim.note(f"{self.name}: revealed its key without notice")
             return
         sim.send(self.name, buyer, "notice_key", {"node": self.index})
 
@@ -418,7 +414,11 @@ class Consumer:
             self._accept_phase(sim)
 
     def _on_notice_key(self, sim: Simulator, msg: Message) -> None:
-        j = msg.payload["node"]
+        self._take_key(sim, msg.payload["node"])
+
+    def _take_key(self, sim: Simulator, j: int) -> None:
+        """Read node j's revealed key off the chain; reconstruct once every
+        accepted session's key is in."""
         if j in self.keys or j not in self.accepted:
             return
         key = sim.ledger.check_key(self.account, self.cid, j)
@@ -736,6 +736,10 @@ class Consumer:
                 self._finish("too-few-valid-deliveries")
         elif self.phase is Phase.AWAIT_KEYS:
             status = sim.ledger.snapshot_buyer(self.cid, self.account)
+            # the chain, not a node's notice, says that a key is out
+            for j in sorted(self.accepted):
+                if status.get(j) is SessionStatus.KEY_OUT:
+                    self._take_key(sim, j)
             refunded = {
                 j for j in self.accepted if status.get(j) is SessionStatus.REFUNDED
             }

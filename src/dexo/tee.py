@@ -359,13 +359,14 @@ class TeePlatform:
         raw: bytes,
         rule: PreprocessingRule,
         provider_index: int = 1,
-    ) -> tuple[list[SecretShare], list[AttestationReport], bytes]:
+    ) -> list[AttestationReport]:
         """Preprocess, share, and sign inside the instance.
 
-        Share j is destined for node j. Its salt is derived from the
-        instance's secret, the datum's round and j, so the platform and share
-        randomness are untouched. One signature covers the Merkle root of
-        the salted share commitments together with the runtime measurement.
+        Report j carries share j, destined for node j. Its salt is derived
+        from the instance's secret, the datum's round and j, so the platform
+        and share randomness are untouched. One signature covers the Merkle
+        root of the salted share commitments together with the runtime
+        measurement.
         """
         inst = self._instance(eid)
         datum = preprocess(raw, rule)
@@ -378,8 +379,7 @@ class TeePlatform:
         )
         signature = sign(inst.keypair.private_key, root.digest + inst.measurement.digest)
         public_key = inst.keypair.public_key
-        reports = [
+        return [
             AttestationReport(s, inst.measurement, signature, public_key, salt, proof)
             for s, salt, proof in zip(shares, salts, proofs)
         ]
-        return shares, reports, public_key

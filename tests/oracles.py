@@ -95,15 +95,15 @@ def oracle_encode_share(share) -> bytes:
 
 
 def _feed(h, value) -> None:
-    """The recursive payload walk that event hashes were first defined by."""
+    """The recursive payload walk that trace v2 event hashes are defined by:
+    a share is hashed as its wire record, a report as that record and its
+    opening, without the proof's leaf index and count."""
     if isinstance(value, bytes):
         h.update(b"b")
         h.update(value)
     elif isinstance(value, SecretShare):
         h.update(b"S")
-        h.update(value.provider_index.to_bytes(2, "big"))
-        h.update(bytes((value.node_index, value.x_coordinate)))
-        h.update(value.y_values)
+        h.update(oracle_encode_share(value))
     elif isinstance(value, AttestationReport):
         h.update(b"R")
         _feed(h, value.share)
@@ -111,10 +111,7 @@ def _feed(h, value) -> None:
         h.update(value.signature)
         h.update(value.platform_public_key)
         h.update(value.salt)
-        proof = value.proof
-        h.update(proof.leaf_index.to_bytes(2, "big"))
-        h.update(proof.leaf_count.to_bytes(2, "big"))
-        for sibling in proof.siblings:
+        for sibling in value.proof.siblings:
             h.update(sibling)
     elif isinstance(value, (list, tuple)):
         h.update(b"l")

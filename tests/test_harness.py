@@ -346,6 +346,7 @@ def _assert_config_error(capsys, code: int) -> str:
     pytest.param({"providers": "0"}, "providers", id="no-providers"),
     pytest.param({"preprocessing": "median"}, "preprocessing", id="unknown-preprocessing"),
     pytest.param({"window": "0"}, "window", id="window-below-1"),
+    pytest.param({"window": "65536"}, "window", id="window-above-cap"),
     pytest.param({"timeout_blocks": "0"}, "timeout_blocks", id="timeout-below-1"),
     pytest.param({"node_fee": "101"}, "node_fee", id="node-fee-over-session-price"),
     # the group is nodes 1..t-F, empty only if t <= F, which the threshold
@@ -406,6 +407,18 @@ def test_cli_replay_rejects_a_bad_script(tmp_path, capsys, edit):
     lines[at] = edit(lines[at])
     trace_path.write_text("\n".join(lines) + "\n")
     _assert_config_error(capsys, cli.main(["replay", str(trace_path)]))
+
+
+def test_cli_replay_rejects_a_v1_trace(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace_path = out / "scenario.trace"
+    version, body = trace_path.read_text().split("\n", 1)
+    assert version == "# trace v2"
+    trace_path.write_text("# trace v1\n" + body)
+    printed = _assert_config_error(capsys, cli.main(["replay", str(trace_path)]))
+    assert "'# trace v1'" in printed
 
 
 def test_cli_rejects_a_permutation_with_fewer_than_three_nodes(tmp_path, capsys):

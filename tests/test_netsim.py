@@ -19,7 +19,13 @@ from dexo.netsim import (
     run_scenario,
     standard_scripts,
 )
-from dexo.tee import AttestationReport, RuntimeMeasurement
+from dexo.tee import (
+    AttestationReport,
+    PreprocessingRule,
+    RuntimeMeasurement,
+    TeePlatform,
+    encode_readings,
+)
 from oracles import oracle_payload_digest
 from scenarioutil import random_cases, suite_config
 
@@ -352,3 +358,34 @@ def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
     run_scenario(suite_config(**config))
     assert checked
     assert _MUST_SEND.get(name, set()) <= set(checked)
+
+
+def _one_byte_flips(value: bytes) -> list[bytes]:
+    return [value[:i] + bytes([value[i] ^ 1]) + value[i + 1 :] for i in range(len(value))]
+
+
+def test_flipping_any_byte_of_a_relayed_report_changes_its_digest():
+    platform = TeePlatform(rng=31)
+    eid = platform.install(b"ta")
+    rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
+    report = platform.resume_gendata(eid, n=5, t=3, raw=encode_readings([5, 6, 7]),
+                                     rule=rule)[2]
+    share, proof = report.share, report.proof
+    assert len(proof.siblings) == 3
+    altered = [dataclasses.replace(report, share=dataclasses.replace(share, y_values=y))
+               for y in _one_byte_flips(share.y_values)]
+    for name in ("salt", "signature", "platform_public_key"):
+        altered += [dataclasses.replace(report, **{name: v})
+                    for v in _one_byte_flips(getattr(report, name))]
+    altered += [dataclasses.replace(report, measurement=RuntimeMeasurement(v))
+                for v in _one_byte_flips(report.measurement.digest)]
+    for k, sibling in enumerate(proof.siblings):
+        altered += [
+            dataclasses.replace(report, proof=dataclasses.replace(
+                proof, siblings=proof.siblings[:k] + (v,) + proof.siblings[k + 1 :]))
+            for v in _one_byte_flips(sibling)
+        ]
+    assert len(altered) == 3 + 32 + 64 + 32 + 32 + 3 * 32
+    digests = {_payload_digest("share_delivery", {"provider": 1, "report": r})
+               for r in [report, *altered]}
+    assert len(digests) == 1 + len(altered)

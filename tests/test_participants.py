@@ -221,6 +221,30 @@ def test_tamper_never_refunds_honest_nodes():
         assert set(trace.outcome.refunded_sessions) <= {1, 2, 3}
 
 
+def test_a_key_revealed_without_notice_is_read_off_the_chain():
+    """Tampering nodes that reveal their keys on chain but send no
+    ``notice_key`` are checked all the same: the consumer takes every key
+    the chain shows as out, disputes, and pays only the honest nodes."""
+    script = AdversaryScript(
+        name="SILENT_REVEAL",
+        corrupted_nodes=frozenset({1, 2, 3}),
+        rules=(Rule(Action.SUBSTITUTE_SHARE), Rule(Action.SILENT_REVEAL)),
+    )
+    trace = run_scenario(suite_config(seed=300), script)
+    o = trace.outcome
+    assert not any(e.mtype == "notice_key" and e.sender in ("node-1", "node-2", "node-3")
+                   for e in trace.events)
+    assert o.settled_sessions == (4, 5, 6, 7)
+    assert o.refunded_sessions == (1, 2, 3)
+    assert o.disputes == ("case2 provider 1: accepted=True refunded=[1, 2, 3]",)
+    assert o.refund_to_buyer == 3 * 100
+    assert o.reconstruction_valid and o.reconstructed == o.expected
+    assert o.finished_reason == "settled"
+    assert_fair_exchange(trace)
+    assert_conserved(trace)
+    assert replay(trace)
+
+
 def test_unauthenticated_consistent_node_is_never_refunded():
     """A node whose openings blob is unreadable cannot authenticate its
     shares, so the consumer accuses it; the contract rejects the accusation

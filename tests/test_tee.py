@@ -151,7 +151,9 @@ def test_gendata_shares_reconstruct_to_preprocessed_datum():
     platform, eid, registry = _platform_with_registry(seed=9)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
     raw = encode_readings([17, 42, 99])
-    shares, reports, mpk = platform.resume_gendata(eid, n=3, t=2, raw=raw, rule=rule)
+    reports = platform.resume_gendata(eid, n=3, t=2, raw=raw, rule=rule)
+    shares = [r.share for r in reports]
+    mpk = platform.public_key(eid)
     assert [s.node_index for s in shares] == [1, 2, 3]
     for pick in ([0, 1], [0, 2], [1, 2]):
         got = reconstruct(2, 3, [shares[i] for i in pick])
@@ -169,10 +171,9 @@ def test_gendata_is_deterministic_for_fixed_seed():
         platform, eid, _ = _platform_with_registry(seed=10)
         return platform.resume_gendata(eid, n=4, t=2, raw=raw, rule=rule)
 
-    s1, r1, k1 = run()
-    s2, r2, k2 = run()
-    assert s1 == s2
-    assert k1 == k2
+    r1, r2 = run(), run()
+    assert [r.share for r in r1] == [r.share for r in r2]
+    assert [r.platform_public_key for r in r1] == [r.platform_public_key for r in r2]
     assert [r.signature for r in r1] == [r.signature for r in r2]
 
 
@@ -180,7 +181,7 @@ def test_post_hoc_share_mutation_rejected():
     # source verifiability: a report only attests the exact share it signed
     platform, eid, registry = _platform_with_registry(seed=11)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    _, reports, _ = platform.resume_gendata(
+    reports = platform.resume_gendata(
         eid, n=3, t=2, raw=encode_readings([5]), rule=rule
     )
     report = reports[0]
@@ -195,10 +196,10 @@ def test_post_hoc_share_mutation_rejected():
 def test_report_from_tampered_platform_rejected():
     platform, eid, registry = _platform_with_registry(seed=12, tampered=True)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    _, reports, mpk = platform.resume_gendata(
+    reports = platform.resume_gendata(
         eid, n=3, t=2, raw=encode_readings([5]), rule=rule
     )
-    registry.register_key(mpk)
+    registry.register_key(platform.public_key(eid))
     assert all(not attest_report(registry, r) for r in reports)
 
 
@@ -207,12 +208,13 @@ def test_private_key_never_leaves_instance():
     inst = platform._instance(eid)
     msk_bytes = inst.keypair.private_key.private_bytes_raw()
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    shares, reports, mpk = platform.resume_gendata(
+    reports = platform.resume_gendata(
         eid, n=3, t=2, raw=encode_readings([5, 6]), rule=rule
     )
-    measurement, sig, mpk2 = platform.resume_attest(eid)
-    blobs = [mpk, mpk2, sig, measurement.digest]
-    blobs += [tee.wire.encode_share(s) for s in shares]
+    measurement, sig, mpk = platform.resume_attest(eid)
+    blobs = [mpk, sig, measurement.digest]
+    blobs += [tee.wire.encode_share(r.share) for r in reports]
+    blobs += [r.platform_public_key for r in reports]
     blobs += [r.signature for r in reports] + [r.salt for r in reports]
     for blob in blobs:
         assert msk_bytes not in blob
@@ -232,7 +234,7 @@ def test_empty_raw_rejected():
 def _reports(seed, readings=(5, 6), n=5, t=3):
     platform, eid, registry = _platform_with_registry(seed=seed)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    _, reports, _ = platform.resume_gendata(
+    reports = platform.resume_gendata(
         eid, n=n, t=t, raw=encode_readings(list(readings)), rule=rule
     )
     return platform, eid, registry, rule, reports
@@ -250,7 +252,7 @@ def test_one_signature_per_datum_with_distinct_salts():
 
 def test_salts_differ_between_data_of_one_device():
     platform, eid, _, rule, first = _reports(seed=21)
-    _, second, _ = platform.resume_gendata(
+    second = platform.resume_gendata(
         eid, n=5, t=3, raw=encode_readings([5, 6]), rule=rule
     )
     assert {r.salt for r in first}.isdisjoint(r.salt for r in second)
@@ -268,7 +270,7 @@ def test_altered_salt_rejected():
 
 def test_proof_from_another_datum_of_the_device_rejected():
     platform, eid, registry, rule, first = _reports(seed=23)
-    _, second, _ = platform.resume_gendata(
+    second = platform.resume_gendata(
         eid, n=5, t=3, raw=encode_readings([7, 8]), rule=rule
     )
     report, other = first[2], second[2]
@@ -363,7 +365,7 @@ def _node_reports(n, node, providers=3):
     for provider in range(1, providers + 1):
         eid = platform.install(RATIFIED)
         registry.register_key(platform.public_key(eid))
-        _, device_reports, _ = platform.resume_gendata(
+        device_reports = platform.resume_gendata(
             eid, n=n, t=min(2, n), raw=encode_readings([provider, 7, 9]), rule=rule,
             provider_index=provider,
         )
