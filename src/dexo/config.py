@@ -19,6 +19,9 @@ SCHEMA_VERSION = 1
 MAX_NODES = 255
 MAX_PROVIDERS = 65_535
 MAX_DATUM_SIZE = 65_535
+# shares all nodes hold together, n_nodes * providers * datum_size_bytes: a
+# run costs time and memory linear in it
+MAX_SHARE_BYTES = 1 << 26
 
 
 class ConfigError(Exception):
@@ -69,6 +72,11 @@ class ScenarioConfig:
             raise ConfigError(f"threshold must satisfy {f} < t <= {n - f}, got {t}")
         if not 1 <= self.datum_size_bytes <= MAX_DATUM_SIZE:
             raise ConfigError(f"datum_size_bytes must lie in 1..{MAX_DATUM_SIZE}")
+        if n * self.providers * self.datum_size_bytes > MAX_SHARE_BYTES:
+            raise ConfigError(
+                f"n_nodes * providers * datum_size_bytes = {n} * {self.providers} * "
+                f"{self.datum_size_bytes} exceeds {MAX_SHARE_BYTES} share bytes"
+            )
         if not 0 <= self.value_min <= self.value_max <= 255:
             raise ConfigError("value range must fit one byte")
         if self.preprocessing not in RULE_KINDS:

@@ -110,7 +110,7 @@ class DeviceHost:
                 self.name,
                 msg.sender,
                 "data_shares",
-                {"provider": self.provider_index, "reports": reports},
+                {"reports": reports},
             )
 
 
@@ -128,7 +128,6 @@ class PDAppServer:
         self.config = config
         self.script = script
         self.registry = registry
-        self.cid: str | None = None
 
     def deploy(self, sim: Simulator) -> str:
         config = self.config
@@ -141,7 +140,7 @@ class PDAppServer:
             threshold=config.threshold,
             timeout_blocks=config.timeout_blocks,
         )
-        self.cid = sim.ledger.create_contract(
+        return sim.ledger.create_contract(
             deployer=self.account,
             seller_nodes=[f"node-{j}" for j in range(1, config.n_nodes + 1)],
             data_sources=[f"provider-{i}" for i in range(1, config.providers + 1)],
@@ -149,25 +148,22 @@ class PDAppServer:
             desc=desc,
             node_fee=config.node_fee,
         )
-        return self.cid
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         if msg.mtype == "att_report":
             if not self.registry.admits(msg.payload["mpk"], msg.payload["measurement"]):
                 sim.note(f"server: device {msg.payload['provider']} failed attestation")
         elif msg.mtype == "data_shares":
-            self._relay(sim, msg.payload)
+            self._relay(sim, msg.payload["reports"])
 
-    def _relay(self, sim: Simulator, payload: dict) -> None:
-        provider = payload["provider"]
-        destinations = {r.share.node_index: r for r in payload["reports"]}
+    def _relay(self, sim: Simulator, reports: list[tee.AttestationReport]) -> None:
+        destinations = {r.share.node_index: r for r in reports}
         if self.script.role_action(Action.PERMUTE):
             rule = self.script.rule_for(Action.PERMUTE)
-            if provider == (rule.target or 1):
+            if reports[0].share.provider_index == (rule.target or 1):
                 destinations[2], destinations[3] = destinations[3], destinations[2]
         for node_index, report in sorted(destinations.items()):
-            sim.send(self.name, f"node-{node_index}", "share_delivery",
-                     {"provider": provider, "report": report})
+            sim.send(self.name, f"node-{node_index}", "share_delivery", {"report": report})
 
 
 # ---------------------------------------------------------------- node
@@ -202,14 +198,13 @@ class DexoNode:
             handler(self, sim, msg)
 
     def _on_share_delivery(self, sim: Simulator, msg: Message) -> None:
-        provider = msg.payload["provider"]
-        report = self.received[provider] = msg.payload["report"]
+        report = msg.payload["report"]
         share = report.share
+        self.received[share.provider_index] = report
         if self.index in self.script.corrupted_nodes:
-            sim.monitor.record_share(provider, share.x_coordinate)
+            sim.monitor.record_share(share.provider_index, share.x_coordinate)
         if self._act(Action.LEAK_TO):
-            sim.send(self.name, "consumer", "leaked_share",
-                     {"provider": provider, "share": share})
+            sim.send(self.name, "consumer", "leaked_share", {"share": share})
 
     def _on_group_key(self, sim: Simulator, msg: Message) -> None:
         self.group_key = msg.payload["key"]
@@ -223,14 +218,13 @@ class DexoNode:
         if self._act(Action.REFUSE_REGISTER):
             sim.note(f"{self.name}: refused to register")
             return
-        attestation_failed = False
-        for provider, report in sorted(self.received.items()):
-            if not tee.attest_report(self.registry, report):
-                attestation_failed = True
-                sim.note(f"{self.name}: attestation failed for provider {provider}")
-        if attestation_failed or len(self.received) < self.config.providers:
-            return
         reports = [self.received[p] for p in sorted(self.received)]
+        failed = [r for r in reports if not tee.attest_report(self.registry, r)]
+        for report in failed:
+            sim.note(f"{self.name}: attestation failed for provider "
+                     f"{report.share.provider_index}")
+        if failed or len(reports) < self.config.providers:
+            return
         shares = [r.share for r in reports]
         # one random draw per share: it replaces the share's bytes, or masks them
         substitute = self._act(Action.SUBSTITUTE_SHARE)
@@ -266,8 +260,7 @@ class DexoNode:
         if self._act(Action.EQUIVOCATE):
             cipher = bytes([cipher[0] ^ 0xFF]) + cipher[1:]
             sim.note(f"{self.name}: equivocated on delivery")
-        sim.send(self.name, buyer, "ciphertext",
-                 {"node": self.index, "cipher": cipher, "openings": self.openings})
+        sim.send(self.name, buyer, "ciphertext", {"cipher": cipher, "openings": self.openings})
 
     def _on_notice_accept(self, sim: Simulator, msg: Message) -> None:
         buyer = msg.sender
@@ -289,7 +282,7 @@ class DexoNode:
         if self._act(Action.SILENT_REVEAL):
             sim.note(f"{self.name}: revealed its key without notice")
             return
-        sim.send(self.name, buyer, "notice_key", {"node": self.index})
+        sim.send(self.name, buyer, "notice_key", {})
 
     _HANDLERS = {
         "share_delivery": _on_share_delivery,
@@ -332,6 +325,8 @@ class Consumer:
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
         self.refuses_payment = script.role_action(Action.REFUSE_PAYMENT)
+        # a node's index comes from the authenticated channel it sends on
+        self.node_index = {f"node-{j}": j for j in range(1, config.n_nodes + 1)}
         self.listing: Listing | None = None
         self.delivered: dict[int, bytes] = {}
         self.openings: dict[int, bytes] = {}  # openings blob per node, salts encrypted
@@ -362,8 +357,8 @@ class Consumer:
         else:
             for j in range(1, self.config.n_nodes + 1):
                 sim.ledger.query(self.account, self.cid, node_index=j)
-        for j in range(1, self.config.n_nodes + 1):
-            sim.send(self.name, f"node-{j}", "notice_buy", {})
+        for name in self.node_index:
+            sim.send(self.name, name, "notice_buy", {})
 
     # -- message handling
 
@@ -371,12 +366,9 @@ class Consumer:
         if self.finished:
             return
         if msg.mtype == "ciphertext":
-            self._on_ciphertext(sim, msg)
+            self._on_ciphertext(sim, self.node_index[msg.sender], msg.payload)
         elif msg.mtype == "notice_key":
-            self._on_notice_key(sim, msg)
-        elif msg.mtype == "leaked_share":
-            share = msg.payload["share"]
-            sim.monitor.record_share(msg.payload["provider"], share.x_coordinate)
+            self._take_key(sim, self.node_index[msg.sender])
         elif msg.mtype == "leaked_key":
             self._leaked_keys.append(msg.payload["key"])
             self._derive_coalition_shares(sim)
@@ -400,21 +392,17 @@ class Consumer:
                 for share in shares:
                     sim.monitor.record_share(share.provider_index, share.x_coordinate)
 
-    def _on_ciphertext(self, sim: Simulator, msg: Message) -> None:
-        j = msg.payload["node"]
+    def _on_ciphertext(self, sim: Simulator, j: int, payload: dict) -> None:
         self.responded.add(j)
-        cipher = msg.payload["cipher"]
+        cipher = payload["cipher"]
         if sim.memo.root(cipher) == self.listing.delta[j]:
             self.delivered[j] = cipher
-            self.openings[j] = msg.payload.get("openings", b"")
+            self.openings[j] = payload["openings"]
         else:
             sim.note(f"consumer: digest mismatch from node {j}")
         self._derive_coalition_shares(sim)
         if self.phase is Phase.AWAIT_CIPHERTEXTS and len(self.responded) == self.config.n_nodes:
             self._accept_phase(sim)
-
-    def _on_notice_key(self, sim: Simulator, msg: Message) -> None:
-        self._take_key(sim, msg.payload["node"])
 
     def _take_key(self, sim: Simulator, j: int) -> None:
         """Read node j's revealed key off the chain; reconstruct once every
@@ -459,8 +447,8 @@ class Consumer:
         self.phase = Phase.AWAIT_KEYS
         for j in chosen:
             self._accept_session(sim, j)
-        for j in range(1, self.config.n_nodes + 1):
-            sim.send(self.name, f"node-{j}", "notice_accept", {})
+        for name in self.node_index:
+            sim.send(self.name, name, "notice_accept", {})
 
     def _accept_session(self, sim: Simulator, j: int) -> None:
         price = sim.ledger.contracts[self.cid].session_price

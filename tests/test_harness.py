@@ -18,6 +18,7 @@ from dexo.config import (
     MAX_DATUM_SIZE,
     MAX_NODES,
     MAX_PROVIDERS,
+    MAX_SHARE_BYTES,
     ScenarioConfig,
     format_config,
 )
@@ -161,6 +162,20 @@ def test_cli_rejects_config_beyond_wire_limits(tmp_path, capsys, field, limit, o
     cfg_path = _write_config(tmp_path, **overrides, **{field: limit + 1})
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().out
+
+
+def test_cli_rejects_a_config_beyond_the_share_byte_bound(tmp_path, capsys):
+    """Configs are only validated here: a run at the bound takes tens of
+    seconds."""
+    assert MAX_SHARE_BYTES >= 7 * 50 * 960 * 100  # the N=50, M=960 scale point, 7 times over
+    shape = dict(n_nodes=128, threshold=65, max_faulty=63, datum_size_bytes=32_768)
+    assert 128 * 16 * 32_768 == MAX_SHARE_BYTES
+    _base_config(**shape, providers=16).validate()
+    cfg_path = _write_config(tmp_path, **shape, providers=17)
+    printed = _assert_config_error(
+        capsys, cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]))
+    assert "n_nodes * providers * datum_size_bytes = 128 * 17 * 32768" in printed
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_adversary(tmp_path):

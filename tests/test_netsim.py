@@ -10,7 +10,9 @@ from dexo import netsim
 from dexo.config import ConfigError, ScenarioConfig, format_config, parse_config
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare
 from dexo.netsim import (
+    Action,
     AdversaryScript,
+    Rule,
     ScriptError,
     _payload_digest,
     parse_trace_header,
@@ -320,6 +322,44 @@ _DIGEST_CONFIGS = {
     "UNMERGED_QUERY": dict(merged_query=False, seed=2),
     "SHARED_KEY_GROUP": dict(n_nodes=10, threshold=6, max_faulty=4, shared_key=True, seed=6),
 }
+# scripts beside the standard ones, each run at the suite config, seed 300
+_DIGEST_SCRIPTS = {
+    "SILENT_REVEAL": AdversaryScript(
+        name="SILENT_REVEAL",
+        corrupted_nodes=frozenset({1, 2, 3}),
+        rules=(Rule(Action.SUBSTITUTE_SHARE), Rule(Action.SILENT_REVEAL)),
+    ),
+}
+DIGEST_CASES = STANDARD_NAMES + list(_DIGEST_CONFIGS) + list(_DIGEST_SCRIPTS)
+
+
+def _run_digest_case(name: str):
+    if name in _DIGEST_SCRIPTS:
+        return run_scenario(suite_config(seed=300), _DIGEST_SCRIPTS[name])
+    config = _DIGEST_CONFIGS.get(
+        name, dict(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=3)
+    )
+    return run_scenario(suite_config(**config))
+
+
+# the keys of every message type's payload. A payload restates neither its
+# sender, which the authenticated channel names, nor a share's provider,
+# which the share carries.
+PAYLOAD_KEYS = {
+    "attest": set(),
+    "att_report": {"provider", "measurement", "signature", "mpk"},
+    "solicit": set(),
+    "data_shares": {"reports"},
+    "share_delivery": {"report"},
+    "leaked_share": {"share"},
+    "group_key": {"key"},
+    "leaked_key": {"key"},
+    "register": set(),
+    "notice_buy": set(),
+    "ciphertext": {"cipher", "openings"},
+    "notice_accept": set(),
+    "notice_key": set(),
+}
 # message types a case must send; together the cases send every type
 _MUST_SEND = {
     "HONEST": {
@@ -333,15 +373,12 @@ _MUST_SEND = {
 
 
 def test_the_digest_cases_send_every_message_type():
-    assert set().union(*_MUST_SEND.values()) == {
-        "attest", "att_report", "solicit", "data_shares", "share_delivery",
-        "group_key", "register", "notice_buy", "ciphertext", "notice_accept",
-        "notice_key", "leaked_share", "leaked_key",
-    }
-    assert set(_MUST_SEND) <= set(STANDARD_NAMES) | set(_DIGEST_CONFIGS)
+    assert set().union(*_MUST_SEND.values()) == set(PAYLOAD_KEYS)
+    assert len(PAYLOAD_KEYS) == 13
+    assert set(_MUST_SEND) <= set(DIGEST_CASES)
 
 
-@pytest.mark.parametrize("name", STANDARD_NAMES + list(_DIGEST_CONFIGS))
+@pytest.mark.parametrize("name", DIGEST_CASES)
 def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
     checked = []
 
@@ -352,12 +389,24 @@ def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
         return digest
 
     monkeypatch.setattr(netsim, "_payload_digest", both)
-    config = _DIGEST_CONFIGS.get(
-        name, dict(adversary=name, shared_key=name == "SHARED_KEY_LEAK", seed=3)
-    )
-    run_scenario(suite_config(**config))
+    _run_digest_case(name)
     assert checked
     assert _MUST_SEND.get(name, set()) <= set(checked)
+
+
+@pytest.mark.parametrize("name", DIGEST_CASES)
+def test_every_payload_has_exactly_its_schema_keys(monkeypatch, name):
+    sent = []
+    send = netsim.Simulator.send
+
+    def recording(self, sender, receiver, mtype, payload):
+        sent.append((mtype, set(payload)))
+        send(self, sender, receiver, mtype, payload)
+
+    monkeypatch.setattr(netsim.Simulator, "send", recording)
+    _run_digest_case(name)
+    assert sent
+    assert [(m, keys) for m, keys in sent if keys != PAYLOAD_KEYS[m]] == []
 
 
 def _one_byte_flips(value: bytes) -> list[bytes]:
@@ -386,6 +435,6 @@ def test_flipping_any_byte_of_a_relayed_report_changes_its_digest():
             for v in _one_byte_flips(sibling)
         ]
     assert len(altered) == 3 + 32 + 64 + 32 + 32 + 3 * 32
-    digests = {_payload_digest("share_delivery", {"provider": 1, "report": r})
+    digests = {_payload_digest("share_delivery", {"report": r})
                for r in [report, *altered]}
     assert len(digests) == 1 + len(altered)

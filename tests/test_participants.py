@@ -300,7 +300,7 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
 
     def capture(self, sender, receiver, mtype, payload):
         if mtype == "ciphertext":
-            delivered.append(payload)
+            delivered.append((sender, payload))
         send(self, sender, receiver, mtype, payload)
 
     monkeypatch.setattr(Simulator, "send", capture)
@@ -309,8 +309,9 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     assert len(delivered) == config.n_nodes
     width = 32 + 64 + 32 + 32 * (config.n_nodes - 1).bit_length()
     nonce = wire.payload_nonce(sim.ledger.contracts[setup.cid].tid)
-    for payload in delivered:
-        node = setup.nodes[payload["node"]]
+    nodes = {node.name: node for node in setup.nodes.values()}
+    for sender, payload in delivered:
+        node = nodes[sender]
         blob = payload["openings"]
         assert len(blob) == config.providers * width
         for provider, report in node.received.items():
@@ -327,6 +328,56 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     assert consumer.node_shares
     for j in consumer.node_shares:
         assert all(consumer._is_authentic(j, p) for p in range(1, config.providers + 1))
+
+
+def test_a_node_speaks_only_for_itself():
+    """Ciphertexts that node 1 sends in the other nodes' names are node 1's:
+    the consumer takes a sender's index from its channel, so the honest
+    nodes' deliveries are still verified and bought."""
+    for seed in range(3):
+        config = suite_config(seed=seed)
+        sim = Simulator(Ledger(), random.Random(config.seed),
+                        CoalitionMonitor(config.threshold, config.sessions_required()))
+        setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
+        stage1_produce(sim, setup)
+        stage2_register(sim, setup)
+        for k in range(2, config.n_nodes + 1):
+            sim.send("node-1", "consumer", "ciphertext",
+                     {"node": k, "cipher": bytes(16), "openings": b""})
+        stage3_exchange(sim, setup)
+        assert texts(sim.log, Note) == ("consumer: digest mismatch from node 1",) * 6
+        consumer = setup.consumer
+        assert sorted(consumer.delivered) == list(range(1, config.n_nodes + 1))
+        assert consumer.finished_reason == "settled" and consumer.reconstruction_valid
+
+
+def test_a_node_files_each_report_under_its_own_provider(monkeypatch):
+    """A relay that labels node 4's deliveries of providers 1 and 2 with each
+    other's index changes nothing: the node files and seals each report by
+    its share's provider, so every share opens to its device's signed root."""
+    send = Simulator.send
+
+    def swapping(self, sender, receiver, mtype, payload):
+        if mtype == "share_delivery" and receiver == "node-4":
+            provider = payload["report"].share.provider_index
+            payload = dict(payload, provider={1: 2, 2: 1}.get(provider, provider))
+        send(self, sender, receiver, mtype, payload)
+
+    monkeypatch.setattr(Simulator, "send", swapping)
+    config = suite_config(seed=3)
+    sim = Simulator(Ledger(), random.Random(config.seed),
+                    CoalitionMonitor(config.threshold, config.sessions_required()))
+    setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
+    stage1_produce(sim, setup)
+    stage2_register(sim, setup)
+    node = setup.nodes[4]
+    shares = {r.share.provider_index: r.share for r in node.received.values()}
+    opened = tee.open_openings(
+        node.openings, shares, node.key, wire.payload_nonce(sim.ledger.contracts[setup.cid].tid),
+        node.index, config.n_nodes, setup.registry.expected_measurement,
+    )
+    assert sorted(opened) == [1, 2, 3]
+    assert all(tee.attest_report(setup.registry, r) for r in opened.values())
 
 
 def test_source_collusion_full_refund():
