@@ -226,6 +226,11 @@ def summarize(trace: Trace) -> str:
         lines.append(f"dispute: {d}")
     for a in o.anomalies:
         lines.append(f"anomaly: {a}")
+    for r in o.reverts:
+        lines.append(
+            f"reverted: {r.function} by {r.caller} at block {r.block}"
+            f" (gas {r.gas}, model-estimated): {r.reason}"
+        )
     if o.coalition_max:
         lines.append(f"coalition shares per provider: {o.coalition_max}")
     return "\n".join(lines) + "\n"

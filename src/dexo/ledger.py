@@ -1,11 +1,12 @@
 """In-process blockchain hosting the data-exchange contract.
 
 The ledger is a single serialization point: callers invoke operations one at
-a time and every metered invocation is appended to the run log as a
-:class:`Call` record; the gas log is that log's calls. Gas amounts
-for deploy, initialize, accept, revealKey, checkKey, and noComplain are
-calibrated constants; query and challenge have no published measurement and
-carry model-estimated figures that reports must flag as such.
+a time, and each metered operation is one transaction (:func:`_metered`)
+that appends a :class:`Call` to the run log, or a :class:`Revert` if the
+contract rejects it; the gas log is that log's calls. Gas amounts for deploy,
+initialize, accept, revealKey, checkKey, and noComplain are calibrated
+constants; query, challenge and every revert carry model-estimated figures
+that reports must flag as such.
 
 Contract flow per buyer session (one session per seller node):
 
@@ -20,7 +21,9 @@ reveals are refunded on the same clock.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -139,6 +142,58 @@ class Call:
     caller: str
     function: str
     gas: int
+
+
+@dataclass(slots=True)
+class Revert:
+    """A metered contract call the contract rejected, as an EVM ``REVERT``:
+    it changes no contract state and no balance, and it is charged the gas
+    the call would have cost. No rejected call has a published measurement,
+    so that gas is model-estimated. ``reason`` is the error's text."""
+
+    block: int
+    caller: str
+    function: str
+    gas: int
+    reason: str
+
+
+def _metered(function: str, gas: int | Callable[..., int]):
+    """Make a :class:`Ledger` method one metered transaction, logged as
+    ``function`` at price ``gas``: a constant, or a function of the ledger
+    and the method's arguments after ``caller``. A call that returns appends
+    its :class:`Call`; one that raises :class:`LedgerError` appends a
+    :class:`Revert` at the same price and re-raises. Every method body
+    validates before it mutates, so a rejected call changes nothing else."""
+
+    def wrap(method):
+        @functools.wraps(method)
+        def transact(self, caller, *args, **kwargs):
+            cost = gas(self, *args, **kwargs) if callable(gas) else gas
+            try:
+                result = method(self, caller, *args, **kwargs)
+            except LedgerError as exc:
+                self.log.append(Revert(self.block_height, caller, function, cost, str(exc)))
+                raise
+            self.log.append(Call(self.block_height, caller, function, cost))
+            return result
+
+        return transact
+
+    return wrap
+
+
+def _no_complain_price(ledger: Ledger, cid: str) -> int:
+    """noComplain's price grows with the listing's sources. A call on an
+    unknown contract has no listing to price against, so its revert is
+    charged the base alone."""
+    contract = ledger.contracts.get(cid)
+    sources = len(contract.data_sources) if contract else 0
+    return GAS.no_complain_base + GAS.no_complain_per_source * sources
+
+
+def _challenge_price(ledger: Ledger, cid: str, first: list, second: list) -> int:
+    return GAS.challenge_base + GAS.challenge_per_share * (len(first) + len(second))
 
 
 # ---------------------------------------------------------------- state
@@ -292,9 +347,6 @@ class Ledger:
         self.balances[account] = self.balances.get(account, 0) + amount
         self.minted += amount
 
-    def _log(self, caller: str, function: str, gas: int) -> None:
-        self.log.append(Call(self.block_height, caller, function, gas))
-
     def _contract(self, cid: str) -> ContractState:
         try:
             return self.contracts[cid]
@@ -317,6 +369,7 @@ class Ledger:
             )
 
     def calls(self) -> list[Call]:
+        """The successful calls: the gas log. Reverts are left out."""
         return [r for r in self.log if type(r) is Call]
 
     def total_gas(self) -> int:
@@ -343,9 +396,10 @@ class Ledger:
 
     # -- contract lifecycle
 
+    @_metered("deploy", GAS.deployment)
     def create_contract(
         self,
-        deployer: str,
+        caller: str,
         seller_nodes: list[str],
         data_sources: list[str],
         price: int,
@@ -375,9 +429,9 @@ class Ledger:
             node_fee=node_fee,
             desc=desc,
         )
-        self._log(deployer, "deploy", GAS.deployment)
         return cid
 
+    @_metered("initialize", GAS.initialize)
     def initialize(
         self, caller: str, cid: str, delta: MerkleRoot, com: Commitment
     ) -> None:
@@ -389,8 +443,8 @@ class Ledger:
             raise DoubleInitializeError(f"node {j} already initialized")
         contract.delta[j] = delta
         contract.commitment[j] = com
-        self._log(caller, "initialize", GAS.initialize)
 
+    @_metered("query", GAS.query)
     def query(self, caller: str, cid: str, node_index: int | None = None) -> None:
         """Open exchange sessions. ``node_index=None`` is the merged form:
         one call opens a session with every node. A specific index opens just
@@ -413,14 +467,13 @@ class Ledger:
         else:
             if node_index not in contract.delta:
                 raise NotInitializedError(f"node {node_index} not initialized")
-            record = contract.buyers.setdefault(
-                caller, BuyerRecord(account=caller, status={})
-            )
+            record = contract.buyers.get(caller) or BuyerRecord(account=caller, status={})
             if node_index in record.status:
                 raise InvalidParamsError(f"session {node_index} already queried")
+            contract.buyers[caller] = record
             record.status[node_index] = SessionStatus.QUERIED
-        self._log(caller, "query", GAS.query)
 
+    @_metered("accept", GAS.accept)
     def accept(self, caller: str, cid: str, node_index: int, payment: int) -> None:
         contract = self._contract(cid)
         record = contract.buyers.get(caller)
@@ -436,8 +489,8 @@ class Ledger:
         record.deposits[node_index] = payment
         record.accept_block[node_index] = self.block_height
         record.status[node_index] = SessionStatus.ACCEPTED
-        self._log(caller, "accept", GAS.accept)
 
+    @_metered("revealKey", GAS.reveal_key)
     def reveal_key(self, caller: str, cid: str, key: KeyMaterial) -> None:
         contract = self._contract(cid)
         if caller not in contract.seller_nodes:
@@ -467,20 +520,18 @@ class Ledger:
                 if rec.status.get(m) == SessionStatus.ACCEPTED:
                     rec.status[m] = SessionStatus.KEY_OUT
                     rec.reveal_block[m] = self.block_height
-        self._log(caller, "revealKey", GAS.reveal_key)
 
+    @_metered("read", 0)
     def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:
         """Metered read of one buyer's session status; it costs no gas."""
         record = self._contract(cid).buyers.get(buyer)
-        self._log(caller, "read", 0)
         return record.status.get(j) if record else None
 
+    @_metered("read", GAS.check_key)
     def check_key(self, caller: str, cid: str, j: int) -> KeyMaterial | None:
         """Metered read of node j's revealed key at the published checkKey
         cost; it is logged as a ``read`` like every state read."""
-        key = self._contract(cid).key_revealed.get(j)
-        self._log(caller, "read", GAS.check_key)
-        return key
+        return self._contract(cid).key_revealed.get(j)
 
     def snapshot_listing(self, cid: str) -> Listing:
         """Free off-chain view of listing metadata (browsing, not metered)."""
@@ -523,6 +574,7 @@ class Ledger:
             self._credit(record.account, amount)
         record.status[j] = status
 
+    @_metered("noComplain", _no_complain_price)
     def no_complain(self, caller: str, cid: str) -> None:
         contract = self._contract(cid)
         record = contract.buyers.get(caller)
@@ -534,11 +586,6 @@ class Ledger:
             if status == SessionStatus.KEY_OUT:
                 self._close(contract, record, j, SessionStatus.SETTLED)
         record.no_complain_called = True
-        gas = (
-            GAS.no_complain_base
-            + GAS.no_complain_per_source * len(contract.data_sources)
-        )
-        self._log(caller, "noComplain", gas)
 
     def advance_block(self, count: int = 1) -> None:
         self.block_height += count
@@ -608,10 +655,7 @@ class Ledger:
         except ShamirError as exc:
             raise SharesInconsistentError(str(exc)) from exc
 
-    def _challenge_gas(self, caller: str, share_count: int) -> None:
-        gas = GAS.challenge_base + GAS.challenge_per_share * share_count
-        self._log(caller, "challenge", gas)
-
+    @_metered("challenge", _challenge_price)
     def challenge_case1(
         self,
         caller: str,
@@ -624,7 +668,6 @@ class Ledger:
         """
         contract = self._contract(cid)
         t = contract.desc.threshold
-        self._challenge_gas(caller, len(set1) + len(set2))
         if len(set1) != t + 1 or len(set2) != t + 1:
             raise InvalidParamsError(f"each set must hold exactly {t + 1} shares")
         providers = {ev.share.provider_index for ev in set1 + set2}
@@ -647,6 +690,7 @@ class Ledger:
             self._close(contract, record, j, SessionStatus.REFUNDED)
         return ChallengeResult(accepted=True, refunded_nodes=tuple(sorted(refunded)))
 
+    @_metered("challenge", _challenge_price)
     def challenge_case2(
         self,
         caller: str,
@@ -657,11 +701,15 @@ class Ledger:
         """Bad shares: each suspect is recombined with t-1 of the verified
         reference shares; a mismatching reconstruction refunds that node's
         session. The reference set itself must reconstruct description-valid
-        data, so garbage references cannot frame an honest node.
+        data, which stops only references whose data breaks the description.
+        Under a full-range description (every byte value valid) any t
+        committed shares pass, so a buyer can take a tampering node's share
+        as a reference and have honest nodes refunded and flagged. Evidence
+        the contract authenticates against the devices' signed roots closes
+        this (ROADMAP item 2).
         """
         contract = self._contract(cid)
         t = contract.desc.threshold
-        self._challenge_gas(caller, len(good) + len(bad))
         if len(good) != t:
             raise InvalidParamsError(f"reference set must hold exactly {t} shares")
         if not bad:

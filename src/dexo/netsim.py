@@ -6,9 +6,10 @@ so a run is a pure function of (config, script, seed). The simulator only
 delivers messages: the exchange stage (``participants.stage3_exchange``)
 ticks the consumer when the network goes quiet and, if it stays quiet,
 advances the block height, which drives timeout settlement. One append-only
-run log holds, in order, every metered ledger call, message, note and
-dispute; the trace, the gas log and the outcome's disputes and anomalies are
-derived from it, and a trace can be re-executed and compared byte-for-byte.
+run log holds, in order, every metered ledger call (or its revert), message,
+note and dispute; the trace, the gas log and the outcome's disputes,
+anomalies and reverts are derived from it, and a trace can be re-executed
+and compared byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import KeyMaterial, SecretShare
-from .ledger import InvariantViolation, Ledger, SessionStatus
+from .ledger import InvariantViolation, Ledger, Revert, SessionStatus
 from .tee import AttestationReport, RuntimeMeasurement, preprocess
 from .wire import PayloadMemo, encode_share
 
@@ -397,6 +398,7 @@ class ExchangeOutcome:
     refunded_sessions: tuple[int, ...] = ()
     disputes: tuple[str, ...] = ()
     anomalies: tuple[str, ...] = ()
+    reverts: tuple[Revert, ...] = ()
     coalition_max: dict[int, int] = field(default_factory=dict)
     finished_reason: str = ""
 
@@ -519,6 +521,7 @@ def run_scenario(
         refunded_sessions=tuple(j for j, s in status if s is SessionStatus.REFUNDED),
         disputes=texts(ledger.log, Dispute),
         anomalies=texts(ledger.log, Note),
+        reverts=tuple(r for r in ledger.log if type(r) is Revert),
         coalition_max=monitor.max_counts(),
         finished_reason=consumer.finished_reason,
     )

@@ -141,7 +141,7 @@ class PDAppServer:
             timeout_blocks=config.timeout_blocks,
         )
         return sim.ledger.create_contract(
-            deployer=self.account,
+            caller=self.account,
             seller_nodes=[f"node-{j}" for j in range(1, config.n_nodes + 1)],
             data_sources=[f"provider-{i}" for i in range(1, config.providers + 1)],
             price=config.resolved_price(),
@@ -379,14 +379,13 @@ class Consumer:
         """
         if not self.corrupted or self.listing is None:
             return
-        nonce = wire.payload_nonce(self.listing.tid)
         for key in list(self._leaked_keys) + list(self.keys.values()):
             opened = commit(key)
             for j, com in self.listing.commitment.items():
                 if com != opened or j not in self.delivered:
                     continue
                 try:
-                    shares = wire.decode_shares(keystream_xor(key, self.delivered[j], nonce))
+                    shares = self._open_payload(j, key)
                 except ValueError:
                     continue
                 for share in shares:
@@ -456,13 +455,18 @@ class Consumer:
         self.accepted.add(j)
         sim.monitor.record_payment()
 
+    def _open_payload(self, j: int, key: KeyMaterial) -> list[SecretShare]:
+        """Decrypt and decode node j's delivered payload; a payload off the
+        listing's layout is a ValueError."""
+        desc = self.listing.desc
+        payload = keystream_xor(key, self.delivered[j], wire.payload_nonce(self.listing.tid))
+        return wire.decode_shares(payload, desc.providers, desc.datum_size)
+
     def _ingest_shares(self, sim: Simulator, j: int, key: KeyMaterial) -> None:
         if j not in self.delivered:
             return
-        nonce = wire.payload_nonce(self.listing.tid)
-        payload = keystream_xor(key, self.delivered[j], nonce)
         try:
-            shares = wire.decode_shares(payload)
+            shares = self._open_payload(j, key)
         except ValueError:
             sim.note(f"consumer: undecodable payload from node {j}")
             return

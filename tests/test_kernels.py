@@ -80,10 +80,25 @@ _shares = st.builds(
 )
 
 
+@st.composite
+def node_payloads(draw) -> tuple[list[SecretShare], int]:
+    """Shares laid out as a listing fixes a node payload: one per provider,
+    in provider order, all of one datum size; and that size."""
+    size = draw(st.integers(1, 40))
+    shares = [
+        SecretShare(provider, draw(st.integers(0, 255)), draw(st.integers(1, 255)),
+                    draw(st.binary(min_size=size, max_size=size)))
+        for provider in range(1, draw(st.integers(0, 5)) + 1)
+    ]
+    return shares, size
+
+
 @KERNEL_SETTINGS
-@given(shares=st.lists(_shares, max_size=5))
-def test_share_records_match_the_oracle(shares):
+@given(shares=st.lists(_shares, max_size=5), layout=node_payloads())
+def test_share_records_match_the_oracle(shares, layout):
     records = [wire.encode_share(s) for s in shares]
     assert records == [oracle_encode_share(s) for s in shares]
-    assert wire.decode_shares(b"".join(records)) == shares
+    laid_out, size = layout
+    payload = b"".join(wire.encode_share(s) for s in laid_out)
+    assert wire.decode_shares(payload, len(laid_out), size) == laid_out
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from dexo.ledger import (
     DoubleInitializeError,
     GasSchedule,
     InsufficientBalanceError,
-    Call,
     InvalidParamsError,
     Ledger,
     LedgerError,
@@ -27,6 +27,7 @@ from dexo.ledger import (
     NotInitializedError,
     NotQueriedError,
     PendingDisputeError,
+    Revert,
     SessionStatus,
     SharesInconsistentError,
     UnauthorizedCallerError,
@@ -68,6 +69,48 @@ def test_create_contract_rejects_bad_params():
         ledger.create_contract(DEPLOYER, ["n"], ["p"], 0, desc)
     with pytest.raises(InvalidParamsError):
         ledger.create_contract(DEPLOYER, ["a", "b"], ["p"], 101, dataclasses.replace(desc, n_nodes=2))
+
+
+# one rejected call per metered entry point: (function, its price, the call);
+# all but deploy name a contract that does not exist
+_REJECTED = {
+    "deploy": ("deploy", SCHEDULE.deployment,
+               lambda fx: fx.ledger.create_contract(DEPLOYER, ["n"], ["p"], 0, fx.contract.desc)),
+    "initialize": ("initialize", SCHEDULE.initialize,
+                   lambda fx: fx.ledger.initialize("node-1", "c9", fx.nodes[1].delta,
+                                                   fx.nodes[1].com)),
+    "query": ("query", SCHEDULE.query, lambda fx: fx.ledger.query(CONSUMER, "c9")),
+    "accept": ("accept", SCHEDULE.accept, lambda fx: fx.ledger.accept(CONSUMER, "c9", 1, 100)),
+    "reveal_key": ("revealKey", SCHEDULE.reveal_key,
+                   lambda fx: fx.ledger.reveal_key("node-1", "c9", fx.nodes[1].key)),
+    "read": ("read", 0, lambda fx: fx.ledger.read("node-1", "c9", CONSUMER, 1)),
+    "check_key": ("read", SCHEDULE.check_key, lambda fx: fx.ledger.check_key(CONSUMER, "c9", 1)),
+    # no listing to price against: the per-source part is not charged
+    "no_complain": ("noComplain", SCHEDULE.no_complain_base,
+                    lambda fx: fx.ledger.no_complain(CONSUMER, "c9")),
+    "challenge_case1": ("challenge", SCHEDULE.challenge_base + 3 * SCHEDULE.challenge_per_share,
+                        lambda fx: fx.ledger.challenge_case1(
+                            CONSUMER, "c9", [fx.evidence(1, 1)],
+                            [fx.evidence(1, 2), fx.evidence(2, 1)])),
+    "challenge_case2": ("challenge", SCHEDULE.challenge_base + 2 * SCHEDULE.challenge_per_share,
+                        lambda fx: fx.ledger.challenge_case2(
+                            CONSUMER, "c9", [fx.evidence(1, 1)], [fx.evidence(2, 1)])),
+}
+
+
+@pytest.mark.parametrize("entry", list(_REJECTED))
+def test_every_rejected_entry_point_leaves_one_revert_at_its_price(entry):
+    fx = build_listing(n=2, t=1, m=2)
+    function, gas, call = _REJECTED[entry]
+    state = lambda: (fx.ledger.gas_csv(), fx.contract.dump(), list(fx.ledger.contracts),
+                     dict(fx.ledger.balances))
+    before = list(fx.ledger.log), state()
+    with pytest.raises(LedgerError) as rejected:
+        call(fx)
+    *log, revert = fx.ledger.log
+    assert type(revert) is Revert
+    assert (revert.function, revert.gas, revert.reason) == (function, gas, str(rejected.value))
+    assert (log, state()) == before
 
 
 def test_two_creates_give_distinct_cids():
@@ -499,14 +542,18 @@ def test_challenge_of_the_wrong_shape_is_rejected_after_charging_gas(shape):
     _drive_to_key_out(fx, [1, 2, 3, 4, 5])
     function, *sets = _WRONG_SHAPES[shape]
     first, second = ([fx.evidence(j, p) for j, p in pairs] for pairs in sets)
-    before = (dict(fx.ledger.balances), fx.contract.dump(), len(fx.ledger.log))
-    with pytest.raises(InvalidParamsError):
+    before = (dict(fx.ledger.balances), fx.contract.dump(), fx.ledger.gas_csv(),
+              list(fx.ledger.log))
+    with pytest.raises(InvalidParamsError) as rejected:
         getattr(fx.ledger, function)(CONSUMER, fx.cid, first, second)
-    # the challenge is charged before it is validated
-    [charged] = _gas_entries(fx.ledger, "challenge")
-    assert charged.gas == SCHEDULE.challenge_base + SCHEDULE.challenge_per_share * (
-        len(first) + len(second))
-    assert (dict(fx.ledger.balances), fx.contract.dump(), len(fx.ledger.log) - 1) == before
+    # the rejected challenge is charged as one Revert, outside the gas log
+    *log, revert = fx.ledger.log
+    assert revert == Revert(
+        fx.ledger.block_height, CONSUMER, "challenge",
+        SCHEDULE.challenge_base + SCHEDULE.challenge_per_share * (len(first) + len(second)),
+        str(rejected.value),
+    )
+    assert (dict(fx.ledger.balances), fx.contract.dump(), fx.ledger.gas_csv(), log) == before
 
 
 def _commit_to(fx, j, shares):
@@ -585,17 +632,17 @@ class LedgerMachine(RuleBasedStateMachine):
             for j, s in rec.status.items() if s is status
         )
 
-    def _attempt(self, call, *args, charged_on_revert=False) -> None:
-        """Make one call. A rejected call may change nothing but the log,
-        which gains the challenge's gas and nothing else."""
+    def _attempt(self, function: str, call, *args) -> None:
+        """Make one call, metered as ``function``. A rejected call appends
+        exactly one Revert naming that function and changes nothing else."""
         before = copy.deepcopy(self.fx.contract), dict(self.ledger.balances), list(self.ledger.log)
         try:
             call(*args)
-        except LedgerError:
-            log = self.ledger.log
-            if charged_on_revert:
-                assert type(log[-1]) is Call and log[-1].function == "challenge"
-                log = log[:-1]
+        except LedgerError as exc:
+            *log, revert = self.ledger.log
+            assert type(revert) is Revert
+            assert (revert.block, revert.function, revert.reason) == (
+                self.ledger.block_height, function, str(exc))
             assert (self.fx.contract, self.ledger.balances, log) == before
 
     @initialize(buyer=st.sampled_from(BUYERS), j=st.one_of(st.none(), NODE))
@@ -604,25 +651,25 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @rule(buyer=st.sampled_from(BUYERS), j=st.one_of(st.none(), NODE))
     def query(self, buyer, j):
-        self._attempt(self.ledger.query, buyer, self.fx.cid, j)
+        self._attempt("query", self.ledger.query, buyer, self.fx.cid, j)
 
     @rule(data=st.data(), right=RIGHT)
     def accept(self, data, right):
         buyer, j = data.draw(_mostly(self._sessions(SessionStatus.QUERIED),
                                      st.tuples(st.sampled_from(BUYERS), NODE)))
         payment = self.fx.session_price + (0 if right else 1)
-        self._attempt(self.ledger.accept, buyer, self.fx.cid, j, payment)
+        self._attempt("accept", self.ledger.accept, buyer, self.fx.cid, j, payment)
 
     @rule(data=st.data(), right=RIGHT)
     def reveal_key(self, data, right):
         live = [j for _, j in self._sessions(SessionStatus.ACCEPTED)]
         node = self.fx.nodes[data.draw(_mostly(live, NODE))]
         key = node.key if right else KeyMaterial(bytes(32))
-        self._attempt(self.ledger.reveal_key, node.account, self.fx.cid, key)
+        self._attempt("revealKey", self.ledger.reveal_key, node.account, self.fx.cid, key)
 
     @rule(buyer=st.sampled_from(BUYERS))
     def no_complain(self, buyer):
-        self._attempt(self.ledger.no_complain, buyer, self.fx.cid)
+        self._attempt("noComplain", self.ledger.no_complain, buyer, self.fx.cid)
 
     @rule(count=st.integers(1, 3))
     def advance_block(self, count):
@@ -641,8 +688,19 @@ class LedgerMachine(RuleBasedStateMachine):
         good = data.draw(_mostly(pairs, st.lists(NODE, max_size=3, unique=True)))
         bad = data.draw(st.lists(_mostly(public, NODE), min_size=1, max_size=2, unique=True))
         evidence = [self.fx.evidence(j, provider) for j in good + bad]
-        self._attempt(self.ledger.challenge_case2, buyer, self.fx.cid,
-                      evidence[: len(good)], evidence[len(good):], charged_on_revert=True)
+        self._attempt("challenge", self.ledger.challenge_case2, buyer, self.fx.cid,
+                      evidence[: len(good)], evidence[len(good):])
+
+    @rule(data=st.data(), provider=st.integers(1, 2))
+    def challenge_case1(self, data, provider):
+        key_out = self._sessions(SessionStatus.KEY_OUT)
+        buyer = data.draw(_mostly([b for b, _ in key_out], st.sampled_from(BUYERS)))
+        public = sorted(self.fx.contract.key_revealed)
+        triples = [list(c) for c in itertools.combinations(public, 3)]
+        sets = [data.draw(_mostly(triples, st.lists(NODE, max_size=4, unique=True)))
+                for _ in range(2)]
+        first, second = ([self.fx.evidence(j, provider) for j in nodes] for nodes in sets)
+        self._attempt("challenge", self.ledger.challenge_case1, buyer, self.fx.cid, first, second)
 
     @invariant()
     def currency_is_conserved(self):

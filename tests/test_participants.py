@@ -453,6 +453,39 @@ def test_equivocating_delivery_is_never_paid(monkeypatch):
     assert sim.ledger.snapshot_buyer(setup.cid, "consumer")[1] is SessionStatus.QUERIED
 
 
+# node payloads that break the listing's fixed layout, built from the honest
+# payload and the record length (header and y bytes at N=7, M=3, 8 B)
+_OFF_LAYOUT = {
+    "first record at x = 0": lambda p, rl: p[:3] + b"\0" + p[4:],
+    "provider 3's record alone, corrupted, at offset 0":
+        lambda p, rl: p[2 * rl : 2 * rl + 6] + bytes(b ^ 0xFF for b in p[2 * rl + 6 : 3 * rl]),
+}
+
+
+@pytest.mark.parametrize("forge", list(_OFF_LAYOUT))
+def test_a_payload_off_the_listing_layout_is_undecodable(monkeypatch, forge):
+    """Node 1 commits to, and delivers, a payload that does not hold one
+    datum-sized record per provider in provider order at a nonzero x. The
+    consumer notes it as undecodable, as it does a truncated payload, and
+    settles on the other nodes' shares."""
+    encode = wire.encode_node_payload
+
+    def node_1_forges(shares):
+        payload = encode(shares)
+        if shares[0].node_index != 1:
+            return payload
+        return _OFF_LAYOUT[forge](payload, wire.record_length(8))
+
+    monkeypatch.setattr(wire, "encode_node_payload", node_1_forges)
+    trace = run_scenario(suite_config(seed=3))
+    o = trace.outcome
+    assert "consumer: undecodable payload from node 1" in o.anomalies
+    assert o.finished_reason == "settled"
+    assert o.reconstruction_valid and o.reconstructed == o.expected
+    assert_fair_exchange(trace)
+    assert_conserved(trace)
+
+
 def test_each_payload_root_is_computed_once_per_run(monkeypatch):
     """The node's δ_j and the consumer's check of delivery j share one
     Merkle root; a replay is a new run and computes every root again."""

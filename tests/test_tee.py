@@ -8,7 +8,7 @@ import pytest
 
 from dexo import tee
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare, reconstruct
-from dexo.ledger import Call
+from dexo.ledger import Call, Revert
 from dexo.netsim import Dispute, Message, Note, Sent
 from dexo.tee import (
     AttestationRegistry,
@@ -342,6 +342,7 @@ def test_slotted_values_survive_pickling():
         Note("consumer: digest mismatch from node 1"),
         Dispute("case2 accepted=True"),
         Call(3, "node-1", "commit", 21_000),
+        Revert(3, "node-1", "revealKey", 84_334, "key does not open node 1's commitment"),
     )
     assert {type(value) for value in values} == WRITE_ONCE
     for value in values:

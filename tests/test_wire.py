@@ -25,7 +25,7 @@ def _node_blob(seed: int, m: int, t: int, n: int, size: int, node: int):
 
 def test_share_record_roundtrip():
     shares, _, payload, _ = _node_blob(1, m=3, t=2, n=4, size=5, node=2)
-    decoded = wire.decode_shares(payload)
+    decoded = wire.decode_shares(payload, 3, 5)
     assert decoded == shares
 
 
@@ -41,7 +41,26 @@ def test_records_are_fixed_width_and_offsets_match():
 def test_decode_rejects_truncation():
     _, _, payload, _ = _node_blob(3, m=2, t=2, n=3, size=4, node=1)
     with pytest.raises(ValueError):
-        wire.decode_shares(payload[:-1])
+        wire.decode_shares(payload[:-1], 2, 4)
+
+
+# breaks of the listing layout (M=3, 4 B, so 10-byte records), each made
+# from a well-formed payload
+_OFF_LAYOUT = {
+    "a missing record": lambda p: p[:20],
+    "an extra record": lambda p: p + p[20:],
+    "records out of provider order": lambda p: p[10:20] + p[:10] + p[20:],
+    "a record at x = 0": lambda p: p[:13] + b"\0" + p[14:],
+    "a longer record in place of two": lambda p: p[:14] + (14).to_bytes(2, "big") + p[16:],
+}
+
+
+@pytest.mark.parametrize("forge", list(_OFF_LAYOUT))
+def test_decode_rejects_a_payload_off_the_listing_layout(forge):
+    _, _, payload, _ = _node_blob(3, m=3, t=2, n=3, size=4, node=1)
+    assert len(wire.decode_shares(payload, 3, 4)) == 3
+    with pytest.raises(ValueError):
+        wire.decode_shares(_OFF_LAYOUT[forge](payload), 3, 4)
 
 
 def test_leaf_span():

@@ -19,15 +19,25 @@ import pytest
 
 import dexo
 from dexo.crypto import MerkleProof, SecretShare
-from dexo.ledger import Call
-from dexo.netsim import Dispute, Message, Note, Sent, run_scenario, standard_scripts
+from dexo.ledger import Call, Revert
+from dexo.netsim import (
+    Action,
+    AdversaryScript,
+    Dispute,
+    Message,
+    Note,
+    Rule,
+    Sent,
+    run_scenario,
+    standard_scripts,
+)
 from dexo.tee import AttestationReport
 from scenarioutil import random_cases, suite_config
 from test_paper_scale import tamper_config
 
 WRITE_ONCE = {
     SecretShare, MerkleProof, AttestationReport,
-    Message, Sent, Note, Dispute, Call,
+    Message, Sent, Note, Dispute, Call, Revert,
 }
 
 RANDOM_SCHEDULES = 50
@@ -105,6 +115,9 @@ def test_every_flow_writes_each_record_once(write_once):
 
 def test_the_guard_refuses_reassignment_and_deletion(write_once):
     run_scenario(suite_config(adversary="SERVER_PERMUTE"))  # notes and disputes too
+    wrong_key = AdversaryScript(name="WRONG_KEY", corrupted_nodes=frozenset({1}),
+                                rules=(Rule(Action.WRONG_KEY),))
+    run_scenario(suite_config(seed=9), wrong_key)  # a rejected reveal: a Revert
     assert set(write_once) == WRITE_ONCE
     for cls, record in write_once.items():
         for field in dataclasses.fields(cls):
