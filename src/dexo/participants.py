@@ -334,7 +334,7 @@ class Consumer:
         self.accepted: set[int] = set()
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
-        self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's blobs
+        self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's payload
         self._opened: dict[int, dict[int, tee.AttestationReport]] = {}  # by node, provider
         self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
         self.mislabeled: list[tuple[int, int]] = []
@@ -369,27 +369,10 @@ class Consumer:
             self._on_ciphertext(sim, self.node_index[msg.sender], msg.payload)
         elif msg.mtype == "notice_key":
             self._take_key(sim, self.node_index[msg.sender])
-        elif msg.mtype == "leaked_key":
+        elif msg.mtype == "leaked_key" and self.corrupted:
+            # keys leak in stage 2, before the listing is fetched; each is
+            # tried on every ciphertext as it arrives
             self._leaked_keys.append(msg.payload["key"])
-            self._derive_coalition_shares(sim)
-
-    def _derive_coalition_shares(self, sim: Simulator) -> None:
-        """Account for every share a corrupted consumer can derive from the
-        ciphertexts it holds and the keys it has (leaked or bought).
-        """
-        if not self.corrupted or self.listing is None:
-            return
-        for key in list(self._leaked_keys) + list(self.keys.values()):
-            opened = commit(key)
-            for j, com in self.listing.commitment.items():
-                if com != opened or j not in self.delivered:
-                    continue
-                try:
-                    shares = self._open_payload(j, key)
-                except ValueError:
-                    continue
-                for share in shares:
-                    sim.monitor.record_share(share.provider_index, share.x_coordinate)
 
     def _on_ciphertext(self, sim: Simulator, j: int, payload: dict) -> None:
         self.responded.add(j)
@@ -397,9 +380,10 @@ class Consumer:
         if sim.memo.root(cipher) == self.listing.delta[j]:
             self.delivered[j] = cipher
             self.openings[j] = payload["openings"]
+            for key in self._leaked_keys:
+                self._open_with(sim, key)
         else:
             sim.note(f"consumer: digest mismatch from node {j}")
-        self._derive_coalition_shares(sim)
         if self.phase is Phase.AWAIT_CIPHERTEXTS and len(self.responded) == self.config.n_nodes:
             self._accept_phase(sim)
 
@@ -412,11 +396,40 @@ class Consumer:
         if key is None:
             return
         self.keys[j] = key
-        self._ingest_shares(sim, j, key)
-        self._group_decrypt(sim, key)
-        self._derive_coalition_shares(sim)
+        self._open_with(sim, key)
         if self.phase is Phase.AWAIT_KEYS and all(k in self.keys for k in self.accepted):
             self._reconstruct_phase(sim)
+
+    def _open_with(self, sim: Simulator, key: KeyMaterial) -> None:
+        """Open, once each, every delivered payload whose commitment ``key``
+        opens: a session's own key, a priority group's, or a leaked one. A
+        payload off the listing's layout is noted and gives no shares. A
+        corrupted consumer's monitor counts every share it opens.
+        """
+        opened = commit(key)
+        desc = self.listing.desc
+        nonce = wire.payload_nonce(self.listing.tid)
+        for j, com in self.listing.commitment.items():
+            if com != opened or j not in self.delivered or j in self.share_keys:
+                continue
+            self.share_keys[j] = key
+            try:
+                shares = wire.decode_shares(
+                    keystream_xor(key, self.delivered[j], nonce), desc.providers, desc.datum_size
+                )
+            except ValueError:
+                sim.note(f"consumer: undecodable payload from node {j}")
+                continue
+            for share in shares:
+                if share.node_index != j:
+                    self.mislabeled.append((j, share.provider_index))
+                    sim.note(
+                        f"consumer: node {j} delivered a share labeled for node "
+                        f"{share.node_index}"
+                    )
+                self.node_shares.setdefault(j, {})[share.provider_index] = share
+                if self.corrupted:
+                    sim.monitor.record_share(share.provider_index, share.x_coordinate)
 
     # -- phases
 
@@ -454,38 +467,6 @@ class Consumer:
         sim.ledger.accept(self.account, self.cid, j, price)
         self.accepted.add(j)
         sim.monitor.record_payment()
-
-    def _open_payload(self, j: int, key: KeyMaterial) -> list[SecretShare]:
-        """Decrypt and decode node j's delivered payload; a payload off the
-        listing's layout is a ValueError."""
-        desc = self.listing.desc
-        payload = keystream_xor(key, self.delivered[j], wire.payload_nonce(self.listing.tid))
-        return wire.decode_shares(payload, desc.providers, desc.datum_size)
-
-    def _ingest_shares(self, sim: Simulator, j: int, key: KeyMaterial) -> None:
-        if j not in self.delivered:
-            return
-        try:
-            shares = self._open_payload(j, key)
-        except ValueError:
-            sim.note(f"consumer: undecodable payload from node {j}")
-            return
-        self.share_keys[j] = key
-        for share in shares:
-            if share.node_index != j:
-                self.mislabeled.append((j, share.provider_index))
-                sim.note(
-                    f"consumer: node {j} delivered a share labeled for node "
-                    f"{share.node_index}"
-                )
-            self.node_shares.setdefault(j, {})[share.provider_index] = share
-
-    def _group_decrypt(self, sim: Simulator, key: KeyMaterial) -> None:
-        """A key unlocks every delivered blob whose commitment it opens."""
-        opened = commit(key)
-        for j, com in self.listing.commitment.items():
-            if com == opened and j in self.delivered and j not in self.node_shares:
-                self._ingest_shares(sim, j, key)
 
     def _try_reconstruct(self, provider: int) -> tuple[bytes | None, bool]:
         """Reconstruct from the t lowest distinct x-coordinates held for one
@@ -531,6 +512,12 @@ class Consumer:
             if j not in self.node_shares and status.get(j) is SessionStatus.QUERIED
         ]
 
+    def _buy(self, sim: Simulator, sessions: list[int]) -> None:
+        """A later purchase: accept each session and notify its node alone."""
+        for j in sessions:
+            self._accept_session(sim, j)
+            sim.send(self.name, f"node-{j}", "notice_accept", {})
+
     def _remediate(self, sim: Simulator, failing: list[int]) -> None:
         """Buy the remaining verified deliveries to gain redundancy, then
         dispute with the enlarged share pool.
@@ -538,9 +525,7 @@ class Consumer:
         remaining = self._buyable(sim)
         if remaining:
             self.phase = Phase.AWAIT_KEYS
-            for j in remaining:
-                self._accept_session(sim, j)
-                sim.send(self.name, f"node-{j}", "notice_accept", {})
+            self._buy(sim, remaining)
             return
         self._dispute(sim, failing)
 
@@ -740,9 +725,7 @@ class Consumer:
                 self.accepted -= refunded
                 missing = max(0, self.config.sessions_required() - len(self.accepted))
                 replacements = self._buyable(sim)[:missing]
-                for j in replacements:
-                    self._accept_session(sim, j)
-                    sim.send(self.name, f"node-{j}", "notice_accept", {})
+                self._buy(sim, replacements)
                 if not replacements and all(j in self.keys for j in self.accepted):
                     self._reconstruct_phase(sim)
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from dexo import netsim
 from dexo.config import ConfigError, ScenarioConfig, format_config, parse_config
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare
+from dexo.ledger import InvariantViolation
 from dexo.netsim import (
     Action,
     AdversaryScript,
+    CoalitionMonitor,
     Rule,
     ScriptError,
     _payload_digest,
@@ -190,6 +192,45 @@ def test_every_standard_and_random_script_can_fire():
                     script.validate(cfg)
     for cfg, script in random_cases(2000):
         script.validate(cfg)
+
+
+def test_the_monitor_flags_t_shares_held_before_the_paid_sessions():
+    monitor = CoalitionMonitor(threshold=3, sessions_required=3)
+    monitor.record_payment()
+    monitor.record_share(4, 1)
+    monitor.record_share(4, 2)
+    assert monitor.violations == []
+    monitor.record_share(4, 5)
+    assert monitor.violations == [
+        "coalition holds 3 shares of provider 4 with only 1/3 sessions paid"
+    ]
+    assert monitor.max_counts() == {4: 3}
+
+
+def test_a_repeated_x_or_a_fully_paid_exchange_is_no_violation():
+    monitor = CoalitionMonitor(threshold=3, sessions_required=2)
+    for x in (1, 2, 2, 1):
+        monitor.record_share(1, x)
+    assert monitor.max_counts() == {1: 2}
+    monitor.record_payment()
+    monitor.record_payment()
+    monitor.record_share(1, 3)
+    assert monitor.max_counts() == {1: 3}
+    assert monitor.violations == []
+
+
+def test_a_run_whose_coalition_reaches_the_threshold_raises(monkeypatch):
+    """CONSUMER_NODE_COLLUSION's F corrupted nodes hold F shares of every
+    provider before any payment: one short of t, and a violation against a
+    monitor whose threshold is F."""
+    cfg = suite_config(adversary="CONSUMER_NODE_COLLUSION", seed=12)
+    f = cfg.max_faulty
+    monkeypatch.setattr(netsim, "CoalitionMonitor",
+                        lambda threshold, sessions: CoalitionMonitor(f, sessions))
+    expected = (f"coalition holds {f} shares of provider 1 with only "
+                f"0/{cfg.sessions_required()} sessions paid")
+    with pytest.raises(InvariantViolation, match=expected):
+        run_scenario(cfg)
 
 
 def test_script_dict_roundtrip():

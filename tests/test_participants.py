@@ -409,6 +409,22 @@ def test_shared_key_leak_bounded_at_t_minus_1():
     assert_fair_exchange(trace)
 
 
+def test_each_payload_is_decrypted_at_most_once(monkeypatch):
+    """Under SHARED_KEY_LEAK at N=10, t=6, F=4 every node encrypts its
+    payload once, and the corrupted consumer decrypts each of the two group
+    payloads once, under the leaked group key, though it also tries that key
+    on every later ciphertext."""
+    cfg = suite_config(n_nodes=10, threshold=6, max_faulty=4, adversary="SHARED_KEY_LEAK",
+                       shared_key=True, seed=13)
+    calls = count_calls(monkeypatch, participants, "keystream_xor")
+    sim, setup = _staged_run(cfg)
+    nonce = wire.payload_nonce(sim.ledger.contracts[setup.cid].tid)
+    assert len(cfg.priority_group()) == 2
+    assert sum(1 for args in calls["keystream_xor"] if args[2] == nonce) == cfg.n_nodes + 2
+    assert sim.monitor.max_counts() == {1: 5, 2: 5, 3: 5}
+    assert sim.monitor.violations == []
+
+
 def test_server_permute_resolves_without_false_refund():
     trace = run_scenario(suite_config(adversary="SERVER_PERMUTE", seed=14))
     o = trace.outcome
@@ -466,8 +482,8 @@ _OFF_LAYOUT = {
 def test_a_payload_off_the_listing_layout_is_undecodable(monkeypatch, forge):
     """Node 1 commits to, and delivers, a payload that does not hold one
     datum-sized record per provider in provider order at a nonzero x. The
-    consumer notes it as undecodable, as it does a truncated payload, and
-    settles on the other nodes' shares."""
+    consumer notes it as undecodable, once, as it does a truncated payload,
+    and settles on the other nodes' shares."""
     encode = wire.encode_node_payload
 
     def node_1_forges(shares):
@@ -479,7 +495,8 @@ def test_a_payload_off_the_listing_layout_is_undecodable(monkeypatch, forge):
     monkeypatch.setattr(wire, "encode_node_payload", node_1_forges)
     trace = run_scenario(suite_config(seed=3))
     o = trace.outcome
-    assert "consumer: undecodable payload from node 1" in o.anomalies
+    # decrypted and noted once, though node 1's key is read off the chain
+    assert o.anomalies.count("consumer: undecodable payload from node 1") == 1
     assert o.finished_reason == "settled"
     assert o.reconstruction_valid and o.reconstructed == o.expected
     assert_fair_exchange(trace)
