@@ -12,10 +12,12 @@ Contract flow per buyer session (one session per seller node):
 
     QUERIED -> ACCEPTED -> KEY_OUT -> SETTLED | REFUNDED
 
-A key reveal opens a dispute window of ``timeout_blocks``; within it the
-buyer may settle early (noComplain) or submit a challenge. Sessions whose
-window lapses settle automatically; accepted sessions whose node never
-reveals are refunded on the same clock.
+Each open (ACCEPTED or KEY_OUT) session runs on one clock, started when it
+was accepted or moved to KEY_OUT. A key reveal opens a dispute window of
+``timeout_blocks``; within it the buyer may settle early (noComplain) or
+submit a challenge. ``timeout_blocks`` after its clock started, an open
+session closes: SETTLED if its key is out, REFUNDED if its node never
+revealed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .crypto import (
     MerkleRoot,
     ShamirError,
     commit,
+    evaluate_at,
     open_commitment,
     reconstruct,
 )
@@ -249,14 +252,10 @@ class Listing:
 class BuyerRecord:
     account: str
     status: dict[int, SessionStatus]
-    deposits: dict[int, int] = field(default_factory=dict)
-    accept_block: dict[int, int] = field(default_factory=dict)
-    # block at which each session moved to KEY_OUT: its dispute window opens
-    reveal_block: dict[int, int] = field(default_factory=dict)
+    # the block at which each open session was accepted or moved to KEY_OUT;
+    # each holds one session price in escrow
+    since: dict[int, int] = field(default_factory=dict)
     no_complain_called: bool = False
-
-    def escrow(self) -> int:
-        return sum(self.deposits.values())
 
 
 @dataclass
@@ -287,7 +286,7 @@ class ContractState:
         return self.seller_nodes.index(account) + 1
 
     def escrow_total(self) -> int:
-        return sum(b.escrow() for b in self.buyers.values())
+        return self.session_price * sum(len(b.since) for b in self.buyers.values())
 
     def dump(self) -> str:
         """Deterministic structured-text dump for golden-file tests."""
@@ -309,7 +308,7 @@ class ContractState:
         for account in sorted(self.buyers):
             rec = self.buyers[account]
             per = " ".join(
-                f"{j}:{rec.status[j].value}:{rec.deposits.get(j, 0)}"
+                f"{j}:{rec.status[j].value}:{self.session_price if j in rec.since else 0}"
                 for j in sorted(rec.status)
             )
             lines.append(f"  buyer {account} noComplain={rec.no_complain_called} {per}")
@@ -486,8 +485,7 @@ class Ledger:
         if self.balances.get(caller, 0) < payment:
             raise InsufficientBalanceError(f"{caller} cannot cover {payment}")
         self.balances[caller] -= payment
-        record.deposits[node_index] = payment
-        record.accept_block[node_index] = self.block_height
+        record.since[node_index] = self.block_height
         record.status[node_index] = SessionStatus.ACCEPTED
 
     @_metered("revealKey", GAS.reveal_key)
@@ -519,7 +517,7 @@ class Ledger:
             for rec in contract.buyers.values():
                 if rec.status.get(m) == SessionStatus.ACCEPTED:
                     rec.status[m] = SessionStatus.KEY_OUT
-                    rec.reveal_block[m] = self.block_height
+                    rec.since[m] = self.block_height
 
     @_metered("read", 0)
     def read(self, caller: str, cid: str, buyer: str, j: int) -> SessionStatus | None:
@@ -567,11 +565,11 @@ class Ledger:
     ) -> None:
         """The one way escrow leaves a session: pay it out (SETTLED) or
         return it to the buyer (REFUNDED)."""
-        amount = record.deposits.pop(j)
+        del record.since[j]
         if status is SessionStatus.SETTLED:
-            self._distribute(contract, j, amount)
+            self._distribute(contract, j, contract.session_price)
         else:
-            self._credit(record.account, amount)
+            self._credit(record.account, contract.session_price)
         record.status[j] = status
 
     @_metered("noComplain", _no_complain_price)
@@ -591,23 +589,18 @@ class Ledger:
         self.block_height += count
 
     def settle_timeouts(self, cid: str) -> None:
-        """Apply the dispute-window countdown: lapsed reveals settle, silent
-        nodes' accepted sessions refund. Block production, not a metered call.
+        """Close every open session whose clock has run ``timeout_blocks``:
+        a lapsed reveal settles, a silent node's accepted session refunds.
+        Block production, not a metered call.
         """
         contract = self._contract(cid)
         timeout = contract.desc.timeout_blocks
         for record in contract.buyers.values():
-            for j, status in list(record.status.items()):
-                if (
-                    status == SessionStatus.KEY_OUT
-                    and self.block_height >= record.reveal_block[j] + timeout
-                ):
-                    self._close(contract, record, j, SessionStatus.SETTLED)
-                elif (
-                    status == SessionStatus.ACCEPTED
-                    and self.block_height >= record.accept_block[j] + timeout
-                ):
-                    self._close(contract, record, j, SessionStatus.REFUNDED)
+            for j, since in list(record.since.items()):
+                if self.block_height >= since + timeout:
+                    key_out = record.status[j] is SessionStatus.KEY_OUT
+                    self._close(contract, record, j,
+                                SessionStatus.SETTLED if key_out else SessionStatus.REFUNDED)
 
     # -- disputes
 
@@ -628,7 +621,8 @@ class Ledger:
                 raise WindowClosedError(f"no key revealed for session {j}")
             if record.status.get(j) in (SessionStatus.SETTLED, SessionStatus.REFUNDED):
                 raise WindowClosedError(f"session {j} already settled or refunded")
-            opened_at = record.reveal_block.get(j, contract.reveal_block[j])
+            opened_at = (record.since[j] if record.status.get(j) is SessionStatus.KEY_OUT
+                         else contract.reveal_block[j])
             if self.block_height >= opened_at + timeout:
                 raise WindowClosedError(f"dispute window for session {j} has lapsed")
         for ev in evidences:
@@ -698,10 +692,15 @@ class Ledger:
         good: list[wire.ShareEvidence],
         bad: list[wire.ShareEvidence],
     ) -> ChallengeResult:
-        """Bad shares: each suspect is recombined with t-1 of the verified
-        reference shares; a mismatching reconstruction refunds that node's
-        session. The reference set itself must reconstruct description-valid
-        data, which stops only references whose data breaks the description.
+        """Bad shares: the t verified reference shares define the data's
+        polynomial, and each suspect at KEY_OUT whose share is not that
+        polynomial's value at its x-coordinate has its session refunded and
+        its node flagged, whatever the order of the references. A suspect
+        that holds a consistent copy of a reference's share lies on the
+        polynomial and is not refunded: a relay can hand an honest node such
+        a copy, so the contract cannot tell a copier from its victim.
+        The reference set itself must reconstruct description-valid data,
+        which stops only references whose data breaks the description.
         Under a full-range description (every byte value valid) any t
         committed shares pass, so a buyer can take a tampering node's share
         as a reference and have honest nodes refunded and flagged. Evidence
@@ -718,20 +717,17 @@ class Ledger:
         if len(providers) != 1:
             raise InvalidParamsError("all shares must target one provider")
         record = self._challenge_gate(contract, caller, good + bad)
-        d_orig = self._phi1(contract, good)
-        if not conforms_to_description(d_orig, contract.desc):
+        if not conforms_to_description(self._phi1(contract, good), contract.desc):
             raise SharesInconsistentError(
                 "reference reconstruction violates the description"
             )
-        references = good[: t - 1]
+        references = [ev.share for ev in good]
         refunded = []
         for ev in bad:
-            try:
-                mismatch = self._phi1(contract, [ev] + references) != d_orig
-            except SharesInconsistentError:
-                mismatch = True
-            if mismatch and record.status.get(ev.node_index) == SessionStatus.KEY_OUT:
-                self._close(contract, record, ev.node_index, SessionStatus.REFUNDED)
-                contract.flagged_nodes.add(ev.node_index)
-                refunded.append(ev.node_index)
+            j, share = ev.node_index, ev.share
+            if (record.status.get(j) == SessionStatus.KEY_OUT
+                    and share.y_values != evaluate_at(references, share.x_coordinate)):
+                self._close(contract, record, j, SessionStatus.REFUNDED)
+                contract.flagged_nodes.add(j)
+                refunded.append(j)
         return ChallengeResult(accepted=bool(refunded), refunded_nodes=tuple(sorted(refunded)))

@@ -651,20 +651,17 @@ class Consumer:
             ]
             if not accused:
                 continue
-            # order the reference set so its first t-1 entries avoid the
-            # accused x-coordinates
-            accused_x = {s.x_coordinate for s, _ in accused}
-            ordered = sorted(good_entries, key=lambda e: e[0].x_coordinate in accused_x)
             result = self._challenge(
-                sim, f"case2 provider {provider}", sim.ledger.challenge_case2, ordered, accused
+                sim, f"case2 provider {provider}", sim.ledger.challenge_case2,
+                good_entries, accused,
             )
             if result is not None:
                 already_refunded.update(result.refunded_nodes)
 
     def _probe_mislabeled(self, sim: Simulator) -> None:
         """Challenge sessions that delivered mislabeled shares, one accused
-        node at a time so reference sets can dodge x-coordinate collisions;
-        the contract rejects each accusation whose share data is consistent.
+        node at a time; the contract rejects each accusation whose share data
+        lies on the references' polynomial.
         """
         t = self.config.threshold
         for j, provider in sorted(set(self.mislabeled), key=lambda e: (e[1], e[0])):
@@ -672,14 +669,9 @@ class Consumer:
             good_entries = self._reference(provider, t)
             if share is None or len(good_entries) < t:
                 continue
-            ordered = sorted(
-                good_entries, key=lambda e: e[0].x_coordinate == share.x_coordinate
-            )
-            if any(s.x_coordinate == share.x_coordinate for s, _ in ordered[: t - 1]):
-                continue
             self._challenge(
                 sim, f"case2 node {j} provider {provider} (mislabel probe)",
-                sim.ledger.challenge_case2, ordered, [(share, j)],
+                sim.ledger.challenge_case2, good_entries, [(share, j)],
             )
 
     # -- settlement

@@ -19,6 +19,7 @@ from dexo.config import (
     MAX_NODES,
     MAX_PROVIDERS,
     MAX_SHARE_BYTES,
+    MAX_TIMEOUT_BLOCKS,
     ScenarioConfig,
     format_config,
 )
@@ -363,6 +364,8 @@ def _assert_config_error(capsys, code: int) -> str:
     pytest.param({"window": "0"}, "window", id="window-below-1"),
     pytest.param({"window": "65536"}, "window", id="window-above-cap"),
     pytest.param({"timeout_blocks": "0"}, "timeout_blocks", id="timeout-below-1"),
+    # the node-fee check used to reject it, naming the wrong key
+    pytest.param({"price": "-500"}, "price must be >= 0", id="negative-price"),
     pytest.param({"node_fee": "101"}, "node_fee", id="node-fee-over-session-price"),
     # the group is nodes 1..t-F, empty only if t <= F, which the threshold
     # rule F < t already rejects
@@ -379,6 +382,30 @@ def test_cli_names_the_key_of_a_config_error(tmp_path, capsys, edits, key):
     path.write_text(text)
     code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
     assert key in _assert_config_error(capsys, code)
+
+
+@pytest.mark.parametrize("verb", ["run", "replay", "sweep"])
+def test_cli_rejects_a_timeout_past_its_cap(tmp_path, capsys, verb):
+    """Stage 3 may idle 3 * timeout_blocks + 30 blocks, so an uncapped
+    timeout lets an accepted config run for days."""
+    _base_config(timeout_blocks=MAX_TIMEOUT_BLOCKS).validate()
+    over = MAX_TIMEOUT_BLOCKS + 1
+    out = tmp_path / "out"
+    if verb == "run":
+        argv = ["run", _write_config(tmp_path, timeout_blocks=over), "--out", str(out)]
+    elif verb == "sweep":
+        argv = ["sweep", _write_config(tmp_path), "--axis", "timeout_blocks",
+                "--values", str(over), "--out", str(tmp_path / "sweep.csv")]
+    else:
+        assert cli.main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        trace_path = out / "scenario.trace"
+        text, edits = re.subn(r"^timeout_blocks = 10$", f"timeout_blocks = {over}",
+                              trace_path.read_text(), flags=re.M)
+        assert edits == 1
+        trace_path.write_text(text)
+        argv = ["replay", str(trace_path)]
+    assert "timeout_blocks" in _assert_config_error(capsys, cli.main(argv))
 
 
 @pytest.mark.parametrize("edit", [

@@ -8,13 +8,20 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from dexo import wire
 from dexo.crypto import KeyMaterial, SecretShare, keystream_xor
 from dexo.ledger import (
     BadKeyError,
     BadMerkleProofError,
+    ChallengeResult,
     DataDescription,
     DoubleInitializeError,
     GasSchedule,
@@ -380,6 +387,27 @@ def test_timeout_settles_lapsed_reveals():
     fx.ledger.assert_conserved()
 
 
+def test_a_reveal_restarts_the_session_clock():
+    """A session accepted at block 0 and revealed at block 3 gets its full
+    dispute window from block 3."""
+    fx = build_listing(n=2, t=1, timeout_blocks=10)
+    fx.initialize_all()
+    fx.ledger.query(CONSUMER, fx.cid)
+    fx.accept_sessions([1, 2])
+    fx.ledger.advance_block(3)
+    fx.reveal_sessions([1, 2])
+    fx.ledger.advance_block(9)
+    fx.ledger.settle_timeouts(fx.cid)
+    record = fx.contract.buyers[CONSUMER]
+    assert record.since == {1: 3, 2: 3}
+    result = fx.ledger.challenge_case2(CONSUMER, fx.cid, [fx.evidence(1, 1)], [fx.evidence(2, 1)])
+    assert not result.accepted
+    fx.ledger.advance_block(1)
+    fx.ledger.settle_timeouts(fx.cid)
+    assert record.status == {1: SessionStatus.SETTLED, 2: SessionStatus.SETTLED}
+    fx.ledger.assert_conserved()
+
+
 def test_timeout_refunds_silent_nodes():
     fx = build_listing(n=2, t=1, timeout_blocks=5)
     fx.initialize_all()
@@ -565,21 +593,93 @@ def _commit_to(fx, j, shares):
     node.delta = wire.payload_root(node.cipher)
 
 
-def test_case2_refunds_a_suspect_that_cannot_be_combined_with_the_references():
-    # node 4 delivers node 1's share: its x-coordinate repeats a reference's,
-    # so the suspect and the references do not reconstruct at all
+def test_case2_refunds_a_tampered_share_at_a_repeated_x_but_not_a_consistent_copy():
+    # nodes 4 and 5 both deliver a share at node 1's x-coordinate: node 4 an
+    # exact copy, which lies on the references' polynomial, node 5 one whose
+    # bytes differ, which does not
     fx = build_listing(n=5, t=3, m=1, datum_size=4)
-    _commit_to(fx, 4, fx.nodes[1].shares)
+    copied = fx.nodes[1].shares
+    _commit_to(fx, 4, copied)
+    _commit_to(fx, 5, [dataclasses.replace(s, y_values=bytes(b ^ 1 for b in s.y_values))
+                       for s in copied])
     _drive_to_key_out(fx, [1, 2, 3, 4, 5])
     good = [fx.evidence(j, 1) for j in (1, 2, 3)]
-    bad = [fx.evidence(4, 1)]
+    bad = [fx.evidence(4, 1), fx.evidence(5, 1)]
     before = fx.ledger.balances[CONSUMER]
     result = fx.ledger.challenge_case2(CONSUMER, fx.cid, good, bad)
-    assert result.accepted and result.refunded_nodes == (4,)
-    assert fx.contract.flagged_nodes == {4}
-    assert fx.contract.buyers[CONSUMER].status[4] == SessionStatus.REFUNDED
+    assert result.accepted and result.refunded_nodes == (5,)
+    assert fx.contract.flagged_nodes == {5}
+    status = fx.contract.buyers[CONSUMER].status
+    assert (status[4], status[5]) == (SessionStatus.KEY_OUT, SessionStatus.REFUNDED)
     assert fx.ledger.balances[CONSUMER] == before + fx.session_price
     fx.ledger.assert_conserved()
+
+
+def test_case2_does_not_refund_a_suspect_listed_as_its_own_reference():
+    """Every node is honest; the buyer names node 2's share as a reference
+    and as the suspect. It lies on the references' polynomial, so nothing is
+    refunded, and node 2 settles when its window lapses."""
+    fx = build_listing(n=4, t=2, m=1, value_max=100)
+    _drive_to_key_out(fx, [1, 2])
+    result = fx.ledger.challenge_case2(
+        CONSUMER, fx.cid, [fx.evidence(2, 1), fx.evidence(1, 1)], [fx.evidence(2, 1)])
+    assert result == ChallengeResult(accepted=False)
+    assert not fx.contract.flagged_nodes
+    fx.ledger.advance_block(fx.contract.desc.timeout_blocks)
+    fx.ledger.settle_timeouts(fx.cid)
+    assert fx.contract.buyers[CONSUMER].status[2] is SessionStatus.SETTLED
+    fx.ledger.assert_conserved()
+
+
+def test_case2_does_not_refund_the_node_whose_share_a_colluder_copied():
+    """Node 4 colludes with the buyer and commits honest node 2's share. With
+    the copy as a reference, node 2's own share still lies on the
+    references' polynomial."""
+    fx = build_listing(n=4, t=2, m=1, value_max=100)
+    _commit_to(fx, 4, fx.nodes[2].shares)
+    _drive_to_key_out(fx, [1, 2, 4])
+    result = fx.ledger.challenge_case2(
+        CONSUMER, fx.cid, [fx.evidence(4, 1), fx.evidence(1, 1)], [fx.evidence(2, 1)])
+    assert result == ChallengeResult(accepted=False)
+    fx.ledger.no_complain(CONSUMER, fx.cid)
+    assert fx.contract.buyers[CONSUMER].status[2] is SessionStatus.SETTLED
+    fx.ledger.assert_conserved()
+
+
+@pytest.fixture(scope="module")
+def tamper_and_copy_listing():
+    """n=5, t=3, two providers; node 5 committed to bad shares and node 4 to
+    a copy of node 1's; every session is at KEY_OUT."""
+    fx = build_listing(n=5, t=3, m=2, tamper_nodes=(5,))
+    _commit_to(fx, 4, fx.nodes[1].shares)
+    _drive_to_key_out(fx, [1, 2, 3, 4, 5])
+    return fx
+
+
+def _case2_ruling(fx, buyer, provider, good, bad):
+    """challenge_case2 on a copy of the listing: the result, or the type of
+    the rejection, and the contract and balances after it."""
+    fx = copy.deepcopy(fx)
+    good_ev, bad_ev = ([fx.evidence(j, provider) for j in nodes] for nodes in (good, bad))
+    try:
+        result = fx.ledger.challenge_case2(buyer, fx.cid, good_ev, bad_ev)
+    except LedgerError as exc:
+        result = type(exc)
+    return result, fx.contract.dump(), fx.ledger.balances
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), provider=st.integers(1, 2))
+def test_a_case2_ruling_does_not_depend_on_the_order_of_the_references(
+    tamper_and_copy_listing, data, provider
+):
+    nodes = st.integers(1, 5)
+    good = data.draw(st.lists(nodes, min_size=3, max_size=3, unique=True))
+    bad = data.draw(st.lists(nodes, min_size=1, max_size=3, unique=True))
+    reordered = data.draw(st.permutations(good))
+    fx = tamper_and_copy_listing
+    assert (_case2_ruling(fx, CONSUMER, provider, reordered, bad)
+            == _case2_ruling(fx, CONSUMER, provider, good, bad))
 
 
 # ---------------------------------------------------------------- invariants
@@ -597,7 +697,7 @@ def test_key_reveal_soundness_over_full_flow():
 BUYERS = (CONSUMER, "buyer-2")
 OPEN = (SessionStatus.ACCEPTED, SessionStatus.KEY_OUT)
 TERMINAL = (SessionStatus.SETTLED, SessionStatus.REFUNDED)
-NODE = st.integers(1, 4)
+NODE = st.integers(1, 5)
 RIGHT = st.sampled_from([True, True, True, False])  # right payment or key, 3 in 4
 
 
@@ -611,15 +711,19 @@ def _mostly(live: list, arbitrary: st.SearchStrategy) -> st.SearchStrategy:
 
 class LedgerMachine(RuleBasedStateMachine):
     """Arbitrary contract call sequences from two buyers against one listing
-    in which nodes 1 and 2 share a key and node 4 committed to bad shares.
-    Most draws pick among the sessions and nodes the contract's state makes
-    live, so that sequences reach reveals, settlement and disputes; the rest
-    are arbitrary.
+    of five nodes in which nodes 1 and 2 share a key and node 4 committed to
+    bad shares, so that the four honest nodes can make two consistent case-1
+    sets. Most draws pick among the sessions and nodes the contract's state
+    makes live, so that sequences reach reveals, settlement and disputes;
+    the rest are arbitrary. The ``live_`` rules run only when there is
+    something live to draw, and draw nothing else: a queried session to pay
+    for, the right key for an accepted session, or evidence from the buyer's
+    own sessions whose dispute window is open.
     """
 
     def __init__(self):
         super().__init__()
-        self.fx = build_listing(n=4, t=2, m=2, timeout_blocks=4,
+        self.fx = build_listing(n=5, t=2, m=2, timeout_blocks=8,
                                 tamper_nodes=(4,), shared_key_nodes=(1, 2))
         self.fx.initialize_all()
         self.ledger = self.fx.ledger
@@ -632,18 +736,31 @@ class LedgerMachine(RuleBasedStateMachine):
             for j, s in rec.status.items() if s is status
         )
 
-    def _attempt(self, function: str, call, *args) -> None:
-        """Make one call, metered as ``function``. A rejected call appends
-        exactly one Revert naming that function and changes nothing else."""
+    def _disputable(self, buyer: str) -> list[int]:
+        """The buyer's KEY_OUT sessions whose dispute window is open."""
+        rec = self.fx.contract.buyers[buyer]
+        timeout = self.fx.contract.desc.timeout_blocks
+        return [j for j, s in sorted(rec.status.items())
+                if s is SessionStatus.KEY_OUT and self.ledger.block_height < rec.since[j] + timeout]
+
+    def _disputing(self, size: int) -> list[str]:
+        """Buyers with at least ``size`` disputable sessions."""
+        return [b for b in sorted(self.fx.contract.buyers) if len(self._disputable(b)) >= size]
+
+    def _attempt(self, function: str, call, *args):
+        """Make one call, metered as ``function``, and return its result or
+        the type of its rejection. A rejected call appends exactly one
+        Revert naming that function and changes nothing else."""
         before = copy.deepcopy(self.fx.contract), dict(self.ledger.balances), list(self.ledger.log)
         try:
-            call(*args)
+            return call(*args)
         except LedgerError as exc:
             *log, revert = self.ledger.log
             assert type(revert) is Revert
             assert (revert.block, revert.function, revert.reason) == (
                 self.ledger.block_height, function, str(exc))
             assert (self.fx.contract, self.ledger.balances, log) == before
+            return type(exc)
 
     @initialize(buyer=st.sampled_from(BUYERS), j=st.one_of(st.none(), NODE))
     def first_query(self, buyer, j):
@@ -660,12 +777,25 @@ class LedgerMachine(RuleBasedStateMachine):
         payment = self.fx.session_price + (0 if right else 1)
         self._attempt("accept", self.ledger.accept, buyer, self.fx.cid, j, payment)
 
+    @precondition(lambda self: self._sessions(SessionStatus.QUERIED))
+    @rule(data=st.data())
+    def live_accept(self, data):
+        buyer, j = data.draw(st.sampled_from(self._sessions(SessionStatus.QUERIED)))
+        self._attempt("accept", self.ledger.accept, buyer, self.fx.cid, j, self.fx.session_price)
+
     @rule(data=st.data(), right=RIGHT)
     def reveal_key(self, data, right):
         live = [j for _, j in self._sessions(SessionStatus.ACCEPTED)]
         node = self.fx.nodes[data.draw(_mostly(live, NODE))]
         key = node.key if right else KeyMaterial(bytes(32))
         self._attempt("revealKey", self.ledger.reveal_key, node.account, self.fx.cid, key)
+
+    @precondition(lambda self: self._sessions(SessionStatus.ACCEPTED))
+    @rule(data=st.data())
+    def live_reveal_key(self, data):
+        _, j = data.draw(st.sampled_from(self._sessions(SessionStatus.ACCEPTED)))
+        node = self.fx.nodes[j]
+        self._attempt("revealKey", self.ledger.reveal_key, node.account, self.fx.cid, node.key)
 
     @rule(buyer=st.sampled_from(BUYERS))
     def no_complain(self, buyer):
@@ -678,6 +808,18 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule()
     def settle_timeouts(self):
         self.ledger.settle_timeouts(self.fx.cid)
+        timeout = self.fx.contract.desc.timeout_blocks
+        for rec in self.fx.contract.buyers.values():
+            assert all(self.ledger.block_height < since + timeout for since in rec.since.values())
+
+    def _challenge_case2(self, buyer: str, provider: int, good: list[int], bad: list[int]):
+        """Challenge, and check that a deep copy of the listing rules the
+        same with the references reversed."""
+        reversed_ruling = _case2_ruling(self.fx, buyer, provider, good[::-1], bad)
+        evidence = [self.fx.evidence(j, provider) for j in good + bad]
+        ruling = self._attempt("challenge", self.ledger.challenge_case2, buyer, self.fx.cid,
+                               evidence[: len(good)], evidence[len(good):])
+        assert reversed_ruling == (ruling, self.fx.contract.dump(), self.ledger.balances)
 
     @rule(data=st.data(), provider=st.integers(1, 2))
     def challenge_case2(self, data, provider):
@@ -687,9 +829,17 @@ class LedgerMachine(RuleBasedStateMachine):
         pairs = [[a, b] for a in public for b in public if a != b]
         good = data.draw(_mostly(pairs, st.lists(NODE, max_size=3, unique=True)))
         bad = data.draw(st.lists(_mostly(public, NODE), min_size=1, max_size=2, unique=True))
-        evidence = [self.fx.evidence(j, provider) for j in good + bad]
-        self._attempt("challenge", self.ledger.challenge_case2, buyer, self.fx.cid,
-                      evidence[: len(good)], evidence[len(good):])
+        self._challenge_case2(buyer, provider, good, bad)
+
+    @precondition(lambda self: self._disputing(self.fx.t))
+    @rule(data=st.data(), provider=st.integers(1, 2))
+    def live_challenge_case2(self, data, provider):
+        buyer = data.draw(st.sampled_from(self._disputing(self.fx.t)))
+        live = self._disputable(buyer)
+        good = data.draw(st.lists(st.sampled_from(live), min_size=self.fx.t,
+                                  max_size=self.fx.t, unique=True))
+        bad = data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=2, unique=True))
+        self._challenge_case2(buyer, provider, good, bad)
 
     @rule(data=st.data(), provider=st.integers(1, 2))
     def challenge_case1(self, data, provider):
@@ -702,16 +852,27 @@ class LedgerMachine(RuleBasedStateMachine):
         first, second = ([self.fx.evidence(j, provider) for j in nodes] for nodes in sets)
         self._attempt("challenge", self.ledger.challenge_case1, buyer, self.fx.cid, first, second)
 
+    @precondition(lambda self: self._disputing(self.fx.t + 2))
+    @rule(data=st.data(), provider=st.integers(1, 2))
+    def live_challenge_case1(self, data, provider):
+        t = self.fx.t
+        buyer = data.draw(st.sampled_from(self._disputing(t + 2)))
+        # two (t+1)-sets that differ in their last node, as the consumer builds them
+        nodes = data.draw(st.permutations(self._disputable(buyer)))[: t + 2]
+        first, second = ([self.fx.evidence(j, provider) for j in nodes[: t] + [last]]
+                         for last in nodes[t:])
+        self._attempt("challenge", self.ledger.challenge_case1, buyer, self.fx.cid, first, second)
+
     @invariant()
     def currency_is_conserved(self):
         self.ledger.assert_conserved()
         assert all(v >= 0 for v in self.ledger.balances.values())
 
     @invariant()
-    def escrow_is_the_open_sessions_deposits(self):
+    def each_open_session_runs_on_one_clock(self):
         for rec in self.fx.contract.buyers.values():
-            open_sessions = {j for j, s in rec.status.items() if s in OPEN}
-            assert rec.deposits == dict.fromkeys(open_sessions, self.fx.session_price)
+            assert rec.since.keys() == {j for j, s in rec.status.items() if s in OPEN}
+            assert all(since <= self.ledger.block_height for since in rec.since.values())
 
     @invariant()
     def settled_and_refunded_sessions_never_change(self):
