@@ -3,8 +3,10 @@
 leaves traces, gas logs, contract dumps and summaries byte-identical.
 
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
-and 90210, and for the first 200 randomized adversary schedules of the test
-suite (``scenarioutil.random_cases``, seed 208), it prints one line
+and 90210, for the first 200 randomized adversary schedules of the test
+suite (``scenarioutil.random_cases``, seed 208), and for those schedules
+redrawn under a full-range description that every garbage datum meets
+(``scenarioutil.full_range_cases``), it prints one line
 ``<workload> <seed> <label> <outputs sha256> <hashes sha256>``. The first
 digest covers the serialized trace without its version line and without the
 payload hash column of its ``[events]`` lines, followed by the run summary;
@@ -33,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from dexo.harness import summarize  # noqa: E402
 from dexo.netsim import run_scenario  # noqa: E402
-from scenarioutil import random_cases  # noqa: E402
+from scenarioutil import full_range_cases, random_cases  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
@@ -64,6 +66,8 @@ def digests() -> dict[str, tuple[str, str]]:
                 )
     for case, (config, script) in enumerate(random_cases(RANDOM_SCHEDULES)):
         out[f"random_schedules 208 case={case},{script.name}"] = _digest(config, script)
+    for case, config, script in full_range_cases(RANDOM_SCHEDULES):
+        out[f"full_range_schedules 208 case={case},{script.name}"] = _digest(config, script)
     return out
 
 

@@ -22,7 +22,6 @@ from .config import ScenarioConfig
 from .crypto import (
     KeyMaterial,
     SecretShare,
-    ShamirError,
     commit,
     keystream_xor,
     reconstruct,
@@ -306,12 +305,12 @@ class Consumer:
     """Buyer state machine: pays only for digest-verified deliveries, settles
     only after a description-conformant reconstruction, disputes otherwise.
 
-    Faulty nodes are found from the device signatures: every node forwards,
-    in its openings blob, each share's salt and Merkle path together with the
-    root its device signed. When reconstruction fails or a mislabeled share
-    is to be probed, the consumer checks shares against their openings, node
-    by node in ascending order, and takes each provider's first t authentic
-    shares as its reference set.
+    The consumer trusts only shares its devices made. Every node forwards, in
+    its openings blob, each share's salt and Merkle path together with the
+    root its device signed; when a key opens node j's payload, the consumer
+    checks each of its shares against those openings and keeps the verdict.
+    Each provider is reconstructed from its first t authentic shares in node
+    order, and every held share that fails authentication is accused.
     """
 
     name = "consumer"
@@ -329,15 +328,14 @@ class Consumer:
         self.node_index = {f"node-{j}": j for j in range(1, config.n_nodes + 1)}
         self.listing: Listing | None = None
         self.delivered: dict[int, bytes] = {}
-        self.openings: dict[int, bytes] = {}  # openings blob per node, salts encrypted
+        self.openings: dict[int, bytes] = {}  # unopened blob per node, salts encrypted
         self.responded: set[int] = set()
         self.accepted: set[int] = set()
         self.keys: dict[int, KeyMaterial] = {}
         self.node_shares: dict[int, dict[int, SecretShare]] = {}
-        self.share_keys: dict[int, KeyMaterial] = {}  # key that opened node j's payload
-        self._opened: dict[int, dict[int, tee.AttestationReport]] = {}  # by node, provider
-        self._authentic: dict[tuple[int, int], bool] = {}  # (node, provider) -> verdict
-        self.mislabeled: list[tuple[int, int]] = []
+        self.share_keys: set[int] = set()  # nodes whose payload a key has opened
+        # (node, provider) of every held share that opens to its device's root
+        self.authentic: set[tuple[int, int]] = set()
         self.phase = Phase.AWAIT_CIPHERTEXTS
         self.finished_reason = ""
         self.reconstructed: dict[int, bytes | None] = {}
@@ -402,7 +400,10 @@ class Consumer:
 
     def _open_with(self, sim: Simulator, key: KeyMaterial) -> None:
         """Open, once each, every delivered payload whose commitment ``key``
-        opens: a session's own key, a priority group's, or a leaked one. A
+        opens: a session's own key, a priority group's, or a leaked one, and
+        with it the node's openings blob. A share is authentic if it opens to
+        its device's signed root; the proof's leaf is the share's own node
+        label, and a missing or malformed blob authenticates nothing. A
         payload off the listing's layout is noted and gives no shares. A
         corrupted consumer's monitor counts every share it opens.
         """
@@ -412,7 +413,8 @@ class Consumer:
         for j, com in self.listing.commitment.items():
             if com != opened or j not in self.delivered or j in self.share_keys:
                 continue
-            self.share_keys[j] = key
+            self.share_keys.add(j)
+            openings = self.openings.pop(j)
             try:
                 shares = wire.decode_shares(
                     keystream_xor(key, self.delivered[j], nonce), desc.providers, desc.datum_size
@@ -422,14 +424,18 @@ class Consumer:
                 continue
             for share in shares:
                 if share.node_index != j:
-                    self.mislabeled.append((j, share.provider_index))
                     sim.note(
                         f"consumer: node {j} delivered a share labeled for node "
                         f"{share.node_index}"
                     )
-                self.node_shares.setdefault(j, {})[share.provider_index] = share
                 if self.corrupted:
                     sim.monitor.record_share(share.provider_index, share.x_coordinate)
+            held = self.node_shares[j] = {s.provider_index: s for s in shares}
+            reports = tee.open_openings(openings, held, key, nonce, j, self.config.n_nodes,
+                                        self.registry.expected_measurement)
+            self.authentic.update(
+                (j, p) for p, r in reports.items() if tee.attest_report(self.registry, r)
+            )
 
     # -- phases
 
@@ -468,38 +474,28 @@ class Consumer:
         self.accepted.add(j)
         sim.monitor.record_payment()
 
-    def _try_reconstruct(self, provider: int) -> tuple[bytes | None, bool]:
-        """Reconstruct from the t lowest distinct x-coordinates held for one
-        provider; also say whether the datum meets the description.
-        """
-        t = self.config.threshold
-        pool: dict[int, SecretShare] = {}
-        for j in sorted(self.node_shares):
-            share = self.node_shares[j].get(provider)
-            if share is not None:
-                pool.setdefault(share.x_coordinate, share)
-        if len(pool) < t:
-            return None, False
-        try:
-            datum = reconstruct(t, self.config.n_nodes, [pool[x] for x in sorted(pool)[:t]])
-        except ShamirError:
-            return None, False
-        return datum, conforms_to_description(datum, self.listing.desc)
-
     def _reconstruct_phase(self, sim: Simulator) -> None:
+        """Reconstruct every provider from its reference set. If every datum
+        meets the description, accuse the held shares that fail
+        authentication, probe the mislabeled ones and settle; otherwise buy
+        more or dispute.
+        """
+        t, n = self.config.threshold, self.config.n_nodes
+        references: dict[int, list[tuple[SecretShare, int]]] = {}
         failing = []
         for provider in range(1, self.config.providers + 1):
-            datum, ok = self._try_reconstruct(provider)
+            entries = references[provider] = self._reference(provider, t)
+            datum = reconstruct(t, n, [s for s, _ in entries]) if len(entries) == t else None
             self.reconstructed[provider] = datum
-            if not ok:
+            if datum is None or not conforms_to_description(datum, self.listing.desc):
                 failing.append(provider)
-        if not failing:
-            self.reconstruction_valid = True
-            if self.mislabeled:
-                self._probe_mislabeled(sim)
-            self._settle(sim)
+        if failing:
+            self._remediate(sim, failing)
             return
-        self._remediate(sim, failing)
+        self.reconstruction_valid = True
+        self._dispute_case2(sim, references)
+        self._probe_mislabeled(sim, references)
+        self._settle(sim)
 
     def _buyable(self, sim: Simulator) -> list[int]:
         """Verified deliveries still open for purchase. Sessions whose shares
@@ -519,8 +515,8 @@ class Consumer:
             sim.send(self.name, f"node-{j}", "notice_accept", {})
 
     def _remediate(self, sim: Simulator, failing: list[int]) -> None:
-        """Buy the remaining verified deliveries to gain redundancy, then
-        dispute with the enlarged share pool.
+        """Buy the remaining verified deliveries to gain authentic shares,
+        then dispute with the enlarged share pool.
         """
         remaining = self._buyable(sim)
         if remaining:
@@ -531,41 +527,21 @@ class Consumer:
 
     # -- disputes
 
-    def _is_authentic(self, j: int, provider: int) -> bool:
-        """Does node j's share of ``provider`` open to the device-signed root
-        in the node's openings blob? The proof's leaf is the share's own node
-        label. A missing or malformed blob authenticates nothing. Blobs are
-        opened once and verdicts kept, so each share is checked at most once.
-        """
-        if j not in self._opened:
-            self._opened[j] = tee.open_openings(
-                self.openings[j], self.node_shares[j], self.share_keys[j],
-                wire.payload_nonce(self.listing.tid), j, self.config.n_nodes,
-                self.registry.expected_measurement,
-            )
-        if (j, provider) not in self._authentic:
-            report = self._opened[j].get(provider)
-            self._authentic[j, provider] = (
-                report is not None and tee.attest_report(self.registry, report)
-            )
-        return self._authentic[j, provider]
-
     def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:
         """Up to ``count`` authentic (share, node) entries for one provider:
-        nodes in ascending order, skipping a repeated x-coordinate. Shares
-        past the last entry needed are not checked.
+        nodes in ascending order, skipping a repeated x-coordinate.
         """
         entries: list[tuple[SecretShare, int]] = []
         xs: set[int] = set()
         for j in sorted(self.node_shares):
             if len(entries) == count:
                 break
-            share = self.node_shares[j].get(provider)
-            if (share is None or share.x_coordinate in xs
-                    or not self._is_authentic(j, provider)):
+            if (j, provider) not in self.authentic:
                 continue
-            entries.append((share, j))
-            xs.add(share.x_coordinate)
+            share = self.node_shares[j][provider]
+            if share.x_coordinate not in xs:
+                entries.append((share, j))
+                xs.add(share.x_coordinate)
         return entries
 
     def _evidence(self, share: SecretShare, source_node: int) -> wire.ShareEvidence:
@@ -591,63 +567,40 @@ class Consumer:
         return result
 
     def _dispute(self, sim: Simulator, failing: list[int]) -> None:
-        """Reconstruct each provider from its first t authentic shares. If a
-        datum breaks the description, two differing authentic (t+1)-sets
-        prove it (case 1) and all escrow returns; otherwise accuse every node
-        holding a share that fails authentication (case 2) and settle.
+        """No reference set of a failing provider meets the description, with
+        every verified delivery bought. If its authentic shares hold two
+        differing (t+1)-sets, they prove that the device's data breaks the
+        description (case 1) and all escrow returns; otherwise the consumer
+        gives up and timeouts settle the sessions.
         """
         t, n = self.config.threshold, self.config.n_nodes
-        desc = self.listing.desc
         for provider in failing:
             entries = self._reference(provider, t + 2)
             if len(entries) < t + 2:
                 continue
             datum = reconstruct(t, n, [s for s, _ in entries[:t]])
-            if conforms_to_description(datum, desc):
+            if conforms_to_description(datum, self.listing.desc):
                 continue
             result = self._challenge(
                 sim, f"case1 provider {provider}", sim.ledger.challenge_case1,
                 entries[: t + 1], entries[:t] + entries[t + 1 :],
             )
             if result is not None and result.accepted:
-                for p in range(1, self.config.providers + 1):
-                    self.reconstructed.setdefault(p, None)
-                self.reconstruction_valid = False
                 self._finish("aborted-by-dispute")
                 return
-        references: dict[int, list[tuple[SecretShare, int]]] = {}
-        data: dict[int, bytes] = {}
-        for provider in range(1, self.config.providers + 1):
-            entries = self._reference(provider, t)
-            if len(entries) < t:
-                break
-            datum = reconstruct(t, n, [s for s, _ in entries])
-            if not conforms_to_description(datum, desc):
-                break
-            references[provider], data[provider] = entries, datum
-        if len(data) < self.config.providers:
-            self._finish("no-valid-reconstruction")
-            return
-        self._dispute_case2(sim, references)
-        self.reconstructed.update(data)
-        self.reconstruction_valid = True
-        self._settle(sim)
+        self._finish("no-valid-reconstruction")
 
     def _dispute_case2(
         self, sim: Simulator, references: dict[int, list[tuple[SecretShare, int]]]
     ) -> None:
-        """Accuse, provider by provider, every node outside the reference set
-        whose share fails authentication.
+        """Accuse, provider by provider, every node whose share fails
+        authentication; an honest run holds none.
         """
         already_refunded: set[int] = set()
         for provider, good_entries in references.items():
-            good = {j for _, j in good_entries}
             accused = [
-                (self.node_shares[j][provider], j)
-                for j in sorted(self.node_shares)
-                if j not in good and j not in already_refunded
-                and provider in self.node_shares[j]
-                and not self._is_authentic(j, provider)
+                (shares[provider], j) for j, shares in sorted(self.node_shares.items())
+                if j not in already_refunded and (j, provider) not in self.authentic
             ]
             if not accused:
                 continue
@@ -658,20 +611,22 @@ class Consumer:
             if result is not None:
                 already_refunded.update(result.refunded_nodes)
 
-    def _probe_mislabeled(self, sim: Simulator) -> None:
+    def _probe_mislabeled(
+        self, sim: Simulator, references: dict[int, list[tuple[SecretShare, int]]]
+    ) -> None:
         """Challenge sessions that delivered mislabeled shares, one accused
         node at a time; the contract rejects each accusation whose share data
         lies on the references' polynomial.
         """
-        t = self.config.threshold
-        for j, provider in sorted(set(self.mislabeled), key=lambda e: (e[1], e[0])):
-            share = self.node_shares.get(j, {}).get(provider)
-            good_entries = self._reference(provider, t)
-            if share is None or len(good_entries) < t:
-                continue
+        mislabeled = sorted(
+            (provider, j) for j, shares in self.node_shares.items()
+            for provider, share in shares.items() if share.node_index != j
+        )
+        for provider, j in mislabeled:
             self._challenge(
                 sim, f"case2 node {j} provider {provider} (mislabel probe)",
-                sim.ledger.challenge_case2, good_entries, [(share, j)],
+                sim.ledger.challenge_case2, references[provider],
+                [(self.node_shares[j][provider], j)],
             )
 
     # -- settlement

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from dexo.config import ScenarioConfig
-from dexo.netsim import Action, AdversaryScript, Rule, Trace, standard_scripts
+from dexo.netsim import Action, AdversaryScript, Rule, ScriptError, Trace, standard_scripts
 
 
 def suite_config(**overrides) -> ScenarioConfig:
@@ -51,11 +51,12 @@ def random_script(rng: random.Random, cfg: ScenarioConfig) -> AdversaryScript:
     )
 
 
-def random_cases(count: int, seed: int = 208):
+def random_cases(count: int, seed: int = 208, value_max: int = 30):
     """``count`` randomized (config, script) pairs on small configs: N=5..9,
     t <= N-2 (a description dispute needs two differing (t+1)-share
     combinations, so at least t+2 delivered shares), one node action per
-    corrupted node or a standard collusion script."""
+    corrupted node or a standard collusion script. The description's range
+    is 0..``value_max``; the draws do not depend on it."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(5, 9)
@@ -65,11 +66,25 @@ def random_cases(count: int, seed: int = 208):
             n_nodes=n, threshold=t, max_faulty=f,
             providers=rng.randint(1, 3),
             datum_size_bytes=rng.randint(8, 12),
-            value_min=0, value_max=30,
+            value_min=0, value_max=value_max,
             timeout_blocks=rng.randint(3, 12),
             seed=rng.randrange(2**32),
         )
         yield cfg, random_script(rng, cfg)
+
+
+def full_range_cases(count: int, seed: int = 208):
+    """The first ``count`` schedules of :func:`random_cases` under a
+    full-range description (0..255), as (case number, config, script). No
+    garbage reconstruction breaks such a description. A schedule whose
+    script cannot run there (an oversell needs headroom above value_max) is
+    skipped."""
+    for case, (cfg, script) in enumerate(random_cases(count, seed, value_max=255)):
+        try:
+            script.validate(cfg)
+        except ScriptError:
+            continue
+        yield case, cfg, script
 
 
 def assert_fair_exchange(trace: Trace) -> None:

@@ -83,6 +83,22 @@ def test_tamper_shares_at_n19_is_fast():
     assert elapsed < TAMPER_BOUND_S, f"TAMPER_SHARES at N=19 took {elapsed:.2f}s"
 
 
+def test_tamper_shares_at_paper_scale_under_a_full_range_description():
+    """With the description at 0..255, as in the cost sweep, no garbage datum
+    breaks it; the consumer still settles with the device's data and has
+    only tampering nodes refunded."""
+    for seed in (900, 901, 902):
+        trace = run_scenario(paper_config(adversary="TAMPER_SHARES", value_max=255,
+                                          seed=seed))
+        o = trace.outcome
+        label = f"seed={seed}"
+        assert o.reconstruction_valid and o.reconstructed == o.expected, label
+        assert o.refunded_sessions, label
+        assert set(o.refunded_sessions) <= set(range(1, 13)), label
+        assert_fair_exchange(trace)
+        assert_conserved(trace)
+
+
 def test_tamper_shares_reconstructs_linearly(monkeypatch):
     """Fault identification costs no subset search: at N=15 the consumer
     reconstructs at most 2M + N times.

@@ -1,6 +1,5 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
-import dataclasses
 import random
 
 import pytest
@@ -29,7 +28,13 @@ from dexo.participants import (
     stage2_register,
     stage3_exchange,
 )
-from scenarioutil import assert_conserved, assert_fair_exchange, count_calls, suite_config
+from scenarioutil import (
+    assert_conserved,
+    assert_fair_exchange,
+    count_calls,
+    full_range_cases,
+    suite_config,
+)
 
 
 def _staged_run(config: ScenarioConfig, script: AdversaryScript | None = None):
@@ -147,7 +152,8 @@ def test_one_root_verification_per_datum(monkeypatch):
                          value_max=100, seed=19)
     outcome = run_scenario(cfg).outcome
     assert outcome.reconstruction_valid
-    assert len(calls["attest_report"]) == n * m  # every node opens every share it holds
+    # every node opens every share it holds, and the consumer each share it buys
+    assert len(calls["attest_report"]) == (n + t) * m
     assert len(calls["verify"]) == m  # but each datum's root is verified once
     assert len(set(calls["verify"])) == m
     # one attestation answer and one root signature per device
@@ -165,17 +171,32 @@ def test_altered_shares_cost_no_verification(monkeypatch):
     assert len(calls["sign"]) == 2 * m
 
 
-def test_consumer_rejects_an_altered_opening():
-    _, setup = _staged_run(suite_config(seed=20))
+def test_consumer_rejects_an_altered_opening(monkeypatch):
+    """Node 1's openings blob reaches the consumer with provider 1's salt
+    altered and provider 2's proof swapped for provider 3's: those two
+    shares fail authentication, the untouched one passes, and the consumer
+    still settles with the device's data."""
+    config = suite_config(seed=20)
+    width = 32 + 64 + 32 + 32 * (config.n_nodes - 1).bit_length()
+    send = Simulator.send
+
+    def altering(self, sender, receiver, mtype, payload):
+        if mtype == "ciphertext" and sender == "node-1":
+            blob = bytearray(payload["openings"])
+            blob[96] ^= 1  # the salts are a keystream XOR, so one bit flips
+            blob[width + 128 : 2 * width] = blob[2 * width + 128 : 3 * width]
+            payload = dict(payload, openings=bytes(blob))
+        send(self, sender, receiver, mtype, payload)
+
+    monkeypatch.setattr(Simulator, "send", altering)
+    _, setup = _staged_run(config)
     consumer = setup.consumer
-    j = min(consumer.share_keys)
-    assert all(consumer._is_authentic(j, p) for p in range(1, 4))
-    opened = consumer._opened[j]
-    salt = bytes([opened[1].salt[0] ^ 1]) + opened[1].salt[1:]
-    opened[1] = dataclasses.replace(opened[1], salt=salt)
-    opened[2] = dataclasses.replace(opened[2], proof=opened[3].proof)
-    consumer._authentic.clear()
-    assert [consumer._is_authentic(j, p) for p in range(1, 4)] == [False, False, True]
+    assert 1 in consumer.share_keys
+    assert [(1, p) in consumer.authentic for p in range(1, 4)] == [False, False, True]
+    assert consumer.reconstruction_valid
+    assert consumer.reconstructed == {
+        d.provider_index: tee.preprocess(d.raw, d.rule) for d in setup.devices
+    }
 
 
 # ---------------------------------------------------------------- adversaries
@@ -219,6 +240,66 @@ def test_tamper_never_refunds_honest_nodes():
     for seed in range(5):
         trace = run_scenario(suite_config(adversary="TAMPER_SHARES", seed=seed))
         assert set(trace.outcome.refunded_sessions) <= {1, 2, 3}
+
+
+def test_tamper_shares_under_a_full_range_description():
+    """Under a description that every byte string of the right length meets,
+    a reconstruction from tampered shares looks valid; the consumer still
+    gets the device's data, because it reconstructs from authentic shares
+    only, and it has the tampering nodes refunded."""
+    for seed in range(300, 305):
+        trace = run_scenario(suite_config(adversary="TAMPER_SHARES", value_max=255,
+                                          seed=seed))
+        o = trace.outcome
+        assert o.reconstruction_valid and o.reconstructed == o.expected, seed
+        assert o.refunded_sessions and set(o.refunded_sessions) <= {1, 2, 3}, seed
+        assert_fair_exchange(trace)
+        assert_conserved(trace)
+
+
+def test_settled_data_is_the_devices_over_full_range_schedules():
+    """Source verifiability over the randomized schedules under a full-range
+    description: whenever the consumer settles, it holds the device's data,
+    and no node outside the script's corrupted set is refunded."""
+    runs = 0
+    for case, cfg, script in full_range_cases(200):
+        o = run_scenario(cfg, script).outcome
+        label = f"case {case} {script.name}"
+        if o.reconstruction_valid:
+            assert o.reconstructed == o.expected, label
+        assert set(o.refunded_sessions) <= script.corrupted_nodes, label
+        runs += 1
+    assert runs == 157  # the 43 oversell schedules cannot run at full range
+
+
+# the eight standard scripts, an honest priority-group run and an honest run
+# with one query per node
+RULE_FLOWS = {
+    **{name: dict(adversary=name, shared_key=(name == "SHARED_KEY_LEAK"))
+       for name in standard_scripts(suite_config())},
+    "HONEST-shared_key": dict(n_nodes=10, threshold=6, max_faulty=4, shared_key=True),
+    "HONEST-unmerged": dict(merged_query=False),
+}
+
+
+@pytest.mark.parametrize("overrides", RULE_FLOWS.values(), ids=list(RULE_FLOWS))
+def test_consumer_reconstructs_only_from_authentic_shares(monkeypatch, overrides):
+    passed = []
+    original = participants.reconstruct
+
+    def recording(t, n, shares):
+        passed.extend(shares)
+        return original(t, n, shares)
+
+    monkeypatch.setattr(participants, "reconstruct", recording)
+    config = suite_config(seed=40, **overrides)
+    _, setup = _staged_run(config)
+    consumer = setup.consumer
+    held = {id(s): (j, p) for j, shares in consumer.node_shares.items()
+            for p, s in shares.items()}
+    assert all(held[id(s)] in consumer.authentic for s in passed)
+    if consumer.accepted:
+        assert len(passed) >= config.threshold * config.providers
 
 
 def test_a_key_revealed_without_notice_is_read_off_the_chain():
@@ -326,8 +407,9 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
         assert opened == node.received
     consumer = setup.consumer
     assert consumer.node_shares
-    for j in consumer.node_shares:
-        assert all(consumer._is_authentic(j, p) for p in range(1, config.providers + 1))
+    assert consumer.authentic == {
+        (j, p) for j in consumer.node_shares for p in range(1, config.providers + 1)
+    }
 
 
 def test_a_node_speaks_only_for_itself():
