@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import io
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -164,15 +165,19 @@ class Revert:
 def _metered(function: str, gas: int | Callable[..., int]):
     """Make a :class:`Ledger` method one metered transaction, logged as
     ``function`` at price ``gas``: a constant, or a function of the ledger
-    and the method's arguments after ``caller``. A call that returns appends
-    its :class:`Call`; one that raises :class:`LedgerError` appends a
-    :class:`Revert` at the same price and re-raises. Every method body
-    validates before it mutates, so a rejected call changes nothing else."""
+    and the method's arguments after ``caller``, in order however the call
+    passed them. A call that returns appends its :class:`Call`; one that
+    raises :class:`LedgerError` appends a :class:`Revert` at the same price
+    and re-raises. Every method body validates before it mutates, so a
+    rejected call changes nothing else."""
 
     def wrap(method):
+        bind = inspect.signature(method).bind
+
         @functools.wraps(method)
         def transact(self, caller, *args, **kwargs):
-            cost = gas(self, *args, **kwargs) if callable(gas) else gas
+            cost = (gas(self, *bind(self, caller, *args, **kwargs).args[2:])
+                    if callable(gas) else gas)
             try:
                 result = method(self, caller, *args, **kwargs)
             except LedgerError as exc:

@@ -14,8 +14,7 @@ and settlement or dispute.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 from . import tee, wire
 from .config import ScenarioConfig
@@ -28,6 +27,7 @@ from .crypto import (
 )
 from .ledger import (
     BadKeyError,
+    ChallengeResult,
     DataDescription,
     LedgerError,
     Listing,
@@ -295,22 +295,224 @@ class DexoNode:
 # ---------------------------------------------------------------- consumer
 
 
-class Phase(Enum):
-    AWAIT_CIPHERTEXTS = "await_ciphertexts"
-    AWAIT_KEYS = "await_keys"
-    DONE = "done"
+@dataclass(eq=False)  # the consumer extends it, and a participant is compared by identity
+class BuyerView:
+    """What the buyer's policy reads: the listing's terms, what the buyer has
+    verified, its sessions' status on the chain and what woke it (a
+    ciphertext, a node's notice that its key is out, or a quiet network).
+    The executor updates it in place; :func:`decide` only reads it."""
+
+    config: ScenarioConfig
+    listing: Listing | None = None
+    refuses_payment: bool = False
+    responded: set[int] = field(default_factory=set)  # nodes that sent a ciphertext
+    delivered: dict[int, bytes] = field(default_factory=dict)  # digest-verified ciphertexts
+    openings: dict[int, bytes] = field(default_factory=dict)  # unopened blob per node
+    accepted: set[int] = field(default_factory=set)  # every session bought
+    keys: set[int] = field(default_factory=set)  # sessions whose key was read off the chain
+    share_keys: set[int] = field(default_factory=set)  # nodes whose payload a key opened
+    node_shares: dict[int, dict[int, SecretShare]] = field(default_factory=dict)
+    # (node, provider) of every held share that opens to its device's root
+    authentic: set[tuple[int, int]] = field(default_factory=set)
+    status: dict[int, SessionStatus] | None = None  # None before the query
+    # what woke the buyer, until the executor has acted on it
+    quiet: bool = False  # the network is quiet
+    notice: int | None = None  # the node whose key notice arrived
+    quiet_ticks: int = 0
+    judged: bool = False  # a verdict covers every session bought
+    reconstructed: dict[int, bytes | None] = field(default_factory=dict)
+    reconstruction_valid: bool = False
+    rulings: dict[str, ChallengeResult | None] = field(default_factory=dict)  # None: rejected
+    finished_reason: str = ""
 
 
-class Consumer:
-    """Buyer state machine: pays only for digest-verified deliveries, settles
-    only after a description-conformant reconstruction, disputes otherwise.
+# the buyer's steps, one type per action
+
+
+@dataclass(frozen=True)
+class Query:
+    """Open a session with every node, then ask each for its ciphertext."""
+
+
+@dataclass(frozen=True)
+class Accept:
+    nodes: tuple[int, ...]
+    notify: tuple[int, ...]  # the nodes told afterwards that sessions were accepted
+
+
+@dataclass(frozen=True)
+class TakeKey:
+    node: int
+
+
+@dataclass(frozen=True)
+class Verdict:
+    reconstructed: dict[int, bytes | None]
+    valid: bool  # every datum meets the description
+
+
+@dataclass(frozen=True)
+class Challenge:
+    case: int
+    label: str
+    first: list[tuple[SecretShare, int]]  # (share, source node) entries
+    second: list[tuple[SecretShare, int]]
+
+
+@dataclass(frozen=True)
+class Settle:
+    """Call noComplain."""
+
+
+@dataclass(frozen=True)
+class Finish:
+    reason: str
+
+
+Step = Query | Accept | TakeKey | Verdict | Challenge | Settle | Finish
+
+
+def decide(view: BuyerView) -> list[Step]:
+    """The buyer's policy, one clause per rule: its next steps, given what it
+    has verified. It changes nothing; the executor performs the steps, folds
+    their results into the view and asks again until none is left."""
+    config, status, desc, t = view.config, view.status, view.listing.desc, view.config.threshold
+    if view.finished_reason:
+        return []
+    if not view.listing.initialized:
+        return [Finish("listing-never-initialized")]
+    if status is None:
+        return [Query()]
+    if not view.accepted:
+        # buy once every node has answered or the network is quiet; give up
+        # when nothing can be bought and no answer is left to wait for
+        all_in = len(view.responded) == config.n_nodes
+        if not (all_in or view.quiet):
+            return []
+        chosen = _choose_sessions(view)
+        if view.refuses_payment and (chosen or all_in):
+            return [Finish("refused-payment")]
+        if chosen:
+            return [Accept(tuple(chosen), tuple(range(1, config.n_nodes + 1)))]
+        return [Finish("too-few-valid-deliveries")] if all_in or view.quiet_ticks > 2 else []
+    if not view.judged:
+        # read the keys of live (bought, unrefunded) sessions: a notice reads
+        # its own key; a quiet tick reads every key the chain shows as out
+        live = [j for j in sorted(view.accepted) if status[j] is not SessionStatus.REFUNDED]
+        reads = [TakeKey(j) for j in live if j not in view.keys and (
+            j == view.notice or view.quiet and status[j] is SessionStatus.KEY_OUT)]
+        if reads:
+            return reads
+        # replace sessions refunded by timeout
+        missing = config.sessions_required() - len(live)
+        if missing > 0 and (replacements := _buyable(view)[:missing]):
+            return [Accept((j,), (j,)) for j in replacements]  # each node notified alone
+        # once every live session's key is in, reconstruct each provider from
+        # its first t authentic shares
+        if any(j not in view.keys for j in live):
+            return []
+        data = {}
+        for provider in range(1, config.providers + 1):
+            entries = _reference(view, provider, t)
+            data[provider] = (reconstruct(t, config.n_nodes, [s for s, _ in entries])
+                              if len(entries) == t else None)
+        return [Verdict(data, all(d is not None and conforms_to_description(d, desc)
+                                  for d in data.values()))]
+    if view.reconstruction_valid:
+        # accuse, provider by provider, every held share that fails
+        # authentication, skipping nodes already refunded
+        for provider in range(1, config.providers + 1):
+            label = f"case2 provider {provider}"
+            suspects = [
+                (shares[provider], j) for j, shares in sorted(view.node_shares.items())
+                if (j, provider) not in view.authentic
+                and status.get(j) is not SessionStatus.REFUNDED
+            ]
+            if suspects and label not in view.rulings:
+                return [Challenge(2, label, _reference(view, provider, t), suspects)]
+        # accuse each mislabeled share alone; the contract rejects it if its
+        # data lies on the references' polynomial
+        mislabeled = sorted(
+            (provider, j) for j, shares in view.node_shares.items()
+            for provider, share in shares.items() if share.node_index != j
+        )
+        for provider, j in mislabeled:
+            label = f"case2 node {j} provider {provider} (mislabel probe)"
+            if label not in view.rulings:
+                return [Challenge(2, label, _reference(view, provider, t),
+                                  [(view.node_shares[j][provider], j)])]
+        # settle, calling noComplain only while a session is KEY_OUT
+        settle = [Settle()] if SessionStatus.KEY_OUT in status.values() else []
+        return [*settle, Finish("settled")]
+    # data that fails the description: buy every verified delivery still
+    # buyable to gain authentic shares
+    if remaining := _buyable(view):
+        return [Accept((j,), (j,)) for j in remaining]
+    # with none left, two differing (t+1)-sets of a failing provider's
+    # authentic shares prove that its device's data breaks the description
+    # (case 1) and return all escrow; otherwise give up, and timeouts settle
+    if any(ruling is not None and ruling.accepted for ruling in view.rulings.values()):
+        return [Finish("aborted-by-dispute")]
+    for provider, datum in view.reconstructed.items():
+        label = f"case1 provider {provider}"
+        if label in view.rulings or (
+                datum is not None and conforms_to_description(datum, desc)):
+            continue
+        entries = _reference(view, provider, t + 2)
+        if len(entries) == t + 2:
+            return [Challenge(1, label, entries[: t + 1], entries[:t] + entries[t + 1 :])]
+    return [Finish("no-valid-reconstruction")]
+
+
+def _choose_sessions(view: BuyerView) -> list[int] | None:
+    config = view.config
+    valid = sorted(view.delivered)
+    needed = config.sessions_required()
+    group = config.priority_group()
+    if group:
+        leader = next((j for j in group if j in valid), None)
+        outside = [j for j in valid if j not in group]
+        if leader is not None and len(outside) >= needed - 1:
+            return [leader] + outside[: needed - 1]
+        # degenerate: fall back to plain threshold selection
+        needed = config.threshold
+    return valid[:needed] if len(valid) >= needed else None
+
+
+def _buyable(view: BuyerView) -> list[int]:
+    """Verified deliveries still open for purchase. Sessions whose shares the
+    buyer already holds are left out: a priority-group member opened by its
+    leader's key would never move to KEY_OUT if bought."""
+    return [
+        j for j in sorted(view.delivered)
+        if j not in view.node_shares and view.status.get(j) is SessionStatus.QUERIED
+    ]
+
+
+def _reference(view: BuyerView, provider: int, count: int) -> list[tuple[SecretShare, int]]:
+    """Up to ``count`` authentic (share, node) entries for one provider:
+    nodes in ascending order, skipping a repeated x-coordinate."""
+    entries: list[tuple[SecretShare, int]] = []
+    xs: set[int] = set()
+    for j, shares in sorted(view.node_shares.items()):
+        share = shares[provider]
+        if (j, provider) in view.authentic and share.x_coordinate not in xs:
+            entries.append((share, j))
+            xs.add(share.x_coordinate)
+            if len(entries) == count:
+                break
+    return entries
+
+
+class Consumer(BuyerView):
+    """The buyer: the one executor of :func:`decide` over its own view. It
+    folds what reaches it into the view, performs each step the policy
+    returns through the simulator and the ledger, and folds the result back.
 
     The consumer trusts only shares its devices made. Every node forwards, in
     its openings blob, each share's salt and Merkle path together with the
     root its device signed; when a key opens node j's payload, the consumer
     checks each of its shares against those openings and keeps the verdict.
-    Each provider is reconstructed from its first t authentic shares in node
-    order, and every held share that fails authentication is accused.
     """
 
     name = "consumer"
@@ -318,85 +520,113 @@ class Consumer:
 
     def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str,
                  registry: tee.AttestationRegistry):
-        self.config = config
-        self.script = script
+        super().__init__(config, refuses_payment=script.role_action(Action.REFUSE_PAYMENT))
         self.cid = cid
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
-        self.refuses_payment = script.role_action(Action.REFUSE_PAYMENT)
         # a node's index comes from the authenticated channel it sends on
         self.node_index = {f"node-{j}": j for j in range(1, config.n_nodes + 1)}
-        self.listing: Listing | None = None
-        self.delivered: dict[int, bytes] = {}
-        self.openings: dict[int, bytes] = {}  # unopened blob per node, salts encrypted
-        self.responded: set[int] = set()
-        self.accepted: set[int] = set()
-        self.keys: dict[int, KeyMaterial] = {}
-        self.node_shares: dict[int, dict[int, SecretShare]] = {}
-        self.share_keys: set[int] = set()  # nodes whose payload a key has opened
-        # (node, provider) of every held share that opens to its device's root
-        self.authentic: set[tuple[int, int]] = set()
-        self.phase = Phase.AWAIT_CIPHERTEXTS
-        self.finished_reason = ""
-        self.reconstructed: dict[int, bytes | None] = {}
-        self.reconstruction_valid = False
         self._leaked_keys: list[KeyMaterial] = []
-        self._stall_ticks = 0
 
-    # -- protocol entry
+    @property
+    def finished(self) -> bool:
+        return bool(self.finished_reason)
+
+    # -- what wakes the buyer
 
     def start(self, sim: Simulator) -> None:
         self.listing = sim.ledger.snapshot_listing(self.cid)
-        if not self.listing.initialized:
-            self._finish("listing-never-initialized")
-            return
-        if self.config.merged_query:
-            sim.ledger.query(self.account, self.cid)
-        else:
-            for j in range(1, self.config.n_nodes + 1):
-                sim.ledger.query(self.account, self.cid, node_index=j)
-        for name in self.node_index:
-            sim.send(self.name, name, "notice_buy", {})
-
-    # -- message handling
+        self._run(sim)
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         if self.finished:
             return
         if msg.mtype == "ciphertext":
-            self._on_ciphertext(sim, self.node_index[msg.sender], msg.payload)
+            j = self.node_index[msg.sender]
+            self.responded.add(j)
+            cipher = msg.payload["cipher"]
+            if sim.memo.root(cipher) == self.listing.delta[j]:
+                self.delivered[j] = cipher
+                self.openings[j] = msg.payload["openings"]
+                for key in self._leaked_keys:
+                    self._open_with(sim, key)
+            else:
+                sim.note(f"consumer: digest mismatch from node {j}")
+            self._run(sim)
         elif msg.mtype == "notice_key":
-            self._take_key(sim, self.node_index[msg.sender])
+            self._run(sim, notice=self.node_index[msg.sender])
         elif msg.mtype == "leaked_key" and self.corrupted:
             # keys leak in stage 2, before the listing is fetched; each is
             # tried on every ciphertext as it arrives
             self._leaked_keys.append(msg.payload["key"])
 
-    def _on_ciphertext(self, sim: Simulator, j: int, payload: dict) -> None:
-        self.responded.add(j)
-        cipher = payload["cipher"]
-        if sim.memo.root(cipher) == self.listing.delta[j]:
-            self.delivered[j] = cipher
-            self.openings[j] = payload["openings"]
-            for key in self._leaked_keys:
-                self._open_with(sim, key)
-        else:
-            sim.note(f"consumer: digest mismatch from node {j}")
-        if self.phase is Phase.AWAIT_CIPHERTEXTS and len(self.responded) == self.config.n_nodes:
-            self._accept_phase(sim)
+    def on_tick(self, sim: Simulator) -> None:
+        """Called when the network is quiet; handles drops and timeouts."""
+        if not self.finished:
+            self.quiet_ticks += 1
+            self._run(sim, quiet=True)
 
-    def _take_key(self, sim: Simulator, j: int) -> None:
-        """Read node j's revealed key off the chain; reconstruct once every
-        accepted session's key is in."""
-        if j in self.keys or j not in self.accepted:
-            return
-        key = sim.ledger.check_key(self.account, self.cid, j)
-        if key is None:
-            return
-        self.keys[j] = key
-        self._open_with(sim, key)
-        if self.phase is Phase.AWAIT_KEYS and all(k in self.keys for k in self.accepted):
-            self._reconstruct_phase(sim)
+    # -- the executor
+
+    def _run(self, sim: Simulator, quiet: bool = False, notice: int | None = None) -> None:
+        """Perform the policy's steps until it has none left. What woke the
+        buyer holds for the first round only; every round reads the chain's
+        session status afresh."""
+        self.quiet, self.notice = quiet, notice
+        while True:
+            self.status = sim.ledger.snapshot_buyer(self.cid, self.account)
+            steps = decide(self)
+            if not steps:
+                return
+            for step in steps:
+                self._perform(sim, step)
+            self.quiet, self.notice = False, None
+
+    def _perform(self, sim: Simulator, step: Step) -> None:
+        ledger, account, cid = sim.ledger, self.account, self.cid
+        match step:
+            case Query():
+                # None: one merged query opens every session
+                merged = self.config.merged_query
+                for j in [None] if merged else range(1, self.config.n_nodes + 1):
+                    ledger.query(account, cid, node_index=j)
+                for name in self.node_index:
+                    sim.send(self.name, name, "notice_buy", {})
+            case Accept(nodes, notify):
+                for j in nodes:
+                    ledger.accept(account, cid, j, ledger.contracts[cid].session_price)
+                    self.accepted.add(j)
+                    sim.monitor.record_payment()
+                for j in notify:
+                    sim.send(self.name, f"node-{j}", "notice_accept", {})
+                self.judged = False
+            case TakeKey(j):
+                key = ledger.check_key(account, cid, j)
+                if key is not None:
+                    self.keys.add(j)
+                    self._open_with(sim, key)
+            case Verdict(reconstructed, valid):
+                self.reconstructed, self.reconstruction_valid = reconstructed, valid
+                self.judged = True
+            case Challenge(case, label, first, second):
+                submit = ledger.challenge_case1 if case == 1 else ledger.challenge_case2
+                size = self.config.datum_size_bytes
+                first_ev, second_ev = (
+                    [wire.build_share_evidence(s, j, self.delivered[j], size) for s, j in entries]
+                    for entries in (first, second)
+                )
+                try:
+                    result = submit(account, cid, first_ev, second_ev)
+                except LedgerError as exc:
+                    result, ruling = None, f"rejected ({exc})"
+                else:
+                    ruling = f"accepted={result.accepted} refunded={list(result.refunded_nodes)}"
+                self.rulings[label] = result
+                sim.log.append(Dispute(f"{label}: {ruling}"))
+            case Settle():
+                ledger.no_complain(account, cid)
+            case Finish(reason):
+                self.finished_reason = reason
 
     def _open_with(self, sim: Simulator, key: KeyMaterial) -> None:
         """Open, once each, every delivered payload whose commitment ``key``
@@ -431,250 +661,11 @@ class Consumer:
                 if self.corrupted:
                     sim.monitor.record_share(share.provider_index, share.x_coordinate)
             held = self.node_shares[j] = {s.provider_index: s for s in shares}
-            reports = tee.open_openings(openings, held, key, nonce, j, self.config.n_nodes,
+            reports = tee.open_openings(openings, held, key, nonce, j, desc.n_nodes,
                                         self.registry.expected_measurement)
             self.authentic.update(
                 (j, p) for p, r in reports.items() if tee.attest_report(self.registry, r)
             )
-
-    # -- phases
-
-    def _choose_sessions(self) -> list[int] | None:
-        valid = sorted(self.delivered)
-        needed = self.config.sessions_required()
-        group = self.config.priority_group()
-        if group:
-            leader = next((j for j in group if j in valid), None)
-            outside = [j for j in valid if j not in group]
-            if leader is not None and len(outside) >= needed - 1:
-                return [leader] + outside[: needed - 1]
-            # degenerate: fall back to plain threshold selection
-            needed = self.config.threshold
-        if len(valid) >= needed:
-            return valid[:needed]
-        return None
-
-    def _accept_phase(self, sim: Simulator) -> None:
-        if self.refuses_payment:
-            self._finish("refused-payment")
-            return
-        chosen = self._choose_sessions()
-        if chosen is None:
-            self._finish("too-few-valid-deliveries")
-            return
-        self.phase = Phase.AWAIT_KEYS
-        for j in chosen:
-            self._accept_session(sim, j)
-        for name in self.node_index:
-            sim.send(self.name, name, "notice_accept", {})
-
-    def _accept_session(self, sim: Simulator, j: int) -> None:
-        price = sim.ledger.contracts[self.cid].session_price
-        sim.ledger.accept(self.account, self.cid, j, price)
-        self.accepted.add(j)
-        sim.monitor.record_payment()
-
-    def _reconstruct_phase(self, sim: Simulator) -> None:
-        """Reconstruct every provider from its reference set. If every datum
-        meets the description, accuse the held shares that fail
-        authentication, probe the mislabeled ones and settle; otherwise buy
-        more or dispute.
-        """
-        t, n = self.config.threshold, self.config.n_nodes
-        references: dict[int, list[tuple[SecretShare, int]]] = {}
-        failing = []
-        for provider in range(1, self.config.providers + 1):
-            entries = references[provider] = self._reference(provider, t)
-            datum = reconstruct(t, n, [s for s, _ in entries]) if len(entries) == t else None
-            self.reconstructed[provider] = datum
-            if datum is None or not conforms_to_description(datum, self.listing.desc):
-                failing.append(provider)
-        if failing:
-            self._remediate(sim, failing)
-            return
-        self.reconstruction_valid = True
-        self._dispute_case2(sim, references)
-        self._probe_mislabeled(sim, references)
-        self._settle(sim)
-
-    def _buyable(self, sim: Simulator) -> list[int]:
-        """Verified deliveries still open for purchase. Sessions whose shares
-        the consumer already holds are left out: a priority-group member
-        opened by its leader's key would never move to KEY_OUT if bought.
-        """
-        status = sim.ledger.snapshot_buyer(self.cid, self.account)
-        return [
-            j for j in sorted(self.delivered)
-            if j not in self.node_shares and status.get(j) is SessionStatus.QUERIED
-        ]
-
-    def _buy(self, sim: Simulator, sessions: list[int]) -> None:
-        """A later purchase: accept each session and notify its node alone."""
-        for j in sessions:
-            self._accept_session(sim, j)
-            sim.send(self.name, f"node-{j}", "notice_accept", {})
-
-    def _remediate(self, sim: Simulator, failing: list[int]) -> None:
-        """Buy the remaining verified deliveries to gain authentic shares,
-        then dispute with the enlarged share pool.
-        """
-        remaining = self._buyable(sim)
-        if remaining:
-            self.phase = Phase.AWAIT_KEYS
-            self._buy(sim, remaining)
-            return
-        self._dispute(sim, failing)
-
-    # -- disputes
-
-    def _reference(self, provider: int, count: int) -> list[tuple[SecretShare, int]]:
-        """Up to ``count`` authentic (share, node) entries for one provider:
-        nodes in ascending order, skipping a repeated x-coordinate.
-        """
-        entries: list[tuple[SecretShare, int]] = []
-        xs: set[int] = set()
-        for j in sorted(self.node_shares):
-            if len(entries) == count:
-                break
-            if (j, provider) not in self.authentic:
-                continue
-            share = self.node_shares[j][provider]
-            if share.x_coordinate not in xs:
-                entries.append((share, j))
-                xs.add(share.x_coordinate)
-        return entries
-
-    def _evidence(self, share: SecretShare, source_node: int) -> wire.ShareEvidence:
-        return wire.build_share_evidence(
-            share, source_node, self.delivered[source_node],
-            self.config.datum_size_bytes,
-        )
-
-    def _challenge(self, sim: Simulator, label: str, challenge, first: list, second: list):
-        """Submit one challenge built from (share, source node) entries and log
-        its result; None if the contract rejected it.
-        """
-        first_ev = [self._evidence(s, src) for s, src in first]
-        second_ev = [self._evidence(s, src) for s, src in second]
-        try:
-            result = challenge(self.account, self.cid, first_ev, second_ev)
-        except LedgerError as exc:
-            sim.log.append(Dispute(f"{label}: rejected ({exc})"))
-            return None
-        sim.log.append(Dispute(
-            f"{label}: accepted={result.accepted} refunded={list(result.refunded_nodes)}"
-        ))
-        return result
-
-    def _dispute(self, sim: Simulator, failing: list[int]) -> None:
-        """No reference set of a failing provider meets the description, with
-        every verified delivery bought. If its authentic shares hold two
-        differing (t+1)-sets, they prove that the device's data breaks the
-        description (case 1) and all escrow returns; otherwise the consumer
-        gives up and timeouts settle the sessions.
-        """
-        t, n = self.config.threshold, self.config.n_nodes
-        for provider in failing:
-            entries = self._reference(provider, t + 2)
-            if len(entries) < t + 2:
-                continue
-            datum = reconstruct(t, n, [s for s, _ in entries[:t]])
-            if conforms_to_description(datum, self.listing.desc):
-                continue
-            result = self._challenge(
-                sim, f"case1 provider {provider}", sim.ledger.challenge_case1,
-                entries[: t + 1], entries[:t] + entries[t + 1 :],
-            )
-            if result is not None and result.accepted:
-                self._finish("aborted-by-dispute")
-                return
-        self._finish("no-valid-reconstruction")
-
-    def _dispute_case2(
-        self, sim: Simulator, references: dict[int, list[tuple[SecretShare, int]]]
-    ) -> None:
-        """Accuse, provider by provider, every node whose share fails
-        authentication; an honest run holds none.
-        """
-        already_refunded: set[int] = set()
-        for provider, good_entries in references.items():
-            accused = [
-                (shares[provider], j) for j, shares in sorted(self.node_shares.items())
-                if j not in already_refunded and (j, provider) not in self.authentic
-            ]
-            if not accused:
-                continue
-            result = self._challenge(
-                sim, f"case2 provider {provider}", sim.ledger.challenge_case2,
-                good_entries, accused,
-            )
-            if result is not None:
-                already_refunded.update(result.refunded_nodes)
-
-    def _probe_mislabeled(
-        self, sim: Simulator, references: dict[int, list[tuple[SecretShare, int]]]
-    ) -> None:
-        """Challenge sessions that delivered mislabeled shares, one accused
-        node at a time; the contract rejects each accusation whose share data
-        lies on the references' polynomial.
-        """
-        mislabeled = sorted(
-            (provider, j) for j, shares in self.node_shares.items()
-            for provider, share in shares.items() if share.node_index != j
-        )
-        for provider, j in mislabeled:
-            self._challenge(
-                sim, f"case2 node {j} provider {provider} (mislabel probe)",
-                sim.ledger.challenge_case2, references[provider],
-                [(self.node_shares[j][provider], j)],
-            )
-
-    # -- settlement
-
-    def _settle(self, sim: Simulator) -> None:
-        status = sim.ledger.snapshot_buyer(self.cid, self.account)
-        if status and SessionStatus.KEY_OUT in status.values():
-            sim.ledger.no_complain(self.account, self.cid)
-        self._finish("settled")
-
-    @property
-    def finished(self) -> bool:
-        return self.phase is Phase.DONE
-
-    def _finish(self, reason: str) -> None:
-        self.finished_reason = reason
-        self.phase = Phase.DONE
-
-    # -- stall handling
-
-    def on_tick(self, sim: Simulator) -> None:
-        """Called when the network is quiet; handles drops and timeouts."""
-        if self.finished:
-            return
-        self._stall_ticks += 1
-        if self.phase is Phase.AWAIT_CIPHERTEXTS:
-            chosen = self._choose_sessions()
-            if chosen is not None:
-                self._accept_phase(sim)
-            elif self._stall_ticks > 2:
-                self._finish("too-few-valid-deliveries")
-        elif self.phase is Phase.AWAIT_KEYS:
-            status = sim.ledger.snapshot_buyer(self.cid, self.account)
-            # the chain, not a node's notice, says that a key is out
-            for j in sorted(self.accepted):
-                if status.get(j) is SessionStatus.KEY_OUT:
-                    self._take_key(sim, j)
-            refunded = {
-                j for j in self.accepted if status.get(j) is SessionStatus.REFUNDED
-            }
-            if refunded:
-                # sessions timed out without a reveal and were refunded
-                self.accepted -= refunded
-                missing = max(0, self.config.sessions_required() - len(self.accepted))
-                replacements = self._buyable(sim)[:missing]
-                self._buy(sim, replacements)
-                if not replacements and all(j in self.keys for j in self.accepted):
-                    self._reconstruct_phase(sim)
 
 
 # ---------------------------------------------------------------- stages

@@ -564,16 +564,27 @@ _WRONG_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("shape", list(_WRONG_SHAPES))
-def test_challenge_of_the_wrong_shape_is_rejected_after_charging_gas(shape):
+# each challenge's two evidence sets, by the names its method gives them
+_SET_NAMES = {"challenge_case1": ("set1", "set2"), "challenge_case2": ("good", "bad")}
+
+
+@pytest.mark.parametrize("shape, by_keyword", [
+    *(pytest.param(shape, False, id=shape) for shape in _WRONG_SHAPES),
+    *(pytest.param(shape, True, id=f"{shape} by keyword") for shape in _WRONG_SHAPES),
+])
+def test_challenge_of_the_wrong_shape_is_rejected_after_charging_gas(shape, by_keyword):
     fx = build_listing(n=5, t=3, m=2, datum_size=4)
     _drive_to_key_out(fx, [1, 2, 3, 4, 5])
     function, *sets = _WRONG_SHAPES[shape]
     first, second = ([fx.evidence(j, p) for j, p in pairs] for pairs in sets)
     before = (dict(fx.ledger.balances), fx.contract.dump(), fx.ledger.gas_csv(),
               list(fx.ledger.log))
+    challenge = getattr(fx.ledger, function)
     with pytest.raises(InvalidParamsError) as rejected:
-        getattr(fx.ledger, function)(CONSUMER, fx.cid, first, second)
+        if by_keyword:
+            challenge(CONSUMER, fx.cid, **dict(zip(_SET_NAMES[function], (first, second))))
+        else:
+            challenge(CONSUMER, fx.cid, first, second)
     # the rejected challenge is charged as one Revert, outside the gas log
     *log, revert = fx.ledger.log
     assert revert == Revert(

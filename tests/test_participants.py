@@ -292,12 +292,16 @@ def test_consumer_reconstructs_only_from_authentic_shares(monkeypatch, overrides
         return original(t, n, shares)
 
     monkeypatch.setattr(participants, "reconstruct", recording)
+    attested = count_calls(monkeypatch, tee, "attest_report")["attest_report"]
     config = suite_config(seed=40, **overrides)
     _, setup = _staged_run(config)
     consumer = setup.consumer
     held = {id(s): (j, p) for j, shares in consumer.node_shares.items()
             for p, s in shares.items()}
     assert all(held[id(s)] in consumer.authentic for s in passed)
+    # the consumer checks each share it holds once, when its payload opens
+    checked = [held[id(report.share)] for _, report in attested if id(report.share) in held]
+    assert len(checked) == len(set(checked))
     if consumer.accepted:
         assert len(passed) >= config.threshold * config.providers
 
