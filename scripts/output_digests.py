@@ -7,12 +7,15 @@ and 90210, for the first 200 randomized adversary schedules of the test
 suite (``scenarioutil.random_cases``, seed 208), and for those schedules
 redrawn under a full-range description that every garbage datum meets
 (``scenarioutil.full_range_cases``), it prints one line
-``<workload> <seed> <label> <outputs sha256> <hashes sha256>``. The first
-digest covers the serialized trace without its version line and without the
-payload hash column of its ``[events]`` lines, followed by the run summary;
-the second covers that hash column alone. A change to how payloads are
-hashed then moves only the second digest, and shows whether anything else
-moved with it.
+``<workload> <seed> <label> <outputs sha256> <hashes sha256> <log sha256>``.
+The first digest covers the serialized trace without its version line and
+without the payload hash column of its ``[events]`` lines, followed by the
+run summary; the second covers that hash column alone. A change to how
+payloads are hashed then moves only the second digest, and shows whether
+anything else moved with it. The third covers the run's whole log in order:
+the record type and every field of each message, note, dispute, contract
+call and revert, so it also shows how calls, notes and reverts interleave
+with messages.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
@@ -24,6 +27,7 @@ and exits 1 if any do.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -33,19 +37,38 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from dexo import netsim  # noqa: E402
 from dexo.harness import summarize  # noqa: E402
-from dexo.netsim import run_scenario  # noqa: E402
+from dexo.ledger import Ledger  # noqa: E402
 from scenarioutil import full_range_cases, random_cases  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
 SEEDS = (1, 90210)
 RANDOM_SCHEDULES = 200
-PARTS = ("outputs", "hashes")
+PARTS = ("outputs", "hashes", "log")
 
 
-def _digest(config, script) -> tuple[str, str]:
-    trace = run_scenario(config, script)
+class _KeptLedger(Ledger):
+    """The ledger a run builds, kept so that its log can be read afterwards."""
+
+    last: Ledger | None = None
+
+    def __init__(self):
+        super().__init__()
+        _KeptLedger.last = self
+
+
+netsim.Ledger = _KeptLedger
+
+
+def _record(r) -> str:
+    fields = (repr(getattr(r, f.name)) for f in dataclasses.fields(r))
+    return " ".join([type(r).__name__, *fields])
+
+
+def _digest(config, script) -> tuple[str, str, str]:
+    trace = netsim.run_scenario(config, script)
     _, body = trace.serialize().split("\n", 1)  # the version line
     head, rest = body.split("[events]\n", 1)
     events, tail = rest.split("[gas]\n", 1)
@@ -53,10 +76,11 @@ def _digest(config, script) -> tuple[str, str]:
     outputs = "".join((head, "[events]\n", *(f"{e}\n" for e, _ in lines), "[gas]\n", tail,
                        summarize(trace)))
     hashes = "".join(f"{h}\n" for _, h in lines)
-    return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes))
+    log = "".join(f"{_record(r)}\n" for r in _KeptLedger.last.log)
+    return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes, log))
 
 
-def digests() -> dict[str, tuple[str, str]]:
+def digests() -> dict[str, tuple[str, str, str]]:
     out = {}
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -71,7 +95,7 @@ def digests() -> dict[str, tuple[str, str]]:
     return out
 
 
-def read_digests(path: str) -> dict[str, tuple[str, str]]:
+def read_digests(path: str) -> dict[str, tuple[str, str, str]]:
     with open(path, encoding="utf-8") as fh:
         rows = [line.rsplit(" ", len(PARTS)) for line in fh.read().splitlines() if line]
     return {key: tuple(parts) for key, *parts in rows}

@@ -60,7 +60,9 @@ class Action(Enum):
 @dataclass(frozen=True)
 class Rule:
     action: Action
-    target: int = 0  # node index or provider index; 0 = all corrupted
+    # node or provider index, 0 = every corrupted one; for a permute, the
+    # provider whose reports it swaps, 0 = provider 1
+    target: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,26 +74,22 @@ class AdversaryScript:
     rules: tuple[Rule, ...] = ()
     requires_shared_key: bool = False
 
-    def node_action(self, node_index: int, action: Action) -> bool:
-        return node_index in self.corrupted_nodes and self._aims_at(node_index, action)
+    def aims(self, r: Rule, at: int) -> bool:
+        """Whether rule ``r`` makes the script act at ``at``: a node or a
+        provider index, the provider whose reports a permute swaps, or 0 for
+        the server's other action and the consumer's."""
+        role = r.action.role
+        if role in ("node", "provider"):
+            actors = self.corrupted_nodes if role == "node" else self.tampered_providers
+            return at in actors and r.target in (0, at)
+        spot = (r.target or 1) if r.action is Action.PERMUTE else 0
+        return role in self.corrupted_roles and at == spot
 
-    def provider_action(self, provider_index: int, action: Action) -> bool:
-        return provider_index in self.tampered_providers and self._aims_at(provider_index, action)
-
-    def _aims_at(self, index: int, action: Action) -> bool:
-        return any(r.action is action and r.target in (0, index) for r in self.rules)
-
-    def role_action(self, action: Action) -> bool:
-        return action.role in self.corrupted_roles and self.rule_for(action) is not None
-
-    def rule_for(self, action: Action) -> Rule | None:
-        for r in self.rules:
-            if r.action is action:
-                return r
-        return None
+    def acts(self, action: Action, at: int) -> bool:
+        return any(r.action is action and self.aims(r, at) for r in self.rules)
 
     def validate(self, config: ScenarioConfig) -> None:
-        if self.role_action(Action.OVERSELL) and config.value_max >= 255:
+        if self.acts(Action.OVERSELL, 0) and config.value_max >= 255:
             raise ScriptError(f"{self.name}: overselling needs headroom above value_max")
         if len(self.corrupted_nodes) > config.max_faulty:
             raise ScriptError(
@@ -105,26 +103,24 @@ class AdversaryScript:
         if self.requires_shared_key and not config.shared_key:
             raise ScriptError(f"{self.name} requires the shared_key optimization")
         if sum(r.action is Action.PERMUTE for r in self.rules) > 1:
-            # the server applies the first permute rule only
+            # the server swaps the reports of one provider only
             raise ScriptError(f"{self.name}: more than one permute rule")
-        # a rule that can never fire would run as if no adversary were there
-        targets = {"node": self.corrupted_nodes, "provider": self.tampered_providers}
+        # a rule that can never fire would run as if no adversary were there:
+        # each must aim at a node or provider this config has, or at 0 for a
+        # role; a leak also needs a corrupted consumer, and a permute, which
+        # swaps nodes 2 and 3, needs N >= 3
         for r in self.rules:
-            role = r.action.role
-            if role in targets:  # target 0 aims at every corrupted node or tampered provider
-                fires = r.target in targets[role] if r.target else bool(targets[role])
-            else:
-                fires = role in self.corrupted_roles
+            last = config.n_nodes if r.action.role == "node" else config.providers
+            fires = any(self.aims(r, at) for at in range(last + 1))
             if r.action in (Action.LEAK_TO, Action.LEAK_KEY):
                 fires = fires and "consumer" in self.corrupted_roles
-            if r.action is Action.PERMUTE:  # swaps nodes 2 and 3 of one provider
-                provider = r.target or 1
-                fires = fires and config.n_nodes >= 3 and 1 <= provider <= config.providers
+            if r.action is Action.PERMUTE:
+                fires = fires and config.n_nodes >= 3
             if not fires:
                 raise ScriptError(f"{self.name}: {r.action.label} at {r.action.trigger} "
                                   f"(target {r.target}) can never fire")
         for i in sorted(self.tampered_providers):
-            if not self.provider_action(i, Action.TAMPER_TEE):
+            if not self.acts(Action.TAMPER_TEE, i):
                 raise ScriptError(f"{self.name}: tampering provider {i} can never fire "
                                   f"without a {Action.TAMPER_TEE.label} rule")
 

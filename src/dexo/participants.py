@@ -157,10 +157,8 @@ class PDAppServer:
 
     def _relay(self, sim: Simulator, reports: list[tee.AttestationReport]) -> None:
         destinations = {r.share.node_index: r for r in reports}
-        if self.script.role_action(Action.PERMUTE):
-            rule = self.script.rule_for(Action.PERMUTE)
-            if reports[0].share.provider_index == (rule.target or 1):
-                destinations[2], destinations[3] = destinations[3], destinations[2]
+        if self.script.acts(Action.PERMUTE, reports[0].share.provider_index):
+            destinations[2], destinations[3] = destinations[3], destinations[2]
         for node_index, report in sorted(destinations.items()):
             sim.send(self.name, f"node-{node_index}", "share_delivery", {"report": report})
 
@@ -189,7 +187,7 @@ class DexoNode:
         self.reveal_attempted = False
 
     def _act(self, action: Action) -> bool:
-        return self.script.node_action(self.index, action)
+        return self.script.acts(action, self.index)
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         handler = self._HANDLERS.get(msg.mtype)
@@ -204,6 +202,13 @@ class DexoNode:
             sim.monitor.record_share(share.provider_index, share.x_coordinate)
         if self._act(Action.LEAK_TO):
             sim.send(self.name, "consumer", "leaked_share", {"share": share})
+
+    def form_group(self, sim: Simulator, members: list[int]) -> None:
+        """Lead the priority group: draw its key and send it to ``members``."""
+        self.group_key = KeyMaterial(self.rng.randbytes(32))
+        self._maybe_leak_key(sim, self.group_key)
+        for j in members:
+            sim.send(self.name, f"node-{j}", "group_key", {"key": self.group_key})
 
     def _on_group_key(self, sim: Simulator, msg: Message) -> None:
         self.group_key = msg.payload["key"]
@@ -520,7 +525,7 @@ class Consumer(BuyerView):
 
     def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str,
                  registry: tee.AttestationRegistry):
-        super().__init__(config, refuses_payment=script.role_action(Action.REFUSE_PAYMENT))
+        super().__init__(config, refuses_payment=script.acts(Action.REFUSE_PAYMENT, 0))
         self.cid = cid
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
@@ -687,7 +692,7 @@ def stage0_setup(
 ) -> ProtocolSetup:
     """Install the trusted app on every device, attest, and deploy the contract."""
     config.validate()
-    oversold = script.role_action(Action.OVERSELL)
+    oversold = script.acts(Action.OVERSELL, 0)
 
     platform = tee.TeePlatform(rng=random.Random(sim.rng.getrandbits(64)))
     registry = tee.AttestationRegistry(
@@ -698,8 +703,7 @@ def stage0_setup(
 
     devices = []
     for i in range(1, config.providers + 1):
-        tampered = script.provider_action(i, Action.TAMPER_TEE)
-        eid = platform.install(RATIFIED_TA, tampered=tampered)
+        eid = platform.install(RATIFIED_TA, tampered=script.acts(Action.TAMPER_TEE, i))
         registry.register_key(platform.public_key(eid))
         raw = tee.encode_readings(_device_readings(config, sim.rng, oversold))
         device = DeviceHost(
@@ -751,12 +755,7 @@ def stage2_register(sim: Simulator, setup: ProtocolSetup) -> None:
     """
     group = setup.config.priority_group()
     if group:
-        leader = setup.nodes[group[0]]
-        group_key = KeyMaterial(leader.rng.randbytes(32))
-        leader.group_key = group_key
-        leader._maybe_leak_key(sim, group_key)
-        for j in group[1:]:
-            sim.send(leader.name, setup.nodes[j].name, "group_key", {"key": group_key})
+        setup.nodes[group[0]].form_group(sim, group[1:])
         sim.drain()
     for j in sorted(setup.nodes):
         sim.send("server", setup.nodes[j].name, "register", {})

@@ -162,8 +162,8 @@ def test_a_provider_or_node_pair_the_run_lacks_is_rejected():
 
 
 def test_a_second_permute_rule_is_rejected():
-    """The server swaps one provider's shares, by the first permute rule; a
-    second rule would run as if it were not there."""
+    """The server swaps one provider's shares, the one its single permute
+    rule names."""
     cfg = suite_config()  # 3 providers
     server = {"corrupted_roles": ["server"]}
     _script(["stage1_forward", "permute", 2], **server).validate(cfg)
