@@ -326,15 +326,24 @@ def texts(log: list, kind: type) -> tuple[str, ...]:
     return tuple(r.text for r in log if type(r) is kind)
 
 
-# deliveries one drain may make before the run is declared livelocked
-MAX_DRAIN_STEPS = 200_000
+# one drain may deliver this many times the honest run's message law
+# N·M + 4M + 4N + t before the run is declared livelocked; no known schedule
+# delivers more than 0.9 of it in one drain, or 1.3 of it in a whole run
+DRAIN_BUDGET_FACTOR = 4
+
+
+def drain_budget(config: ScenarioConfig) -> int:
+    n, m = config.n_nodes, config.providers
+    return DRAIN_BUDGET_FACTOR * (n * m + 4 * m + 4 * n + config.threshold)
 
 
 class Simulator:
-    def __init__(self, ledger: Ledger, rng: random.Random, monitor: CoalitionMonitor):
+    def __init__(self, ledger: Ledger, rng: random.Random, monitor: CoalitionMonitor,
+                 budget: int):
         self.ledger = ledger
         self.rng = rng
         self.monitor = monitor
+        self.budget = budget  # deliveries per drain, see drain_budget
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
         self.log = ledger.log  # the run log, shared with the ledger
@@ -370,7 +379,7 @@ class Simulator:
                     self.participants[name].on_message(self, msg)
                     delivered_any = True
                     steps += 1
-                    if steps > MAX_DRAIN_STEPS:
+                    if steps > self.budget:
                         raise InvariantViolation("message budget exceeded (livelock?)")
         return delivered_any
 
@@ -482,7 +491,7 @@ def run_scenario(
     rng = random.Random(config.seed)
     ledger = Ledger()
     monitor = CoalitionMonitor(config.threshold, config.sessions_required())
-    sim = Simulator(ledger, rng, monitor)
+    sim = Simulator(ledger, rng, monitor, drain_budget(config))
 
     setup = roles.stage0_setup(sim, config, script)
     roles.stage1_produce(sim, setup)

@@ -1,7 +1,7 @@
 """Participant state machines: provider devices, their server, oracle nodes,
 and the consumer, each driven purely by received messages and ledger state.
 
-Stage 0 installs the trusted app on every device and deploys the contract.
+Stage 0 builds the trusted app of every device and deploys the contract.
 Stage 1 solicits raw data; devices preprocess, share, and sign inside the
 TEE, and the server relays share j to node j. Stage 2 has each node attest
 every provider's report, encrypt its shares under a fresh (or group) key,
@@ -67,28 +67,26 @@ def _device_readings(config: ScenarioConfig, rng: random.Random, oversold: bool)
 
 
 class DeviceHost:
-    """Host side of one provider device; the TEE instance does the real work."""
+    """Host side of one provider device; its trusted app does the real work."""
 
     def __init__(
         self,
         provider_index: int,
-        platform: tee.TeePlatform,
-        eid: str,
+        app: tee.TeePlatform,
         raw: bytes,
         rule: tee.PreprocessingRule,
         config: ScenarioConfig,
     ):
         self.name = f"device-{provider_index}"
         self.provider_index = provider_index
-        self.platform = platform
-        self.eid = eid
+        self.app = app
         self.raw = raw
         self.rule = rule
         self.config = config
 
     def on_message(self, sim: Simulator, msg: Message) -> None:
         if msg.mtype == "attest":
-            measurement, sig, mpk = self.platform.resume_attest(self.eid)
+            measurement, sig, mpk = self.app.resume_attest()
             sim.send(
                 self.name,
                 msg.sender,
@@ -97,8 +95,7 @@ class DeviceHost:
                  "signature": sig, "mpk": mpk},
             )
         elif msg.mtype == "solicit":
-            reports = self.platform.resume_gendata(
-                self.eid,
+            reports = self.app.resume_gendata(
                 n=self.config.n_nodes,
                 t=self.config.threshold,
                 raw=self.raw,
@@ -219,10 +216,11 @@ class DexoNode:
             sim.send(self.name, "consumer", "leaked_key", {"key": key})
 
     def _on_register(self, sim: Simulator, msg: Message) -> None:
+        reports = [self.received[p] for p in sorted(self.received)]
+        self.received.clear()  # registration is their only reader
         if self._act(Action.REFUSE_REGISTER):
             sim.note(f"{self.name}: refused to register")
             return
-        reports = [self.received[p] for p in sorted(self.received)]
         failed = [r for r in reports if not tee.attest_report(self.registry, r)]
         for report in failed:
             sim.note(f"{self.name}: attestation failed for provider "
@@ -690,11 +688,11 @@ class ProtocolSetup:
 def stage0_setup(
     sim: Simulator, config: ScenarioConfig, script: AdversaryScript
 ) -> ProtocolSetup:
-    """Install the trusted app on every device, attest, and deploy the contract."""
+    """Build the trusted app of every device, attest, and deploy the contract."""
     config.validate()
     oversold = script.acts(Action.OVERSELL, 0)
 
-    platform = tee.TeePlatform(rng=random.Random(sim.rng.getrandbits(64)))
+    platform = random.Random(sim.rng.getrandbits(64))  # every device's app draws here
     registry = tee.AttestationRegistry(
         expected_measurement=tee.measure(RATIFIED_TA)
     )
@@ -703,13 +701,13 @@ def stage0_setup(
 
     devices = []
     for i in range(1, config.providers + 1):
-        eid = platform.install(RATIFIED_TA, tampered=script.acts(Action.TAMPER_TEE, i))
-        registry.register_key(platform.public_key(eid))
+        app = tee.TeePlatform(platform, RATIFIED_TA,
+                              tampered=script.acts(Action.TAMPER_TEE, i))
+        registry.register_key(app.public_key)
         raw = tee.encode_readings(_device_readings(config, sim.rng, oversold))
         device = DeviceHost(
             provider_index=i,
-            platform=platform,
-            eid=eid,
+            app=app,
             raw=raw,
             rule=_device_rule(config, oversold),
             config=config,

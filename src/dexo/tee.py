@@ -1,14 +1,16 @@
 """Software stand-in for attested execution on provider devices.
 
-Each device hosts one trusted-application instance that preprocesses raw
-readings and secret-shares the formatted datum. It commits to every share
-under a fresh salt, builds one Merkle tree over the commitments in node
-order, and signs the root together with a runtime measurement, once per
-datum. The attestation registry plays the vendor service: it accepts a
-report iff the share's opening leads to a root whose signature verifies
-under a registered platform key and the measurement equals the ratified
-value. A tampered instance is modeled by a flag that perturbs its
-measurement, which is exactly what registration is meant to catch.
+Each provider device runs one trusted app, a :class:`TeePlatform`, that
+preprocesses raw readings and secret-shares the formatted datum. Its key,
+salts and shares come from randomness it draws from the run's platform
+stream when stage 0 builds it. It commits to every share under a fresh
+salt, builds one Merkle tree over the commitments in node order, and signs
+the root together with a runtime measurement, once per datum. The
+attestation registry plays the vendor service: it accepts a report iff the
+share's opening leads to a root whose signature verifies under a registered
+platform key and the measurement equals the ratified value. A tampered app
+is modeled by a flag that perturbs its measurement, which is exactly what
+registration is meant to catch.
 
 A node passes its shares' openings on to the consumer in one openings blob:
 :func:`seal_openings` builds it from the node's reports and
@@ -39,7 +41,6 @@ from .crypto import (
     KeyMaterial,
     MerkleProof,
     SecretShare,
-    SignatureKeyPair,
     create_shares,
     generate_keypair,
     keystream_xor,
@@ -53,10 +54,6 @@ from .crypto import (
 
 
 class TeeError(Exception):
-    pass
-
-
-class UnknownEidError(TeeError):
     pass
 
 
@@ -135,7 +132,7 @@ def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
     return capped.translate(clamp)
 
 
-# ---------------------------------------------------------------- instances
+# ---------------------------------------------------------------- attestation
 
 TA_VERSION = b"1"
 
@@ -306,80 +303,59 @@ def open_openings(
     return reports
 
 
-@dataclass
-class TeeInstance:
-    keypair: SignatureKeyPair = field(repr=False)
-    measurement: RuntimeMeasurement
-    salt_key: bytes = field(repr=False)
-    rounds: int = 0
-    _rng: random.Random = field(default=None, repr=False)
+# ---------------------------------------------------------------- the trusted app
 
 
 class TeePlatform:
-    """Host for TEE instances; one install per device, one resume at a time."""
+    """The trusted app of one provider device, resumed one call at a time.
 
-    def __init__(self, rng: random.Random | int = 0):
-        self._rng = random.Random(rng) if isinstance(rng, int) else rng
-        self._instances: dict[str, TeeInstance] = {}
-        self._counter = 0
+    It draws its keypair seed, then the seed of its share stream, from
+    ``rng``, the run's platform stream: stage 0 builds every device's app
+    from that one stream, in provider order. The salt key is derived from
+    the keypair seed, so salting draws nothing.
+    """
 
-    def install(self, descriptor: bytes, tampered: bool = False) -> str:
+    def __init__(self, rng: random.Random, descriptor: bytes, tampered: bool = False):
         if not descriptor:
             raise TeeError("program descriptor must be nonempty")
-        self._counter += 1
-        eid = f"tee-{self._counter}"
-        seed = self._rng.randbytes(32)
-        self._instances[eid] = TeeInstance(
-            keypair=generate_keypair(seed),
-            measurement=measure(descriptor, tampered=tampered),
-            salt_key=sha256(TAG_SALT, seed),
-            _rng=random.Random(self._rng.getrandbits(64)),
-        )
-        return eid
+        seed = rng.randbytes(32)
+        self.keypair = generate_keypair(seed)
+        self.public_key = self.keypair.public_key
+        self.measurement = measure(descriptor, tampered=tampered)
+        self.salt_key = sha256(TAG_SALT, seed)
+        self.rounds = 0
+        self._rng = random.Random(rng.getrandbits(64))
 
-    def _instance(self, eid: str) -> TeeInstance:
-        try:
-            return self._instances[eid]
-        except KeyError:
-            raise UnknownEidError(f"no instance {eid!r}") from None
-
-    def public_key(self, eid: str) -> bytes:
-        return self._instance(eid).keypair.public_key
-
-    def resume_attest(self, eid: str) -> tuple[RuntimeMeasurement, bytes, bytes]:
-        inst = self._instance(eid)
-        sig = sign(inst.keypair.private_key, inst.measurement.digest)
-        return inst.measurement, sig, inst.keypair.public_key
+    def resume_attest(self) -> tuple[RuntimeMeasurement, bytes, bytes]:
+        sig = sign(self.keypair.private_key, self.measurement.digest)
+        return self.measurement, sig, self.public_key
 
     def resume_gendata(
         self,
-        eid: str,
         n: int,
         t: int,
         raw: bytes,
         rule: PreprocessingRule,
         provider_index: int = 1,
     ) -> list[AttestationReport]:
-        """Preprocess, share, and sign inside the instance.
+        """Preprocess, share, and sign inside the app.
 
         Report j carries share j, destined for node j. Its salt is derived
-        from the instance's secret, the datum's round and j, so the platform
+        from the app's secret, the datum's round and j, so the platform
         and share randomness are untouched. One signature covers the Merkle
         root of the salted share commitments together with the runtime
         measurement.
         """
-        inst = self._instance(eid)
         datum = preprocess(raw, rule)
-        shares = create_shares(t, n, datum, rng=inst._rng, provider_index=provider_index)
-        inst.rounds += 1
-        prefix = inst.salt_key + inst.rounds.to_bytes(8, "big")
+        shares = create_shares(t, n, datum, rng=self._rng, provider_index=provider_index)
+        self.rounds += 1
+        prefix = self.salt_key + self.rounds.to_bytes(8, "big")
         salts = [sha256(prefix, s.node_index.to_bytes(2, "big")) for s in shares]
         root, proofs = merkle_proofs(
             [share_commitment(salt, s) for salt, s in zip(salts, shares)]
         )
-        signature = sign(inst.keypair.private_key, root.digest + inst.measurement.digest)
-        public_key = inst.keypair.public_key
+        signature = sign(self.keypair.private_key, root.digest + self.measurement.digest)
         return [
-            AttestationReport(s, inst.measurement, signature, public_key, salt, proof)
+            AttestationReport(s, self.measurement, signature, self.public_key, salt, proof)
             for s, salt, proof in zip(shares, salts, proofs)
         ]

@@ -5,7 +5,18 @@ from __future__ import annotations
 import random
 
 from dexo.config import ScenarioConfig
-from dexo.netsim import Action, AdversaryScript, Rule, ScriptError, Trace, standard_scripts
+from dexo.ledger import Ledger
+from dexo.netsim import (
+    Action,
+    AdversaryScript,
+    CoalitionMonitor,
+    Rule,
+    ScriptError,
+    Simulator,
+    Trace,
+    drain_budget,
+    standard_scripts,
+)
 
 
 def suite_config(**overrides) -> ScenarioConfig:
@@ -25,6 +36,14 @@ def suite_config(**overrides) -> ScenarioConfig:
     )
     params.update(overrides)
     return ScenarioConfig(**params)
+
+
+def simulator(config: ScenarioConfig) -> Simulator:
+    """The simulator ``run_scenario`` builds for ``config``, for tests that
+    drive the stages by hand."""
+    return Simulator(Ledger(), random.Random(config.seed),
+                     CoalitionMonitor(config.threshold, config.sessions_required()),
+                     drain_budget(config))
 
 
 def random_script(rng: random.Random, cfg: ScenarioConfig) -> AdversaryScript:

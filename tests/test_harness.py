@@ -562,11 +562,12 @@ def test_contract_dump_matches_golden():
 
     from dexo import participants as roles
     from dexo.ledger import Ledger
-    from dexo.netsim import CoalitionMonitor, Simulator, resolve_script
+    from dexo.netsim import CoalitionMonitor, Simulator, drain_budget, resolve_script
 
     cfg = ScenarioConfig(n_nodes=3, threshold=2, max_faulty=1, providers=2,
                          datum_size_bytes=4, seed=77)
-    sim = Simulator(Ledger(), random.Random(cfg.seed), CoalitionMonitor(2, 2))
+    sim = Simulator(Ledger(), random.Random(cfg.seed), CoalitionMonitor(2, 2),
+                    drain_budget(cfg))
     setup = roles.stage0_setup(sim, cfg, resolve_script(cfg))
     roles.stage1_produce(sim, setup)
     roles.stage2_register(sim, setup)

@@ -1,6 +1,7 @@
 """Simulator determinism, replay, script catalog, and config handling."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,16 @@ from dexo.netsim import (
     CoalitionMonitor,
     Rule,
     ScriptError,
+    Sent,
     _payload_digest,
+    drain_budget,
     parse_trace_header,
     replay,
     resolve_script,
     run_scenario,
     standard_scripts,
 )
+from dexo.participants import stage0_setup, stage1_produce
 from dexo.tee import (
     AttestationReport,
     PreprocessingRule,
@@ -31,7 +35,7 @@ from dexo.tee import (
     encode_readings,
 )
 from oracles import oracle_payload_digest
-from scenarioutil import random_cases, suite_config
+from scenarioutil import random_cases, simulator, suite_config
 
 STANDARD_NAMES = [
     "HONEST",
@@ -236,6 +240,48 @@ def test_a_run_whose_coalition_reaches_the_threshold_raises(monkeypatch):
 def test_script_dict_roundtrip():
     for script in standard_scripts(suite_config()).values():
         assert AdversaryScript.from_dict(script.to_dict()) == script
+
+
+# ---------------------------------------------------------------- drain budget
+
+
+class _Echo:
+    """Answers every message with one to its peer, forever."""
+
+    def __init__(self, name: str, peer: str):
+        self.name, self.peer = name, peer
+
+    def on_message(self, sim, msg) -> None:
+        sim.send(self.name, self.peer, "echo", {})
+
+
+def test_participants_that_echo_forever_exceed_the_drain_budget():
+    config = suite_config()
+    sim = simulator(config)
+    sim.register(_Echo("a", "b"))
+    sim.register(_Echo("b", "a"))
+    sim.send("a", "b", "echo", {})
+    with pytest.raises(InvariantViolation, match="message budget exceeded"):
+        sim.drain()
+    # the first message, then one more per delivery, the last one over budget
+    assert len(sim.log) == 1 + drain_budget(config) + 1
+
+
+def test_the_drain_budget_covers_stage1_of_the_largest_admitted_datums():
+    """Stage 1 delivers in one drain M solicitations, M device replies and
+    N·M share deliveries; at N=255, M=800 that is more than the fixed
+    200,000 deliveries the budget once was."""
+    config = suite_config()
+    sim = simulator(config)
+    setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
+    before = len(sim.log)
+    stage1_produce(sim, setup)
+    n, m = config.n_nodes, config.providers
+    assert [type(r) for r in sim.log[before:]] == [Sent] * (n * m + 2 * m)
+    wide = ScenarioConfig(n_nodes=255, threshold=128, max_faulty=127, providers=800,
+                          datum_size_bytes=1, value_max=255)
+    wide.validate()
+    assert drain_budget(wide) >= 255 * 800 + 2 * 800 > 200_000
 
 
 # ---------------------------------------------------------------- config
@@ -455,11 +501,9 @@ def _one_byte_flips(value: bytes) -> list[bytes]:
 
 
 def test_flipping_any_byte_of_a_relayed_report_changes_its_digest():
-    platform = TeePlatform(rng=31)
-    eid = platform.install(b"ta")
+    app = TeePlatform(random.Random(31), b"ta")
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    report = platform.resume_gendata(eid, n=5, t=3, raw=encode_readings([5, 6, 7]),
-                                     rule=rule)[2]
+    report = app.resume_gendata(n=5, t=3, raw=encode_readings([5, 6, 7]), rule=rule)[2]
     share, proof = report.share, report.proof
     assert len(proof.siblings) == 3
     altered = [dataclasses.replace(report, share=dataclasses.replace(share, y_values=y))

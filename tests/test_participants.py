@@ -1,17 +1,14 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
-import random
-
 import pytest
 
 from dexo import participants, tee, wire
 from dexo.config import ScenarioConfig
 from dexo.crypto import SecretShare, primitives
-from dexo.ledger import Ledger, SessionStatus
+from dexo.ledger import SessionStatus
 from dexo.netsim import (
     Action,
     AdversaryScript,
-    CoalitionMonitor,
     Dispute,
     Note,
     Rule,
@@ -33,6 +30,7 @@ from scenarioutil import (
     assert_fair_exchange,
     count_calls,
     full_range_cases,
+    simulator,
     suite_config,
 )
 
@@ -41,9 +39,7 @@ def _staged_run(config: ScenarioConfig, script: AdversaryScript | None = None):
     """Drive the stages by hand so tests can inspect participant internals."""
     script = script or standard_scripts(config)[config.adversary]
     script.validate(config)
-    rng = random.Random(config.seed)
-    sim = Simulator(Ledger(), rng,
-                    CoalitionMonitor(config.threshold, config.sessions_required()))
+    sim = simulator(config)
     setup = stage0_setup(sim, config, script)
     stage1_produce(sim, setup)
     stage2_register(sim, setup)
@@ -55,8 +51,10 @@ def _staged_run(config: ScenarioConfig, script: AdversaryScript | None = None):
 
 
 def test_stage1_every_node_holds_one_share_per_provider():
-    sim, setup = _staged_run(suite_config(providers=2, n_nodes=3, threshold=2,
-                                          max_faulty=1))
+    config = suite_config(providers=2, n_nodes=3, threshold=2, max_faulty=1)
+    sim = simulator(config)
+    setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
+    stage1_produce(sim, setup)
     for node in setup.nodes.values():
         assert sorted(node.received) == [1, 2]
         for provider, report in node.received.items():
@@ -145,19 +143,45 @@ def test_shared_key_reduces_sessions():
     assert outcome.reconstruction_valid
 
 
-def test_one_root_verification_per_datum(monkeypatch):
-    n, t, m = 10, 6, 7
-    calls = count_calls(monkeypatch, tee, "verify", "sign", "attest_report")
-    cfg = ScenarioConfig(n_nodes=n, threshold=t, max_faulty=4, providers=m,
-                         value_max=100, seed=19)
+# honest configs (N, t, F, M, overrides): each one's run performs the
+# per-run operation laws exactly
+OPERATION_LAW_CONFIGS = {
+    "n5": (5, 3, 2, 3, {}),
+    "n10": (10, 6, 4, 7, {}),
+    "n20_m60_100B_full_range": (20, 14, 6, 60, dict(datum_size_bytes=100, value_max=255)),
+    "n10_shared_key": (10, 6, 4, 4, dict(shared_key=True)),
+    "n7_unmerged": (7, 4, 3, 3, dict(merged_query=False)),
+}
+
+
+@pytest.mark.parametrize("params", OPERATION_LAW_CONFIGS.values(),
+                         ids=list(OPERATION_LAW_CONFIGS))
+def test_one_root_verification_per_datum(monkeypatch, params):
+    n, t, f, m, overrides = params
+    calls = count_calls(monkeypatch, tee, "generate_keypair", "verify", "sign",
+                        "attest_report")
+    # the payloads are encrypted through participants' binding, the salts
+    # of the openings through tee's, and no keystream runs through wire's
+    streams = {module: count_calls(monkeypatch, module, "keystream_xor")["keystream_xor"]
+               for module in (participants, tee, wire)}
+    cfg = ScenarioConfig(n_nodes=n, threshold=t, max_faulty=f, providers=m,
+                         seed=19, **{"value_max": 100, **overrides})
     outcome = run_scenario(cfg).outcome
     assert outcome.reconstruction_valid
+    assert len(calls["generate_keypair"]) == m  # one trusted app per device
     # every node opens every share it holds, and the consumer each share it buys
     assert len(calls["attest_report"]) == (n + t) * m
     assert len(calls["verify"]) == m  # but each datum's root is verified once
     assert len(set(calls["verify"])) == m
     # one attestation answer and one root signature per device
     assert len(calls["sign"]) == 2 * m
+    # N nodes encrypt, and the consumer decrypts t, one payload and one
+    # openings blob each
+    payloads, salts = streams[participants], streams[tee]
+    assert len(payloads) == len(salts) == n + t and not streams[wire]
+    record = wire.record_length(cfg.datum_size_bytes)
+    assert sum(len(args[1]) for args in payloads) == (n + t) * m * record
+    assert sum(len(args[1]) for args in salts) == (n + t) * 32 * m
 
 
 def test_altered_shares_cost_no_verification(monkeypatch):
@@ -341,8 +365,7 @@ def test_unauthenticated_consistent_node_is_never_refunded():
         corrupted_nodes=frozenset({1, 2, 3}),
         rules=(Rule(Action.SUBSTITUTE_SHARE, 1), Rule(Action.SUBSTITUTE_SHARE, 2)),
     )
-    sim = Simulator(Ledger(), random.Random(config.seed),
-                    CoalitionMonitor(config.threshold, config.threshold))
+    sim = simulator(config)
     setup = stage0_setup(sim, config, script)
     stage1_produce(sim, setup)
     stage2_register(sim, setup)
@@ -361,8 +384,7 @@ def test_registration_encrypts_the_payload_and_the_salts_only(monkeypatch):
     """A node encrypts its share records and one 32-byte salt per provider;
     the rest of its openings blob travels in the clear."""
     config = suite_config(seed=4)
-    sim = Simulator(Ledger(), random.Random(config.seed),
-                    CoalitionMonitor(config.threshold, config.sessions_required()))
+    sim = simulator(config)
     setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
     stage1_produce(sim, setup)
     encrypted = []
@@ -381,11 +403,15 @@ def test_registration_encrypts_the_payload_and_the_salts_only(monkeypatch):
 
 def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     delivered = []
+    received = {}  # by node name, then by provider
     send = Simulator.send
 
     def capture(self, sender, receiver, mtype, payload):
         if mtype == "ciphertext":
             delivered.append((sender, payload))
+        elif mtype == "share_delivery":
+            report = payload["report"]
+            received.setdefault(receiver, {})[report.share.provider_index] = report
         send(self, sender, receiver, mtype, payload)
 
     monkeypatch.setattr(Simulator, "send", capture)
@@ -396,19 +422,20 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     nonce = wire.payload_nonce(sim.ledger.contracts[setup.cid].tid)
     nodes = {node.name: node for node in setup.nodes.values()}
     for sender, payload in delivered:
-        node = nodes[sender]
+        node, reports = nodes[sender], received[sender]
         blob = payload["openings"]
         assert len(blob) == config.providers * width
-        for provider, report in node.received.items():
+        assert sorted(reports) == list(range(1, config.providers + 1))
+        for provider, report in reports.items():
             at = (provider - 1) * width
             assert blob[at : at + 32] == report.platform_public_key
             assert blob[at + 32 : at + 96] == report.signature
             assert blob[at + 96 : at + 128] != report.salt
             assert blob[at + 128 : at + width] == b"".join(report.proof.siblings)
-        shares = {p: r.share for p, r in node.received.items()}
+        shares = {p: r.share for p, r in reports.items()}
         opened = tee.open_openings(blob, shares, node.key, nonce, node.index,
                                    config.n_nodes, setup.registry.expected_measurement)
-        assert opened == node.received
+        assert opened == reports
     consumer = setup.consumer
     assert consumer.node_shares
     assert consumer.authentic == {
@@ -422,8 +449,7 @@ def test_a_node_speaks_only_for_itself():
     nodes' deliveries are still verified and bought."""
     for seed in range(3):
         config = suite_config(seed=seed)
-        sim = Simulator(Ledger(), random.Random(config.seed),
-                        CoalitionMonitor(config.threshold, config.sessions_required()))
+        sim = simulator(config)
         setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
         stage1_produce(sim, setup)
         stage2_register(sim, setup)
@@ -451,13 +477,13 @@ def test_a_node_files_each_report_under_its_own_provider(monkeypatch):
 
     monkeypatch.setattr(Simulator, "send", swapping)
     config = suite_config(seed=3)
-    sim = Simulator(Ledger(), random.Random(config.seed),
-                    CoalitionMonitor(config.threshold, config.sessions_required()))
+    sim = simulator(config)
     setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
     stage1_produce(sim, setup)
-    stage2_register(sim, setup)
     node = setup.nodes[4]
     shares = {r.share.provider_index: r.share for r in node.received.values()}
+    stage2_register(sim, setup)
+    assert not node.received  # released once sealed
     opened = tee.open_openings(
         node.openings, shares, node.key, wire.payload_nonce(sim.ledger.contracts[setup.cid].tid),
         node.index, config.n_nodes, setup.registry.expected_measurement,

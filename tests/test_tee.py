@@ -15,7 +15,7 @@ from dexo.tee import (
     PreprocessingFailure,
     PreprocessingRule,
     TeePlatform,
-    UnknownEidError,
+    TeeError,
     attest_report,
     encode_readings,
     measure,
@@ -30,12 +30,11 @@ from test_write_once import WRITE_ONCE
 RATIFIED = b"trusted-data-formatter"
 
 
-def _platform_with_registry(seed=1, tampered=False):
-    platform = TeePlatform(rng=seed)
-    eid = platform.install(RATIFIED, tampered=tampered)
+def _app_with_registry(seed=1, tampered=False):
+    app = TeePlatform(random.Random(seed), RATIFIED, tampered=tampered)
     registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
-    registry.register_key(platform.public_key(eid))
-    return platform, eid, registry
+    registry.register_key(app.public_key)
+    return app, registry
 
 
 # ---------------------------------------------------------------- rules
@@ -91,69 +90,64 @@ def test_raw_length_must_match_reading_width():
         preprocess(b"\x01\x02\x03", rule)
 
 
-# ---------------------------------------------------------------- install/attest
+# ---------------------------------------------------------------- build/attest
 
 
-def test_install_twice_gives_distinct_eids_and_keys():
-    platform = TeePlatform(rng=2)
-    e1, e2 = platform.install(RATIFIED), platform.install(RATIFIED)
-    assert e1 != e2
-    _, _, mpk1 = platform.resume_attest(e1)
-    _, _, mpk2 = platform.resume_attest(e2)
+def test_two_apps_from_one_platform_stream_have_distinct_keys():
+    platform = random.Random(2)
+    a, b = TeePlatform(platform, RATIFIED), TeePlatform(platform, RATIFIED)
+    _, _, mpk1 = a.resume_attest()
+    _, _, mpk2 = b.resume_attest()
     assert mpk1 != mpk2
 
 
 def test_same_descriptor_same_measurement():
-    platform = TeePlatform(rng=3)
-    e1, e2 = platform.install(RATIFIED), platform.install(RATIFIED)
-    m1, _, _ = platform.resume_attest(e1)
-    m2, _, _ = platform.resume_attest(e2)
+    platform = random.Random(3)
+    a, b = TeePlatform(platform, RATIFIED), TeePlatform(platform, RATIFIED)
+    m1, _, _ = a.resume_attest()
+    m2, _, _ = b.resume_attest()
     assert m1 == m2 == measure(RATIFIED)
 
 
 def test_tampered_instance_measurement_differs():
-    platform = TeePlatform(rng=4)
-    eid = platform.install(RATIFIED, tampered=True)
-    m, _, _ = platform.resume_attest(eid)
+    m, _, _ = TeePlatform(random.Random(4), RATIFIED, tampered=True).resume_attest()
     assert m != measure(RATIFIED)
 
 
 def test_attest_against_registry():
-    platform, eid, registry = _platform_with_registry(seed=5)
-    measurement, _, mpk = platform.resume_attest(eid)
+    app, registry = _app_with_registry(seed=5)
+    measurement, _, mpk = app.resume_attest()
     assert registry.admits(mpk, measurement)
 
 
 def test_tampered_instance_rejected_by_registry():
-    platform, eid, registry = _platform_with_registry(seed=6, tampered=True)
-    measurement, _, mpk = platform.resume_attest(eid)
+    app, registry = _app_with_registry(seed=6, tampered=True)
+    measurement, _, mpk = app.resume_attest()
     assert not registry.admits(mpk, measurement)
 
 
 def test_unregistered_key_rejected():
-    platform = TeePlatform(rng=7)
-    eid = platform.install(RATIFIED)
+    app = TeePlatform(random.Random(7), RATIFIED)
     registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
-    measurement, _, mpk = platform.resume_attest(eid)
+    measurement, _, mpk = app.resume_attest()
     assert not registry.admits(mpk, measurement)
 
 
-def test_unknown_eid():
-    platform = TeePlatform(rng=8)
-    with pytest.raises(UnknownEidError):
-        platform.resume_attest("tee-404")
+def test_empty_descriptor_rejected():
+    with pytest.raises(TeeError):
+        TeePlatform(random.Random(8), b"")
 
 
 # ---------------------------------------------------------------- gendata
 
 
 def test_gendata_shares_reconstruct_to_preprocessed_datum():
-    platform, eid, registry = _platform_with_registry(seed=9)
+    app, registry = _app_with_registry(seed=9)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
     raw = encode_readings([17, 42, 99])
-    reports = platform.resume_gendata(eid, n=3, t=2, raw=raw, rule=rule)
+    reports = app.resume_gendata(n=3, t=2, raw=raw, rule=rule)
     shares = [r.share for r in reports]
-    mpk = platform.public_key(eid)
+    mpk = app.public_key
     assert [s.node_index for s in shares] == [1, 2, 3]
     for pick in ([0, 1], [0, 2], [1, 2]):
         got = reconstruct(2, 3, [shares[i] for i in pick])
@@ -168,8 +162,8 @@ def test_gendata_is_deterministic_for_fixed_seed():
     raw = encode_readings([1, 2, 3, 4])
 
     def run():
-        platform, eid, _ = _platform_with_registry(seed=10)
-        return platform.resume_gendata(eid, n=4, t=2, raw=raw, rule=rule)
+        app, _ = _app_with_registry(seed=10)
+        return app.resume_gendata(n=4, t=2, raw=raw, rule=rule)
 
     r1, r2 = run(), run()
     assert [r.share for r in r1] == [r.share for r in r2]
@@ -179,11 +173,9 @@ def test_gendata_is_deterministic_for_fixed_seed():
 
 def test_post_hoc_share_mutation_rejected():
     # source verifiability: a report only attests the exact share it signed
-    platform, eid, registry = _platform_with_registry(seed=11)
+    app, registry = _app_with_registry(seed=11)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    reports = platform.resume_gendata(
-        eid, n=3, t=2, raw=encode_readings([5]), rule=rule
-    )
+    reports = app.resume_gendata(n=3, t=2, raw=encode_readings([5]), rule=rule)
     report = reports[0]
     mutated_share = dataclasses.replace(
         report.share, y_values=bytes([report.share.y_values[0] ^ 1])
@@ -194,54 +186,47 @@ def test_post_hoc_share_mutation_rejected():
 
 
 def test_report_from_tampered_platform_rejected():
-    platform, eid, registry = _platform_with_registry(seed=12, tampered=True)
+    app, registry = _app_with_registry(seed=12, tampered=True)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    reports = platform.resume_gendata(
-        eid, n=3, t=2, raw=encode_readings([5]), rule=rule
-    )
-    registry.register_key(platform.public_key(eid))
+    reports = app.resume_gendata(n=3, t=2, raw=encode_readings([5]), rule=rule)
+    registry.register_key(app.public_key)
     assert all(not attest_report(registry, r) for r in reports)
 
 
 def test_private_key_never_leaves_instance():
-    platform, eid, _ = _platform_with_registry(seed=13)
-    inst = platform._instance(eid)
-    msk_bytes = inst.keypair.private_key.private_bytes_raw()
+    app, _ = _app_with_registry(seed=13)
+    msk_bytes = app.keypair.private_key.private_bytes_raw()
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    reports = platform.resume_gendata(
-        eid, n=3, t=2, raw=encode_readings([5, 6]), rule=rule
-    )
-    measurement, sig, mpk = platform.resume_attest(eid)
+    reports = app.resume_gendata(n=3, t=2, raw=encode_readings([5, 6]), rule=rule)
+    measurement, sig, mpk = app.resume_attest()
     blobs = [mpk, sig, measurement.digest]
     blobs += [tee.wire.encode_share(r.share) for r in reports]
     blobs += [r.platform_public_key for r in reports]
     blobs += [r.signature for r in reports] + [r.salt for r in reports]
     for blob in blobs:
         assert msk_bytes not in blob
-        assert inst.salt_key not in blob
+        assert app.salt_key not in blob
 
 
 def test_empty_raw_rejected():
-    platform, eid, _ = _platform_with_registry(seed=14)
+    app, _ = _app_with_registry(seed=14)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
     with pytest.raises(PreprocessingFailure):
-        platform.resume_gendata(eid, n=3, t=2, raw=b"", rule=rule)
+        app.resume_gendata(n=3, t=2, raw=b"", rule=rule)
 
 
 # ---------------------------------------------------------------- share openings
 
 
 def _reports(seed, readings=(5, 6), n=5, t=3):
-    platform, eid, registry = _platform_with_registry(seed=seed)
+    app, registry = _app_with_registry(seed=seed)
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
-    reports = platform.resume_gendata(
-        eid, n=n, t=t, raw=encode_readings(list(readings)), rule=rule
-    )
-    return platform, eid, registry, rule, reports
+    reports = app.resume_gendata(n=n, t=t, raw=encode_readings(list(readings)), rule=rule)
+    return app, registry, rule, reports
 
 
 def test_one_signature_per_datum_with_distinct_salts():
-    _, _, registry, _, reports = _reports(seed=20)
+    _, registry, _, reports = _reports(seed=20)
     assert len({r.signature for r in reports}) == 1
     assert len({r.salt for r in reports}) == len(reports)
     assert [r.proof.leaf_index for r in reports] == list(range(5))
@@ -251,16 +236,14 @@ def test_one_signature_per_datum_with_distinct_salts():
 
 
 def test_salts_differ_between_data_of_one_device():
-    platform, eid, _, rule, first = _reports(seed=21)
-    second = platform.resume_gendata(
-        eid, n=5, t=3, raw=encode_readings([5, 6]), rule=rule
-    )
+    app, _, rule, first = _reports(seed=21)
+    second = app.resume_gendata(n=5, t=3, raw=encode_readings([5, 6]), rule=rule)
     assert {r.salt for r in first}.isdisjoint(r.salt for r in second)
     assert first[0].signature != second[0].signature
 
 
 def test_altered_salt_rejected():
-    _, _, registry, _, reports = _reports(seed=22)
+    _, registry, _, reports = _reports(seed=22)
     report = reports[1]
     assert attest_report(registry, report)  # the root's verdict is now remembered
     salt = bytes([report.salt[0] ^ 1]) + report.salt[1:]
@@ -269,10 +252,8 @@ def test_altered_salt_rejected():
 
 
 def test_proof_from_another_datum_of_the_device_rejected():
-    platform, eid, registry, rule, first = _reports(seed=23)
-    second = platform.resume_gendata(
-        eid, n=5, t=3, raw=encode_readings([7, 8]), rule=rule
-    )
+    app, registry, rule, first = _reports(seed=23)
+    second = app.resume_gendata(n=5, t=3, raw=encode_readings([7, 8]), rule=rule)
     report, other = first[2], second[2]
     assert attest_report(registry, report) and attest_report(registry, other)
     assert not attest_report(registry, dataclasses.replace(report, proof=other.proof))
@@ -287,7 +268,7 @@ def test_proof_from_another_datum_of_the_device_rejected():
 
 
 def test_relabeled_share_rejected():
-    _, _, registry, _, reports = _reports(seed=24)
+    _, registry, _, reports = _reports(seed=24)
     report, neighbour = reports[0], reports[1]
     relabeled = dataclasses.replace(report.share, node_index=2)
     # the leaf index follows the label, so the old path no longer applies
@@ -305,15 +286,13 @@ def test_relabeled_share_rejected():
 
 
 def test_forged_root_signature_rejected():
-    _, _, registry, _, reports = _reports(seed=25)
+    _, registry, _, reports = _reports(seed=25)
     report = reports[3]
     forged = bytes([report.signature[0] ^ 1]) + report.signature[1:]
     assert attest_report(registry, report)
     assert not attest_report(registry, dataclasses.replace(report, signature=forged))
     # a second genuine device cannot vouch for the first one's root
-    platform = TeePlatform(rng=99)
-    other = platform.install(RATIFIED)
-    _, _, other_key = platform.resume_attest(other)
+    _, _, other_key = TeePlatform(random.Random(99), RATIFIED).resume_attest()
     registry.register_key(other_key)
     assert not attest_report(
         registry, dataclasses.replace(report, platform_public_key=other_key)
@@ -321,7 +300,7 @@ def test_forged_root_signature_rejected():
 
 
 def test_verdicts_belong_to_one_registry():
-    _, _, registry, _, reports = _reports(seed=26)
+    _, registry, _, reports = _reports(seed=26)
     assert attest_report(registry, reports[0])
     fresh = AttestationRegistry(
         genuine_keys=set(registry.genuine_keys),
@@ -333,7 +312,7 @@ def test_verdicts_belong_to_one_registry():
 
 
 def test_slotted_values_survive_pickling():
-    _, _, registry, _, reports = _reports(seed=27)
+    _, registry, _, reports = _reports(seed=27)
     report = reports[4]
     values = (
         report, report.share, report.proof,
@@ -359,15 +338,15 @@ def test_slotted_values_survive_pickling():
 def _node_reports(n, node, providers=3):
     """Node ``node``'s report from each of ``providers`` devices sharing
     among ``n`` nodes, in provider order."""
-    platform = TeePlatform(rng=n)
+    platform = random.Random(n)
     registry = AttestationRegistry(expected_measurement=measure(RATIFIED))
     rule = PreprocessingRule(kind="clamp", value_min=0, value_max=255)
     reports = []
     for provider in range(1, providers + 1):
-        eid = platform.install(RATIFIED)
-        registry.register_key(platform.public_key(eid))
-        device_reports = platform.resume_gendata(
-            eid, n=n, t=min(2, n), raw=encode_readings([provider, 7, 9]), rule=rule,
+        app = TeePlatform(platform, RATIFIED)
+        registry.register_key(app.public_key)
+        device_reports = app.resume_gendata(
+            n=n, t=min(2, n), raw=encode_readings([provider, 7, 9]), rule=rule,
             provider_index=provider,
         )
         reports.append(device_reports[node - 1])
@@ -435,15 +414,12 @@ def _altered(report):
 
 
 def test_public_key_is_the_attesting_key():
-    platform = TeePlatform(rng=5)
-    eid = platform.install(RATIFIED)
-    assert platform.public_key(eid) == platform.resume_attest(eid)[2]
-    with pytest.raises(UnknownEidError):
-        platform.public_key("tee-404")
+    app = TeePlatform(random.Random(5), RATIFIED)
+    assert app.public_key == app.resume_attest()[2]
 
 
 def test_rerooted_report_rejected_without_a_verification(monkeypatch):
-    _, _, registry, _, reports = _reports(seed=30)
+    _, registry, _, reports = _reports(seed=30)
     calls = count_calls(monkeypatch, tee, "verify")["verify"]
     assert attest_report(registry, reports[0])
     assert len(calls) == 1
@@ -456,7 +432,7 @@ def test_rerooted_report_rejected_without_a_verification(monkeypatch):
 
 
 def test_forged_signature_first_does_not_poison_the_memo(monkeypatch):
-    _, _, registry, _, reports = _reports(seed=31)
+    _, registry, _, reports = _reports(seed=31)
     report = reports[2]
     calls = count_calls(monkeypatch, tee, "verify")["verify"]
     forged = bytes([report.signature[0] ^ 1]) + report.signature[1:]
