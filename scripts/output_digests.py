@@ -4,15 +4,19 @@ leaves traces, gas logs, contract dumps and summaries byte-identical.
 
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
 and 90210, for the first 200 randomized adversary schedules of the test
-suite (``scenarioutil.random_cases``, seed 208), and for those schedules
+suite (``scenarioutil.random_cases``, seed 208), for those schedules
 redrawn under a full-range description that every garbage datum meets
-(``scenarioutil.full_range_cases``), it prints one line
+(``scenarioutil.full_range_cases``), and for the generated schedules that
+``AdversaryScript.validate`` admits from seeds 0-1999
+(``scenarioutil.generated_schedule``: every role's actions, among them
+refusing and corrupted consumers that buy), it prints one line
 ``<workload> <seed> <label> <outputs sha256> <hashes sha256> <log sha256>``.
 The first digest covers the serialized trace without its version line and
 without the payload hash column of its ``[events]`` lines, followed by the
 run summary; the second covers that hash column alone. A change to how
 payloads are hashed then moves only the second digest, and shows whether
-anything else moved with it. The third covers the run's whole log in order:
+anything else moved with it. The third covers the run's whole log
+(``Trace.log``) in order:
 the record type and every field of each message, note, dispute, contract
 call and revert, so it also shows how calls, notes and reverts interleave
 with messages.
@@ -30,6 +34,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import random
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -37,29 +42,16 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from dexo import netsim  # noqa: E402
 from dexo.harness import summarize  # noqa: E402
-from dexo.ledger import Ledger  # noqa: E402
-from scenarioutil import full_range_cases, random_cases  # noqa: E402
+from dexo.netsim import ScriptError, run_scenario  # noqa: E402
+from scenarioutil import full_range_cases, generated_schedule, random_cases  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
 SEEDS = (1, 90210)
 RANDOM_SCHEDULES = 200
+GENERATED_SEEDS = 2000
 PARTS = ("outputs", "hashes", "log")
-
-
-class _KeptLedger(Ledger):
-    """The ledger a run builds, kept so that its log can be read afterwards."""
-
-    last: Ledger | None = None
-
-    def __init__(self):
-        super().__init__()
-        _KeptLedger.last = self
-
-
-netsim.Ledger = _KeptLedger
 
 
 def _record(r) -> str:
@@ -68,7 +60,7 @@ def _record(r) -> str:
 
 
 def _digest(config, script) -> tuple[str, str, str]:
-    trace = netsim.run_scenario(config, script)
+    trace = run_scenario(config, script)
     _, body = trace.serialize().split("\n", 1)  # the version line
     head, rest = body.split("[events]\n", 1)
     events, tail = rest.split("[gas]\n", 1)
@@ -76,7 +68,7 @@ def _digest(config, script) -> tuple[str, str, str]:
     outputs = "".join((head, "[events]\n", *(f"{e}\n" for e, _ in lines), "[gas]\n", tail,
                        summarize(trace)))
     hashes = "".join(f"{h}\n" for _, h in lines)
-    log = "".join(f"{_record(r)}\n" for r in _KeptLedger.last.log)
+    log = "".join(f"{_record(r)}\n" for r in trace.log)
     return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes, log))
 
 
@@ -92,6 +84,13 @@ def digests() -> dict[str, tuple[str, str, str]]:
         out[f"random_schedules 208 case={case},{script.name}"] = _digest(config, script)
     for case, config, script in full_range_cases(RANDOM_SCHEDULES):
         out[f"full_range_schedules 208 case={case},{script.name}"] = _digest(config, script)
+    for seed in range(GENERATED_SEEDS):
+        config, script = generated_schedule(random.Random(seed))
+        try:
+            script.validate(config)
+        except ScriptError:
+            continue
+        out[f"generated_schedules {seed} {script.name}"] = _digest(config, script)
     return out
 
 

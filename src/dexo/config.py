@@ -25,6 +25,9 @@ MAX_TIMEOUT_BLOCKS = 65_535
 # shares all nodes hold together, n_nodes * providers * datum_size_bytes: a
 # run costs time and memory linear in it
 MAX_SHARE_BYTES = 1 << 26
+# share reports all devices make together, n_nodes * providers: each costs a
+# salt, a signature, a key and a Merkle path whatever the datum size
+MAX_SHARE_REPORTS = 1 << 18
 
 
 class ConfigError(Exception):
@@ -80,6 +83,11 @@ class ScenarioConfig:
                 f"n_nodes * providers * datum_size_bytes = {n} * {self.providers} * "
                 f"{self.datum_size_bytes} exceeds {MAX_SHARE_BYTES} share bytes"
             )
+        if n * self.providers > MAX_SHARE_REPORTS:
+            raise ConfigError(
+                f"n_nodes * providers = {n} * {self.providers} exceeds "
+                f"{MAX_SHARE_REPORTS} share reports"
+            )
         if not 0 <= self.value_min <= self.value_max <= 255:
             raise ConfigError("value range must fit one byte")
         if self.preprocessing not in RULE_KINDS:
@@ -96,12 +104,10 @@ class ScenarioConfig:
             raise ConfigError("node_fee must fit within the per-session price")
 
 
-_BOOL_KEYS = {"merged_query", "shared_key"}
-_STR_KEYS = {"preprocessing", "adversary"}
-
-
 def parse_config(text: str) -> ScenarioConfig:
-    known = {f.name for f in fields(ScenarioConfig)}
+    # each value is parsed by its field's annotation, which this module's
+    # postponed annotations leave as the text "bool", "str" or "int"
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
     values: dict = {}
     version = None
     seen: dict[str, int] = {}  # key -> the line that set it
@@ -118,13 +124,13 @@ def parse_config(text: str) -> ScenarioConfig:
         if key == "schema_version":
             version = value
             continue
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in _BOOL_KEYS:
+        if kinds[key] == "bool":
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"line {lineno}: {key} must be true or false")
             values[key] = value.lower() == "true"
-        elif key in _STR_KEYS:
+        elif kinds[key] == "str":
             values[key] = value
         else:
             try:

@@ -42,42 +42,3 @@ from .shamir import (
     evaluate_at,
     reconstruct,
 )
-
-__all__ = [
-    "MerkleError",
-    "EmptyInputError",
-    "IndexOutOfRangeError",
-    "MerkleProof",
-    "MerkleRoot",
-    "merkle_proofs",
-    "merkle_prove",
-    "merkle_root",
-    "merkle_verify",
-    "path_root",
-    "proof_length",
-    "TAG_COMMIT",
-    "TAG_LEAF",
-    "TAG_NODE",
-    "TAG_SALT",
-    "TAG_SHARE",
-    "Commitment",
-    "KeyMaterial",
-    "SignatureKeyPair",
-    "commit",
-    "generate_keypair",
-    "keystream_xor",
-    "open_commitment",
-    "sha256",
-    "sign",
-    "verify",
-    "ShamirError",
-    "ThresholdOutOfRangeError",
-    "EmptyDatumError",
-    "InsufficientSharesError",
-    "InconsistentSharesError",
-    "DuplicateXCoordinateError",
-    "SecretShare",
-    "create_shares",
-    "evaluate_at",
-    "reconstruct",
-]

@@ -250,7 +250,11 @@ class Listing:
     desc: DataDescription
     delta: dict[int, MerkleRoot]
     commitment: dict[int, Commitment]
-    initialized: bool
+
+    @property
+    def initialized(self) -> bool:
+        """Every node has registered its digest and commitment."""
+        return len(self.delta) == self.desc.n_nodes
 
 
 @dataclass
@@ -375,18 +379,6 @@ class Ledger:
     def calls(self) -> list[Call]:
         """The successful calls: the gas log. Reverts are left out."""
         return [r for r in self.log if type(r) is Call]
-
-    def total_gas(self) -> int:
-        return sum(c.gas for c in self.calls())
-
-    def call_count(self) -> int:
-        return len(self.calls())
-
-    def exchange_call_count(self) -> int:
-        """Calls in the exchange proper: everything except settlement/disputes."""
-        return sum(
-            1 for c in self.calls() if c.function not in ("noComplain", "challenge")
-        )
 
     def gas_csv(self) -> str:
         out = io.StringIO()
@@ -544,7 +536,6 @@ class Ledger:
             desc=contract.desc,
             delta=dict(contract.delta),
             commitment=dict(contract.commitment),
-            initialized=len(contract.delta) == contract.n_nodes,
         )
 
     def snapshot_buyer(self, cid: str, account: str) -> dict[int, SessionStatus] | None:

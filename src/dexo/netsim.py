@@ -415,10 +415,15 @@ TRACE_VERSION = "# trace v2"
 class Trace:
     config: ScenarioConfig
     script: AdversaryScript
-    events: list[Sent]
+    log: list  # the run's whole log of typed records, in order
     gas_csv: str
     terminal: str
     outcome: ExchangeOutcome
+
+    @property
+    def events(self) -> list[Sent]:
+        """The run's messages, in order: the log's ``Sent`` records."""
+        return [r for r in self.log if type(r) is Sent]
 
     def serialize(self) -> str:
         lines = [TRACE_VERSION]
@@ -509,7 +514,8 @@ def run_scenario(
     paid_out = sum(ledger.balances.values()) - balance
     escrow_left = sum(c.escrow_total() for c in ledger.contracts.values())
     price = config.resolved_price()
-    paid_sessions = sum(1 for c in ledger.calls() if c.function == "accept")
+    calls = ledger.calls()
+    paid_sessions = sum(1 for c in calls if c.function == "accept")
     status = sorted((ledger.snapshot_buyer(setup.cid, consumer.account) or {}).items())
     outcome = ExchangeOutcome(
         reconstructed=dict(consumer.reconstructed),
@@ -517,10 +523,11 @@ def run_scenario(
         reconstruction_valid=consumer.reconstruction_valid,
         paid_out=paid_out,
         escrow_left=escrow_left,
-        exchange_calls=ledger.exchange_call_count(),
-        total_calls=ledger.call_count(),
+        # calls in the exchange proper: everything except settlement and disputes
+        exchange_calls=sum(1 for c in calls if c.function not in ("noComplain", "challenge")),
+        total_calls=len(calls),
         paid_sessions=paid_sessions,
-        gas_total=ledger.total_gas(),
+        gas_total=sum(c.gas for c in calls),
         refund_to_buyer=balance - (price - paid_sessions * (price // config.n_nodes)),
         settled_sessions=tuple(j for j, s in status if s is SessionStatus.SETTLED),
         refunded_sessions=tuple(j for j, s in status if s is SessionStatus.REFUNDED),
@@ -545,7 +552,7 @@ def run_scenario(
     return Trace(
         config=config,
         script=script,
-        events=[r for r in ledger.log if type(r) is Sent],
+        log=ledger.log,
         gas_csv=ledger.gas_csv(),
         terminal="\n".join(terminal_lines),
         outcome=outcome,

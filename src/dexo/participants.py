@@ -303,17 +303,16 @@ class BuyerView:
     """What the buyer's policy reads: the listing's terms, what the buyer has
     verified, its sessions' status on the chain and what woke it (a
     ciphertext, a node's notice that its key is out, or a quiet network).
-    The executor updates it in place; :func:`decide` only reads it."""
+    The executor updates it in place; a policy only reads it. Each fact is
+    held once: the sessions bought are the chain's, and a payload is opened
+    exactly when its openings blob has been taken."""
 
     config: ScenarioConfig
     listing: Listing | None = None
-    refuses_payment: bool = False
     responded: set[int] = field(default_factory=set)  # nodes that sent a ciphertext
     delivered: dict[int, bytes] = field(default_factory=dict)  # digest-verified ciphertexts
-    openings: dict[int, bytes] = field(default_factory=dict)  # unopened blob per node
-    accepted: set[int] = field(default_factory=set)  # every session bought
+    openings: dict[int, bytes] = field(default_factory=dict)  # blob of each unopened payload
     keys: set[int] = field(default_factory=set)  # sessions whose key was read off the chain
-    share_keys: set[int] = field(default_factory=set)  # nodes whose payload a key opened
     node_shares: dict[int, dict[int, SecretShare]] = field(default_factory=dict)
     # (node, provider) of every held share that opens to its device's root
     authentic: set[tuple[int, int]] = field(default_factory=set)
@@ -324,9 +323,16 @@ class BuyerView:
     quiet_ticks: int = 0
     judged: bool = False  # a verdict covers every session bought
     reconstructed: dict[int, bytes | None] = field(default_factory=dict)
-    reconstruction_valid: bool = False
     rulings: dict[str, ChallengeResult | None] = field(default_factory=dict)  # None: rejected
     finished_reason: str = ""
+
+    @property
+    def reconstruction_valid(self) -> bool:
+        """Every provider's datum was reconstructed and meets the description."""
+        return bool(self.reconstructed) and all(
+            d is not None and conforms_to_description(d, self.listing.desc)
+            for d in self.reconstructed.values()
+        )
 
 
 # the buyer's steps, one type per action
@@ -351,7 +357,6 @@ class TakeKey:
 @dataclass(frozen=True)
 class Verdict:
     reconstructed: dict[int, bytes | None]
-    valid: bool  # every datum meets the description
 
 
 @dataclass(frozen=True)
@@ -376,9 +381,10 @@ Step = Query | Accept | TakeKey | Verdict | Challenge | Settle | Finish
 
 
 def decide(view: BuyerView) -> list[Step]:
-    """The buyer's policy, one clause per rule: its next steps, given what it
-    has verified. It changes nothing; the executor performs the steps, folds
-    their results into the view and asks again until none is left."""
+    """The honest buyer's policy, one clause per rule: its next steps, given
+    what it has verified. It changes nothing; the executor performs the
+    steps, folds their results into the view and asks again until none is
+    left."""
     config, status, desc, t = view.config, view.status, view.listing.desc, view.config.threshold
     if view.finished_reason:
         return []
@@ -386,22 +392,20 @@ def decide(view: BuyerView) -> list[Step]:
         return [Finish("listing-never-initialized")]
     if status is None:
         return [Query()]
-    if not view.accepted:
+    bought = _bought(view)
+    if not bought:
         # buy once every node has answered or the network is quiet; give up
         # when nothing can be bought and no answer is left to wait for
         all_in = len(view.responded) == config.n_nodes
         if not (all_in or view.quiet):
             return []
-        chosen = _choose_sessions(view)
-        if view.refuses_payment and (chosen or all_in):
-            return [Finish("refused-payment")]
-        if chosen:
+        if chosen := _choose_sessions(view):
             return [Accept(tuple(chosen), tuple(range(1, config.n_nodes + 1)))]
         return [Finish("too-few-valid-deliveries")] if all_in or view.quiet_ticks > 2 else []
     if not view.judged:
         # read the keys of live (bought, unrefunded) sessions: a notice reads
         # its own key; a quiet tick reads every key the chain shows as out
-        live = [j for j in sorted(view.accepted) if status[j] is not SessionStatus.REFUNDED]
+        live = [j for j in bought if status[j] is not SessionStatus.REFUNDED]
         reads = [TakeKey(j) for j in live if j not in view.keys and (
             j == view.notice or view.quiet and status[j] is SessionStatus.KEY_OUT)]
         if reads:
@@ -419,8 +423,7 @@ def decide(view: BuyerView) -> list[Step]:
             entries = _reference(view, provider, t)
             data[provider] = (reconstruct(t, config.n_nodes, [s for s, _ in entries])
                               if len(entries) == t else None)
-        return [Verdict(data, all(d is not None and conforms_to_description(d, desc)
-                                  for d in data.values()))]
+        return [Verdict(data)]
     if view.reconstruction_valid:
         # accuse, provider by provider, every held share that fails
         # authentication, skipping nodes already refunded
@@ -467,6 +470,15 @@ def decide(view: BuyerView) -> list[Step]:
     return [Finish("no-valid-reconstruction")]
 
 
+def refuse_payment(view: BuyerView) -> list[Step]:
+    """A buyer that never pays: the honest buyer's steps, except that
+    wherever they would buy, it finishes instead."""
+    steps = decide(view)
+    if any(isinstance(step, Accept) for step in steps):
+        return [Finish("refused-payment")]
+    return steps
+
+
 def _choose_sessions(view: BuyerView) -> list[int] | None:
     config = view.config
     valid = sorted(view.delivered)
@@ -480,6 +492,11 @@ def _choose_sessions(view: BuyerView) -> list[int] | None:
         # degenerate: fall back to plain threshold selection
         needed = config.threshold
     return valid[:needed] if len(valid) >= needed else None
+
+
+def _bought(view: BuyerView) -> list[int]:
+    """Every session bought: only an accept moves a session off QUERIED."""
+    return sorted(j for j, s in view.status.items() if s is not SessionStatus.QUERIED)
 
 
 def _buyable(view: BuyerView) -> list[int]:
@@ -508,8 +525,9 @@ def _reference(view: BuyerView, provider: int, count: int) -> list[tuple[SecretS
 
 
 class Consumer(BuyerView):
-    """The buyer: the one executor of :func:`decide` over its own view. It
-    folds what reaches it into the view, performs each step the policy
+    """The buyer: the one executor of its policy over its own view, which is
+    :func:`decide`, or :func:`refuse_payment` when the script has it refuse.
+    It folds what reaches it into the view, performs each step the policy
     returns through the simulator and the ledger, and folds the result back.
 
     The consumer trusts only shares its devices made. Every node forwards, in
@@ -523,7 +541,8 @@ class Consumer(BuyerView):
 
     def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str,
                  registry: tee.AttestationRegistry):
-        super().__init__(config, refuses_payment=script.acts(Action.REFUSE_PAYMENT, 0))
+        super().__init__(config)
+        self.policy = refuse_payment if script.acts(Action.REFUSE_PAYMENT, 0) else decide
         self.cid = cid
         self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
@@ -578,7 +597,7 @@ class Consumer(BuyerView):
         self.quiet, self.notice = quiet, notice
         while True:
             self.status = sim.ledger.snapshot_buyer(self.cid, self.account)
-            steps = decide(self)
+            steps = self.policy(self)
             if not steps:
                 return
             for step in steps:
@@ -598,7 +617,6 @@ class Consumer(BuyerView):
             case Accept(nodes, notify):
                 for j in nodes:
                     ledger.accept(account, cid, j, ledger.contracts[cid].session_price)
-                    self.accepted.add(j)
                     sim.monitor.record_payment()
                 for j in notify:
                     sim.send(self.name, f"node-{j}", "notice_accept", {})
@@ -608,9 +626,8 @@ class Consumer(BuyerView):
                 if key is not None:
                     self.keys.add(j)
                     self._open_with(sim, key)
-            case Verdict(reconstructed, valid):
-                self.reconstructed, self.reconstruction_valid = reconstructed, valid
-                self.judged = True
+            case Verdict(reconstructed):
+                self.reconstructed, self.judged = reconstructed, True
             case Challenge(case, label, first, second):
                 submit = ledger.challenge_case1 if case == 1 else ledger.challenge_case2
                 size = self.config.datum_size_bytes
@@ -632,21 +649,21 @@ class Consumer(BuyerView):
                 self.finished_reason = reason
 
     def _open_with(self, sim: Simulator, key: KeyMaterial) -> None:
-        """Open, once each, every delivered payload whose commitment ``key``
-        opens: a session's own key, a priority group's, or a leaked one, and
-        with it the node's openings blob. A share is authentic if it opens to
-        its device's signed root; the proof's leaf is the share's own node
-        label, and a missing or malformed blob authenticates nothing. A
-        payload off the listing's layout is noted and gives no shares. A
-        corrupted consumer's monitor counts every share it opens.
+        """Open every payload whose openings blob is still held and whose
+        commitment ``key`` opens: a session's own key, a priority group's, or
+        a leaked one. The blob is taken as the payload opens, so each opens
+        once. A share is authentic if it opens to its device's signed root;
+        the proof's leaf is the share's own node label, and a missing or
+        malformed blob authenticates nothing. A payload off the listing's
+        layout is noted and gives no shares. A corrupted consumer's monitor
+        counts every share it opens.
         """
         opened = commit(key)
         desc = self.listing.desc
         nonce = wire.payload_nonce(self.listing.tid)
         for j, com in self.listing.commitment.items():
-            if com != opened or j not in self.delivered or j in self.share_keys:
+            if com != opened or j not in self.openings:
                 continue
-            self.share_keys.add(j)
             openings = self.openings.pop(j)
             try:
                 shares = wire.decode_shares(

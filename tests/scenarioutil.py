@@ -18,6 +18,8 @@ from dexo.netsim import (
     standard_scripts,
 )
 
+NODE_ACTIONS = [a for a in Action if a.role == "node"]
+
 
 def suite_config(**overrides) -> ScenarioConfig:
     """The adversarial-suite configuration: a tight description range so
@@ -104,6 +106,44 @@ def full_range_cases(count: int, seed: int = 208):
         except ScriptError:
             continue
         yield case, cfg, script
+
+
+def generated_schedule(rng: random.Random) -> tuple[ScenarioConfig, AdversaryScript]:
+    """A small config and a script over it: up to F corrupted nodes with one
+    or two node actions each, an optional corrupted server that oversells
+    or permutes, an optional corrupted consumer that may refuse to pay, and,
+    rarely, tampered providers (no listing opens then). Not every draw is a
+    script ``validate`` admits."""
+    n = rng.randint(3, 9)
+    f = rng.randint(0, (n - 1) // 2)
+    m = rng.randint(1, 3)
+    config = ScenarioConfig(
+        n_nodes=n, threshold=rng.randint(f + 1, n - f), max_faulty=f, providers=m,
+        value_max=rng.choice([30, 100, 255]), shared_key=rng.random() < 0.5,
+        merged_query=rng.random() < 0.5, timeout_blocks=rng.randint(3, 12),
+        seed=rng.randrange(2**32),
+    )
+    nodes = rng.sample(range(1, n + 1), rng.randint(0, f))
+    rules = [Rule(action, rng.choice([0, j])) for j in sorted(nodes)
+             for action in rng.sample(NODE_ACTIONS, rng.randint(1, 2))]
+    roles = set()
+    if rng.random() < 0.5:
+        roles.add("server")
+        rules.append(Rule(rng.choice([Action.OVERSELL, Action.PERMUTE]), rng.randint(0, m)))
+    if rng.random() < 0.5:
+        roles.add("consumer")
+        if rng.random() < 0.5:
+            rules.append(Rule(Action.REFUSE_PAYMENT))
+    tampered = set()
+    if rng.random() < 0.1:
+        tampered = set(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        targets = [0] if rng.random() < 0.5 else sorted(tampered)
+        rules += [Rule(Action.TAMPER_TEE, i) for i in targets]
+    script = AdversaryScript(
+        name="GENERATED", corrupted_nodes=frozenset(nodes), corrupted_roles=frozenset(roles),
+        tampered_providers=frozenset(tampered), rules=tuple(rules),
+    )
+    return config, script
 
 
 def assert_fair_exchange(trace: Trace) -> None:

@@ -1,6 +1,7 @@
-"""The buyer's policy, ``participants.decide``, one clause at a time, on
-hand-built views: no simulator, no ledger. Every call also checks that the
-policy leaves the view it reads unchanged."""
+"""The buyer's policies, ``participants.decide`` one clause at a time and
+``participants.refuse_payment``, on hand-built views: no simulator, no
+ledger. Every call also checks that the policy leaves the view it reads
+unchanged."""
 
 import copy
 
@@ -18,6 +19,7 @@ from dexo.participants import (
     TakeKey,
     Verdict,
     decide,
+    refuse_payment,
 )
 from scenarioutil import suite_config
 
@@ -36,14 +38,14 @@ def _view(providers=1, **fields) -> BuyerView:
                           datum_size_bytes=4)
     desc = DataDescription(datum_size=4, value_min=0, value_max=100, providers=providers,
                            n_nodes=N, threshold=T, timeout_blocks=10)
-    listing = Listing(tid="t", desc=desc, delta={}, commitment={}, initialized=True)
+    listing = Listing(tid="t", desc=desc, delta=dict.fromkeys(EVERY_NODE, b""), commitment={})
     fields.setdefault("status", dict.fromkeys(EVERY_NODE, QUERIED))
     return BuyerView(config, listing, **fields)
 
 
-def _decide(view: BuyerView) -> list:
+def _decide(view: BuyerView, policy=decide) -> list:
     before = copy.deepcopy(vars(view))
-    steps = decide(view)
+    steps = policy(view)
     assert vars(view) == before, "decide changed the view it reads"
     return steps
 
@@ -58,7 +60,6 @@ def _holding(view: BuyerView, data: dict[int, bytes], held=EVERY_NODE[:T],
     view.authentic = (set(authentic) if authentic is not None
                       else {(j, p) for j in held for p in data})
     view.delivered = dict.fromkeys(EVERY_NODE, b"")
-    view.accepted = set(held)
     view.keys = set(held)
     view.status = {**view.status, **dict.fromkeys(held, KEY_OUT)}
     return view
@@ -68,15 +69,14 @@ def _judged(view: BuyerView) -> BuyerView:
     """Fold in the verdict the policy reaches on the view."""
     (verdict,) = _decide(view)
     assert isinstance(verdict, Verdict)
-    view.reconstructed, view.reconstruction_valid, view.judged = (
-        verdict.reconstructed, verdict.valid, True)
+    view.reconstructed, view.judged = verdict.reconstructed, True
     return view
 
 
 def test_a_listing_that_never_initialized_ends_the_buyer_and_one_that_did_is_queried():
     view = _view(status=None)
     assert _decide(view) == [Query()]
-    view.listing = Listing(view.listing.tid, view.listing.desc, {}, {}, initialized=False)
+    view.listing = Listing(view.listing.tid, view.listing.desc, {1: b""}, {})
     assert _decide(view) == [Finish("listing-never-initialized")]
     view.finished_reason = "listing-never-initialized"
     assert _decide(view) == []
@@ -106,19 +106,24 @@ def test_the_buyer_gives_up_after_the_third_quiet_tick_with_too_few_deliveries()
 
 
 def test_a_buyer_that_refuses_payment_finishes_where_it_would_buy():
-    view = _view(refuses_payment=True, responded=set(EVERY_NODE),
-                 delivered=dict.fromkeys(EVERY_NODE, b""))
-    assert _decide(view) == [Finish("refused-payment")]
-    view.delivered = {1: b""}  # every node has answered, and one delivery verified
-    assert _decide(view) == [Finish("refused-payment")]
+    view = _view(responded=set(EVERY_NODE), delivered=dict.fromkeys(EVERY_NODE, b""))
+    assert _decide(view) == [Accept((1, 2, 3), EVERY_NODE)]
+    assert _decide(view, refuse_payment) == [Finish("refused-payment")]
+    # every node has answered, and one delivery verified: with nothing to
+    # buy, the refuser ends as the honest buyer does
+    view.delivered = {1: b""}
+    assert _decide(view, refuse_payment) == [Finish("too-few-valid-deliveries")]
     # a third quiet tick with nothing to buy ends the buyer as any other
     view.responded, view.quiet, view.quiet_ticks = {1}, True, 3
-    assert _decide(view) == [Finish("too-few-valid-deliveries")]
+    assert _decide(view, refuse_payment) == [Finish("too-few-valid-deliveries")]
+    # before the answers are in, it waits as the honest buyer does
+    view.quiet, view.quiet_ticks = False, 0
+    assert _decide(view, refuse_payment) == []
 
 
 def test_a_notice_reads_only_its_senders_key_and_a_quiet_tick_reads_the_chain():
     status = {1: KEY_OUT, 2: ACCEPTED, 3: KEY_OUT, 4: KEY_OUT, 5: QUERIED}
-    view = _view(accepted={1, 2, 3, 4}, status=status, notice=3)
+    view = _view(status=status, notice=3)
     assert _decide(view) == [TakeKey(3)]
     view.notice = 5  # no session bought from node 5
     assert _decide(view) == []
@@ -135,22 +140,30 @@ def test_the_buyer_reconstructs_once_every_live_sessions_key_is_in():
     view.keys.remove(3)
     assert _decide(view) == []
     view.keys.add(3)
-    assert _decide(view) == [Verdict({1: GOOD, 2: BAD}, False)]
+    assert _decide(view) == [Verdict({1: GOOD, 2: BAD})]
 
 
 def test_the_buyer_replaces_sessions_refunded_by_timeout():
-    view = _view(accepted={1, 2, 3}, keys={2, 3}, delivered=dict.fromkeys(EVERY_NODE, b""),
+    view = _view(keys={2, 3}, delivered=dict.fromkeys(EVERY_NODE, b""),
                  status={1: REFUNDED, 2: KEY_OUT, 3: KEY_OUT, 4: QUERIED, 5: QUERIED},
                  quiet=True)
     assert _decide(view) == [Accept((4,), (4,))]
-    view.accepted.add(4)
     view.status[4] = ACCEPTED
     assert _decide(view) == []  # it waits for session 4's key
     # with nothing left to buy, the buyer reconstructs from the shares it holds
     view = _holding(_view(), {1: GOOD})
     view.status[3] = REFUNDED
     view.delivered = {1: b"", 2: b"", 3: b""}
-    assert _decide(view) == [Verdict({1: GOOD}, True)]
+    assert _decide(view) == [Verdict({1: GOOD})]
+
+
+def test_the_data_is_valid_when_every_datum_is_reconstructed_and_meets_the_description():
+    view = _view(providers=2)
+    assert not view.reconstruction_valid  # nothing reconstructed yet
+    for data, valid in (({1: GOOD, 2: GOOD}, True), ({1: GOOD, 2: BAD}, False),
+                        ({1: GOOD, 2: None}, False)):
+        view.reconstructed = data
+        assert view.reconstruction_valid is valid
 
 
 def test_remediation_buys_every_buyable_delivery():

@@ -19,6 +19,7 @@ from dexo.config import (
     MAX_NODES,
     MAX_PROVIDERS,
     MAX_SHARE_BYTES,
+    MAX_SHARE_REPORTS,
     MAX_TIMEOUT_BLOCKS,
     ScenarioConfig,
     format_config,
@@ -155,7 +156,8 @@ def test_cli_rejects_bad_config(tmp_path):
 
 @pytest.mark.parametrize("field,limit,overrides", [
     ("n_nodes", MAX_NODES, dict(threshold=128, max_faulty=127)),
-    ("providers", MAX_PROVIDERS, {}),
+    # four nodes: at five, 65,535 providers make more share reports than the bound
+    ("providers", MAX_PROVIDERS, dict(n_nodes=4, threshold=3, max_faulty=1)),
     ("datum_size_bytes", MAX_DATUM_SIZE, {}),
 ])
 def test_cli_rejects_config_beyond_wire_limits(tmp_path, capsys, field, limit, overrides):
@@ -176,6 +178,25 @@ def test_cli_rejects_a_config_beyond_the_share_byte_bound(tmp_path, capsys):
     printed = _assert_config_error(
         capsys, cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]))
     assert "n_nodes * providers * datum_size_bytes = 128 * 17 * 32768" in printed
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_config_beyond_the_share_report_bound(tmp_path, capsys, monkeypatch):
+    """Each share report costs a salt, a signature, a key and a Merkle path
+    whatever the datum size, so one-byte datums do not lift the bound. The
+    rejected config would need about 20 GB; it must fail before any run."""
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    shape = dict(n_nodes=255, threshold=128, max_faulty=127, datum_size_bytes=1,
+                 value_max=255)
+    assert 255 * 1028 <= MAX_SHARE_REPORTS < 255 * 1029
+    _base_config(**shape, providers=1028).validate()
+    cfg_path = _write_config(tmp_path, **shape, providers=65_535)
+    printed = _assert_config_error(
+        capsys, cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]))
+    assert "n_nodes * providers = 255 * 65535" in printed
     assert not (tmp_path / "out").exists()
 
 

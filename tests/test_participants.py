@@ -215,7 +215,7 @@ def test_consumer_rejects_an_altered_opening(monkeypatch):
     monkeypatch.setattr(Simulator, "send", altering)
     _, setup = _staged_run(config)
     consumer = setup.consumer
-    assert 1 in consumer.share_keys
+    assert 1 in consumer.delivered and 1 not in consumer.openings  # its payload opened
     assert [(1, p) in consumer.authentic for p in range(1, 4)] == [False, False, True]
     assert consumer.reconstruction_valid
     assert consumer.reconstructed == {
@@ -326,7 +326,7 @@ def test_consumer_reconstructs_only_from_authentic_shares(monkeypatch, overrides
     # the consumer checks each share it holds once, when its payload opens
     checked = [held[id(report.share)] for _, report in attested if id(report.share) in held]
     assert len(checked) == len(set(checked))
-    if consumer.accepted:
+    if any(s is not SessionStatus.QUERIED for s in (consumer.status or {}).values()):
         assert len(passed) >= config.threshold * config.providers
 
 
@@ -577,7 +577,7 @@ def test_equivocating_delivery_is_never_paid(monkeypatch):
     sim, setup = _staged_run(suite_config(seed=16), script)
     assert len(roots["merkle_root"]) == setup.config.n_nodes + 1
     assert "consumer: digest mismatch from node 1" in texts(sim.log, Note)
-    assert 1 not in setup.consumer.delivered and 1 not in setup.consumer.accepted
+    assert 1 not in setup.consumer.delivered
     assert sim.ledger.snapshot_buyer(setup.cid, "consumer")[1] is SessionStatus.QUERIED
 
 
