@@ -11,15 +11,12 @@ redrawn under a full-range description that every garbage datum meets
 (``scenarioutil.generated_schedule``: every role's actions, among them
 refusing and corrupted consumers that buy), it prints one line
 ``<workload> <seed> <label> <outputs sha256> <hashes sha256> <log sha256>``.
-The first digest covers the serialized trace without its version line and
-without the payload hash column of its ``[events]`` lines, followed by the
-run summary; the second covers that hash column alone. A change to how
-payloads are hashed then moves only the second digest, and shows whether
-anything else moved with it. The third covers the run's whole log
-(``Trace.log``) in order:
-the record type and every field of each message, note, dispute, contract
-call and revert, so it also shows how calls, notes and reverts interleave
-with messages.
+The three parts are those of ``scenarioutil.output_digests``: the
+serialized trace without its payload hash column, followed by the run
+summary; that hash column alone, so a change to how payloads are hashed
+moves only the second digest; and the run's whole log, record by record.
+The suite's own families are also gated by ``tests/test_golden_digests.py``;
+the workload families are compared only by hand, with this script.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
@@ -31,10 +28,7 @@ and exits 1 if any do.
 """
 
 import argparse
-import dataclasses
-import hashlib
 import os
-import random
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -42,34 +36,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from dexo.harness import summarize  # noqa: E402
-from dexo.netsim import ScriptError, run_scenario  # noqa: E402
-from scenarioutil import full_range_cases, generated_schedule, random_cases  # noqa: E402
+from scenarioutil import DIGEST_PARTS as PARTS  # noqa: E402
+from scenarioutil import output_digests, suite_schedules  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
 SEEDS = (1, 90210)
-RANDOM_SCHEDULES = 200
-GENERATED_SEEDS = 2000
-PARTS = ("outputs", "hashes", "log")
-
-
-def _record(r) -> str:
-    fields = (repr(getattr(r, f.name)) for f in dataclasses.fields(r))
-    return " ".join([type(r).__name__, *fields])
-
-
-def _digest(config, script) -> tuple[str, str, str]:
-    trace = run_scenario(config, script)
-    _, body = trace.serialize().split("\n", 1)  # the version line
-    head, rest = body.split("[events]\n", 1)
-    events, tail = rest.split("[gas]\n", 1)
-    lines = [line.rsplit(" ", 1) for line in events.splitlines()]
-    outputs = "".join((head, "[events]\n", *(f"{e}\n" for e, _ in lines), "[gas]\n", tail,
-                       summarize(trace)))
-    hashes = "".join(f"{h}\n" for _, h in lines)
-    log = "".join(f"{_record(r)}\n" for r in trace.log)
-    return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes, log))
 
 
 def digests() -> dict[str, tuple[str, str, str]]:
@@ -77,20 +49,11 @@ def digests() -> dict[str, tuple[str, str, str]]:
     for workload in WORKLOADS:
         for seed in SEEDS:
             for scenario in build(workload, seed):
-                out[f"{workload} {seed} {scenario.label}"] = _digest(
+                out[f"{workload} {seed} {scenario.label}"] = output_digests(
                     scenario.config, scenario.script
                 )
-    for case, (config, script) in enumerate(random_cases(RANDOM_SCHEDULES)):
-        out[f"random_schedules 208 case={case},{script.name}"] = _digest(config, script)
-    for case, config, script in full_range_cases(RANDOM_SCHEDULES):
-        out[f"full_range_schedules 208 case={case},{script.name}"] = _digest(config, script)
-    for seed in range(GENERATED_SEEDS):
-        config, script = generated_schedule(random.Random(seed))
-        try:
-            script.validate(config)
-        except ScriptError:
-            continue
-        out[f"generated_schedules {seed} {script.name}"] = _digest(config, script)
+    for label, config, script in suite_schedules():
+        out[label] = output_digests(config, script)
     return out
 
 

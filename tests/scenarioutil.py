@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 
 from dexo.config import ScenarioConfig
+from dexo.harness import summarize
 from dexo.ledger import Ledger
 from dexo.netsim import (
     Action,
@@ -15,6 +18,7 @@ from dexo.netsim import (
     Simulator,
     Trace,
     drain_budget,
+    run_scenario,
     standard_scripts,
 )
 
@@ -144,6 +148,56 @@ def generated_schedule(rng: random.Random) -> tuple[ScenarioConfig, AdversaryScr
         tampered_providers=frozenset(tampered), rules=tuple(rules),
     )
     return config, script
+
+
+RANDOM_SCHEDULES = 200
+GENERATED_SEEDS = 2000
+
+
+def suite_schedules():
+    """(label, config, script) for every schedule family the suite defines:
+    the first 200 :func:`random_cases`, those redrawn by
+    :func:`full_range_cases`, and the :func:`generated_schedule` draws of
+    seeds 0-1999 that ``AdversaryScript.validate`` admits."""
+    for case, (config, script) in enumerate(random_cases(RANDOM_SCHEDULES)):
+        yield f"random_schedules 208 case={case},{script.name}", config, script
+    for case, config, script in full_range_cases(RANDOM_SCHEDULES):
+        yield f"full_range_schedules 208 case={case},{script.name}", config, script
+    for seed in range(GENERATED_SEEDS):
+        config, script = generated_schedule(random.Random(seed))
+        try:
+            script.validate(config)
+        except ScriptError:
+            continue
+        yield f"generated_schedules {seed} {script.name}", config, script
+
+
+DIGEST_PARTS = ("outputs", "hashes", "log")
+
+
+def _record_line(r) -> str:
+    fields = (repr(getattr(r, f.name)) for f in dataclasses.fields(r))
+    return " ".join([type(r).__name__, *fields])
+
+
+def output_digests(config: ScenarioConfig, script: AdversaryScript) -> tuple[str, str, str]:
+    """The sha256 of each of a run's three :data:`DIGEST_PARTS`. ``outputs``
+    covers the serialized trace without its version line and without the
+    payload hash column of its ``[events]`` lines, followed by the run
+    summary; ``hashes`` covers that column alone, so a change to how
+    payloads are hashed moves only it. ``log`` covers the whole run log
+    (``Trace.log``) in order: the record type and every field of each
+    message, note, dispute, contract call and revert."""
+    trace = run_scenario(config, script)
+    _, body = trace.serialize().split("\n", 1)  # the version line
+    head, rest = body.split("[events]\n", 1)
+    events, tail = rest.split("[gas]\n", 1)
+    lines = [line.rsplit(" ", 1) for line in events.splitlines()]
+    outputs = "".join((head, "[events]\n", *(f"{e}\n" for e, _ in lines), "[gas]\n", tail,
+                       summarize(trace)))
+    hashes = "".join(f"{h}\n" for _, h in lines)
+    log = "".join(f"{_record_line(r)}\n" for r in trace.log)
+    return tuple(hashlib.sha256(part.encode()).hexdigest() for part in (outputs, hashes, log))
 
 
 def assert_fair_exchange(trace: Trace) -> None:
