@@ -34,7 +34,7 @@ from dexo.harness import (
     valid_fault_bound,
 )
 from dexo.crypto import ShamirError
-from dexo.ledger import InvariantViolation, Ledger, LedgerError
+from dexo.ledger import GAS, InvariantViolation, Ledger, LedgerError
 from dexo.netsim import run_scenario
 from scenarioutil import suite_config
 
@@ -125,6 +125,36 @@ def test_valid_fault_bound():
         for t in (math.ceil(n / 2), math.ceil(2 * n / 3)):
             f = valid_fault_bound(n, t)
             assert f < n / 2 and f < t <= n - f
+
+
+def _gas_law_configs():
+    for n in range(3, 16):
+        for t in sorted({math.ceil(n / 2), math.ceil(2 * n / 3)}):
+            for m in (1, 3, 7):
+                for merged in (True, False):
+                    yield ScenarioConfig(n, t, valid_fault_bound(n, t), m,
+                                         merged_query=merged, seed=n * t + m)
+    for n, t, f in ((10, 6, 4), (7, 4, 3), (13, 7, 6)):
+        yield ScenarioConfig(n, t, f, 3, shared_key=True, seed=n)
+
+
+def test_honest_gas_follows_the_closed_form_law():
+    """An honest run's gas is deploy + N·initialize + Q·query +
+    s·(accept + revealKey + checkKey) + noComplain over M sources, where Q is
+    1 for a merged query and N for an unmerged one, and s is the sessions a
+    buyer pays for: t, or F+1 under the shared key."""
+    checked = 0
+    for config in _gas_law_configs():
+        n, s = config.n_nodes, config.sessions_required()
+        queries = 1 if config.merged_query else n
+        expected = (GAS.deployment + n * GAS.initialize + queries * GAS.query
+                    + s * (GAS.accept + GAS.reveal_key + GAS.check_key)
+                    + GAS.no_complain_base + GAS.no_complain_per_source * config.providers)
+        outcome = run_scenario(config).outcome
+        assert outcome.finished_reason == "settled", config
+        assert outcome.gas_total == expected, config
+        checked += 1
+    assert checked == 153
 
 
 # ---------------------------------------------------------------- CLI
