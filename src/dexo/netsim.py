@@ -1,6 +1,7 @@
 """Deterministic message-passing simulator with scriptable Byzantine faults.
 
-Participants exchange messages over authenticated FIFO channels; a fixed
+Participants exchange messages, one frozen record per kind
+(``participants.Message``), over authenticated FIFO channels; a fixed
 (seed-shuffled) rotation delivers one message per ready participant per step,
 so a run is a pure function of (config, script, seed). The simulator only
 delivers messages: the exchange stage (``participants.stage3_exchange``)
@@ -20,12 +21,16 @@ from ast import literal_eval
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import KeyMaterial, SecretShare
 from .ledger import InvariantViolation, Ledger, Revert, SessionStatus
 from .tee import AttestationReport, RuntimeMeasurement, preprocess
 from .wire import PayloadMemo, encode_share
+
+if TYPE_CHECKING:
+    from .participants import Message
 
 
 class ScriptError(Exception):
@@ -264,11 +269,6 @@ def _encode(value, out: list) -> None:
         out.append(b"l")
         for item in value:
             _encode(item, out)
-    elif cls is dict:
-        out.append(b"d")
-        for k in sorted(value):
-            out.append(str.encode(k))  # a key that is not a str is a TypeError
-            _encode(value[k], out)
     elif cls is int:
         out.append(b"%d" % value)
     elif cls is KeyMaterial:
@@ -279,23 +279,19 @@ def _encode(value, out: list) -> None:
         raise TypeError(f"no trace encoding for payload type {cls.__name__}")
 
 
-def _payload_digest(mtype: str, payload: dict) -> str:
-    out = [mtype.encode()]
-    _encode(payload, out)
+def _payload_digest(message: Message) -> str:
+    """A message's trace hash: its ``mtype``, then ``b"d"`` and each field's
+    name and value in name order."""
+    out = [message.mtype.encode(), b"d"]
+    for name in sorted(message.__match_args__):
+        out.append(name.encode())
+        _encode(getattr(message, name), out)
     return hashlib.sha256(b"".join(out)).hexdigest()[:16]
 
 
-# the four run records below are write-once, enforced by
+# the three run records below are write-once, enforced by
 # tests/test_write_once.py: `frozen` would make every construction three
 # to six times as slow
-@dataclass(slots=True)
-class Message:
-    sender: str
-    receiver: str
-    mtype: str
-    payload: dict
-
-
 @dataclass(slots=True)
 class Sent:
     """A message in the run log; its sequence number is its place among the
@@ -357,12 +353,11 @@ class Simulator:
         self._rotation = sorted(self.participants)
         self.rng.shuffle(self._rotation)
 
-    def send(self, sender: str, receiver: str, mtype: str, payload: dict) -> None:
+    def send(self, sender: str, receiver: str, message: Message) -> None:
         if receiver not in self.participants:
             raise KeyError(f"unknown participant {receiver!r}")
-        msg = Message(sender, receiver, mtype, payload)
-        self.log.append(Sent(sender, receiver, mtype, _payload_digest(mtype, payload)))
-        self.inboxes[receiver].append(msg)
+        self.log.append(Sent(sender, receiver, message.mtype, _payload_digest(message)))
+        self.inboxes[receiver].append((sender, message))
 
     def note(self, text: str) -> None:
         self.log.append(Note(text))
@@ -375,8 +370,8 @@ class Simulator:
             for name in self._rotation:
                 queue = self.inboxes[name]
                 if queue:
-                    msg = queue.popleft()
-                    self.participants[name].on_message(self, msg)
+                    sender, message = queue.popleft()
+                    self.participants[name].on_message(self, sender, message)
                     delivered_any = True
                     steps += 1
                     if steps > self.budget:

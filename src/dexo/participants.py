@@ -34,7 +34,7 @@ from .ledger import (
     SessionStatus,
     conforms_to_description,
 )
-from .netsim import Action, AdversaryScript, Dispute, Message, Simulator
+from .netsim import Action, AdversaryScript, Dispute, Simulator
 
 RATIFIED_TA = b"data-market-trusted-formatter-v1"
 
@@ -64,6 +64,22 @@ def _device_readings(config: ScenarioConfig, rng: random.Random, oversold: bool)
 
 
 # ---------------------------------------------------------------- device
+# one frozen record per message kind; its class attribute ``mtype`` names it in a trace
+
+
+@dataclass(frozen=True, slots=True)
+class AttReport:
+    mtype = "att_report"
+    provider: int  # restates the sender, which the channel already names
+    measurement: tee.RuntimeMeasurement
+    signature: bytes
+    mpk: bytes
+
+
+@dataclass(frozen=True, slots=True)
+class DataShares:
+    mtype = "data_shares"
+    reports: list[tee.AttestationReport]
 
 
 class DeviceHost:
@@ -84,33 +100,40 @@ class DeviceHost:
         self.rule = rule
         self.config = config
 
-    def on_message(self, sim: Simulator, msg: Message) -> None:
-        if msg.mtype == "attest":
-            measurement, sig, mpk = self.app.resume_attest()
-            sim.send(
-                self.name,
-                msg.sender,
-                "att_report",
-                {"provider": self.provider_index, "measurement": measurement,
-                 "signature": sig, "mpk": mpk},
-            )
-        elif msg.mtype == "solicit":
-            reports = self.app.resume_gendata(
-                n=self.config.n_nodes,
-                t=self.config.threshold,
-                raw=self.raw,
-                rule=self.rule,
-                provider_index=self.provider_index,
-            )
-            sim.send(
-                self.name,
-                msg.sender,
-                "data_shares",
-                {"reports": reports},
-            )
+    def on_message(self, sim: Simulator, sender: str, message: Message) -> None:
+        match message:
+            case Attest():
+                sim.send(self.name, sender,
+                         AttReport(self.provider_index, *self.app.resume_attest()))
+            case Solicit():
+                reports = self.app.resume_gendata(
+                    n=self.config.n_nodes, t=self.config.threshold, raw=self.raw,
+                    rule=self.rule, provider_index=self.provider_index)
+                sim.send(self.name, sender, DataShares(reports))
 
 
 # ---------------------------------------------------------------- server
+
+
+@dataclass(frozen=True, slots=True)
+class Attest:
+    mtype = "attest"
+
+
+@dataclass(frozen=True, slots=True)
+class Solicit:
+    mtype = "solicit"
+
+
+@dataclass(frozen=True, slots=True)
+class ShareDelivery:
+    mtype = "share_delivery"
+    report: tee.AttestationReport
+
+
+@dataclass(frozen=True, slots=True)
+class Register:
+    mtype = "register"
 
 
 class PDAppServer:
@@ -145,22 +168,53 @@ class PDAppServer:
             node_fee=config.node_fee,
         )
 
-    def on_message(self, sim: Simulator, msg: Message) -> None:
-        if msg.mtype == "att_report":
-            if not self.registry.admits(msg.payload["mpk"], msg.payload["measurement"]):
-                sim.note(f"server: device {msg.payload['provider']} failed attestation")
-        elif msg.mtype == "data_shares":
-            self._relay(sim, msg.payload["reports"])
+    def on_message(self, sim: Simulator, sender: str, message: Message) -> None:
+        match message:
+            case AttReport(provider, measurement, _, mpk):
+                if not self.registry.admits(mpk, measurement):
+                    sim.note(f"server: device {provider} failed attestation")
+            case DataShares(reports):
+                self._relay(sim, reports)
 
     def _relay(self, sim: Simulator, reports: list[tee.AttestationReport]) -> None:
         destinations = {r.share.node_index: r for r in reports}
         if self.script.acts(Action.PERMUTE, reports[0].share.provider_index):
             destinations[2], destinations[3] = destinations[3], destinations[2]
         for node_index, report in sorted(destinations.items()):
-            sim.send(self.name, f"node-{node_index}", "share_delivery", {"report": report})
+            sim.send(self.name, f"node-{node_index}", ShareDelivery(report))
 
 
 # ---------------------------------------------------------------- node
+
+
+@dataclass(frozen=True, slots=True)
+class LeakedShare:
+    mtype = "leaked_share"
+    share: SecretShare
+
+
+@dataclass(frozen=True, slots=True)
+class GroupKey:
+    mtype = "group_key"
+    key: KeyMaterial
+
+
+@dataclass(frozen=True, slots=True)
+class LeakedKey:
+    mtype = "leaked_key"
+    key: KeyMaterial
+
+
+@dataclass(frozen=True, slots=True)
+class Ciphertext:
+    mtype = "ciphertext"
+    cipher: bytes
+    openings: bytes
+
+
+@dataclass(frozen=True, slots=True)
+class NoticeKey:
+    mtype = "notice_key"
 
 
 class DexoNode:
@@ -186,36 +240,40 @@ class DexoNode:
     def _act(self, action: Action) -> bool:
         return self.script.acts(action, self.index)
 
-    def on_message(self, sim: Simulator, msg: Message) -> None:
-        handler = self._HANDLERS.get(msg.mtype)
-        if handler:
-            handler(self, sim, msg)
+    def on_message(self, sim: Simulator, sender: str, message: Message) -> None:
+        match message:
+            case ShareDelivery(report):
+                self._on_share_delivery(sim, report)
+            case GroupKey(key):
+                self.group_key = key
+                self._maybe_leak_key(sim, key)
+            case Register():
+                self._on_register(sim)
+            case NoticeBuy():
+                self._on_notice_buy(sim, sender)
+            case NoticeAccept():
+                self._on_notice_accept(sim, sender)
 
-    def _on_share_delivery(self, sim: Simulator, msg: Message) -> None:
-        report = msg.payload["report"]
+    def _on_share_delivery(self, sim: Simulator, report: tee.AttestationReport) -> None:
         share = report.share
         self.received[share.provider_index] = report
         if self.index in self.script.corrupted_nodes:
             sim.monitor.record_share(share.provider_index, share.x_coordinate)
         if self._act(Action.LEAK_TO):
-            sim.send(self.name, "consumer", "leaked_share", {"share": share})
+            sim.send(self.name, "consumer", LeakedShare(share))
 
     def form_group(self, sim: Simulator, members: list[int]) -> None:
         """Lead the priority group: draw its key and send it to ``members``."""
         self.group_key = KeyMaterial(self.rng.randbytes(32))
         self._maybe_leak_key(sim, self.group_key)
         for j in members:
-            sim.send(self.name, f"node-{j}", "group_key", {"key": self.group_key})
-
-    def _on_group_key(self, sim: Simulator, msg: Message) -> None:
-        self.group_key = msg.payload["key"]
-        self._maybe_leak_key(sim, self.group_key)
+            sim.send(self.name, f"node-{j}", GroupKey(self.group_key))
 
     def _maybe_leak_key(self, sim: Simulator, key: KeyMaterial) -> None:
         if self._act(Action.LEAK_KEY):
-            sim.send(self.name, "consumer", "leaked_key", {"key": key})
+            sim.send(self.name, "consumer", LeakedKey(key))
 
-    def _on_register(self, sim: Simulator, msg: Message) -> None:
+    def _on_register(self, sim: Simulator) -> None:
         reports = [self.received[p] for p in sorted(self.received)]
         self.received.clear()  # registration is their only reader
         if self._act(Action.REFUSE_REGISTER):
@@ -250,8 +308,7 @@ class DexoNode:
             self.account, self.cid, sim.memo.root(self.cipher), commit(self.key)
         )
 
-    def _on_notice_buy(self, sim: Simulator, msg: Message) -> None:
-        buyer = msg.sender
+    def _on_notice_buy(self, sim: Simulator, buyer: str) -> None:
         status = sim.ledger.read(self.account, self.cid, buyer, self.index)
         if status is not SessionStatus.QUERIED or self.cipher is None:
             return
@@ -262,10 +319,9 @@ class DexoNode:
         if self._act(Action.EQUIVOCATE):
             cipher = bytes([cipher[0] ^ 0xFF]) + cipher[1:]
             sim.note(f"{self.name}: equivocated on delivery")
-        sim.send(self.name, buyer, "ciphertext", {"cipher": cipher, "openings": self.openings})
+        sim.send(self.name, buyer, Ciphertext(cipher, self.openings))
 
-    def _on_notice_accept(self, sim: Simulator, msg: Message) -> None:
-        buyer = msg.sender
+    def _on_notice_accept(self, sim: Simulator, buyer: str) -> None:
         status = sim.ledger.read(self.account, self.cid, buyer, self.index)
         if status is not SessionStatus.ACCEPTED or self.reveal_attempted:
             return
@@ -284,18 +340,24 @@ class DexoNode:
         if self._act(Action.SILENT_REVEAL):
             sim.note(f"{self.name}: revealed its key without notice")
             return
-        sim.send(self.name, buyer, "notice_key", {})
-
-    _HANDLERS = {
-        "share_delivery": _on_share_delivery,
-        "group_key": _on_group_key,
-        "register": _on_register,
-        "notice_buy": _on_notice_buy,
-        "notice_accept": _on_notice_accept,
-    }
+        sim.send(self.name, buyer, NoticeKey())
 
 
 # ---------------------------------------------------------------- consumer
+
+
+@dataclass(frozen=True, slots=True)
+class NoticeBuy:
+    mtype = "notice_buy"
+
+
+@dataclass(frozen=True, slots=True)
+class NoticeAccept:
+    mtype = "notice_accept"
+
+
+Message = (Attest | AttReport | Solicit | DataShares | ShareDelivery | LeakedShare | GroupKey
+           | LeakedKey | Register | NoticeBuy | Ciphertext | NoticeAccept | NoticeKey)
 
 
 @dataclass(eq=False)  # the consumer extends it, and a participant is compared by identity
@@ -560,27 +622,27 @@ class Consumer(BuyerView):
         self.listing = sim.ledger.snapshot_listing(self.cid)
         self._run(sim)
 
-    def on_message(self, sim: Simulator, msg: Message) -> None:
+    def on_message(self, sim: Simulator, sender: str, message: Message) -> None:
         if self.finished:
             return
-        if msg.mtype == "ciphertext":
-            j = self.node_index[msg.sender]
-            self.responded.add(j)
-            cipher = msg.payload["cipher"]
-            if sim.memo.root(cipher) == self.listing.delta[j]:
-                self.delivered[j] = cipher
-                self.openings[j] = msg.payload["openings"]
-                for key in self._leaked_keys:
-                    self._open_with(sim, key)
-            else:
-                sim.note(f"consumer: digest mismatch from node {j}")
-            self._run(sim)
-        elif msg.mtype == "notice_key":
-            self._run(sim, notice=self.node_index[msg.sender])
-        elif msg.mtype == "leaked_key" and self.corrupted:
-            # keys leak in stage 2, before the listing is fetched; each is
-            # tried on every ciphertext as it arrives
-            self._leaked_keys.append(msg.payload["key"])
+        match message:
+            case Ciphertext(cipher, openings):
+                j = self.node_index[sender]
+                self.responded.add(j)
+                if sim.memo.root(cipher) == self.listing.delta[j]:
+                    self.delivered[j] = cipher
+                    self.openings[j] = openings
+                    for key in self._leaked_keys:
+                        self._open_with(sim, key)
+                else:
+                    sim.note(f"consumer: digest mismatch from node {j}")
+                self._run(sim)
+            case NoticeKey():
+                self._run(sim, notice=self.node_index[sender])
+            case LeakedKey(key) if self.corrupted:
+                # keys leak in stage 2, before the listing is fetched; each is
+                # tried on every ciphertext as it arrives
+                self._leaked_keys.append(key)
 
     def on_tick(self, sim: Simulator) -> None:
         """Called when the network is quiet; handles drops and timeouts."""
@@ -613,13 +675,13 @@ class Consumer(BuyerView):
                 for j in [None] if merged else range(1, self.config.n_nodes + 1):
                     ledger.query(account, cid, node_index=j)
                 for name in self.node_index:
-                    sim.send(self.name, name, "notice_buy", {})
+                    sim.send(self.name, name, NoticeBuy())
             case Accept(nodes, notify):
                 for j in nodes:
                     ledger.accept(account, cid, j, ledger.contracts[cid].session_price)
                     sim.monitor.record_payment()
                 for j in notify:
-                    sim.send(self.name, f"node-{j}", "notice_accept", {})
+                    sim.send(self.name, f"node-{j}", NoticeAccept())
                 self.judged = False
             case TakeKey(j):
                 key = ledger.check_key(account, cid, j)
@@ -748,7 +810,7 @@ def stage0_setup(
     sim.register(consumer)
 
     for device in devices:
-        sim.send(server.name, device.name, "attest", {})
+        sim.send(server.name, device.name, Attest())
     sim.drain()
 
     return ProtocolSetup(
@@ -760,7 +822,7 @@ def stage0_setup(
 def stage1_produce(sim: Simulator, setup: ProtocolSetup) -> None:
     """Solicit every device; the trusted app shares and signs, the server relays."""
     for device in setup.devices:
-        sim.send(setup.server.name, device.name, "solicit", {})
+        sim.send(setup.server.name, device.name, Solicit())
     sim.drain()
 
 
@@ -773,7 +835,7 @@ def stage2_register(sim: Simulator, setup: ProtocolSetup) -> None:
         setup.nodes[group[0]].form_group(sim, group[1:])
         sim.drain()
     for j in sorted(setup.nodes):
-        sim.send("server", setup.nodes[j].name, "register", {})
+        sim.send("server", setup.nodes[j].name, Register())
     sim.drain()
 
 

@@ -36,22 +36,22 @@ def encode_share(share: SecretShare) -> bytes:
     return _HEADER.pack(share.provider_index, share.node_index, share.x_coordinate, len(y)) + y
 
 
-def decode_shares(payload: bytes, providers: int, datum_size: int) -> list[SecretShare]:
-    """Parse a node payload laid out as its listing fixes it: one record per
-    provider, in provider order, each holding ``datum_size`` y bytes at a
-    nonzero x. A payload that breaks the layout is a :class:`ValueError`."""
+def decode_shares(data: bytes, providers: int, datum_size: int) -> list[SecretShare]:
+    """Parse node payload ``data`` laid out as its listing fixes it: one
+    record per provider, in provider order, each with ``datum_size`` y bytes
+    at a nonzero x. A payload that breaks the layout is a :class:`ValueError`."""
     length = record_length(datum_size)
-    if len(payload) != providers * length:
+    if len(data) != providers * length:
         raise ValueError(
-            f"payload of {len(payload)} bytes is not {providers} records of {length}"
+            f"payload of {len(data)} bytes is not {providers} records of {length}"
         )
     shares = []
     for provider in range(1, providers + 1):
         pos = record_offset(provider, datum_size)
-        labeled, node, x, y_len = _HEADER.unpack_from(payload, pos)
+        labeled, node, x, y_len = _HEADER.unpack_from(data, pos)
         if labeled != provider or y_len != datum_size or x == 0:
             raise ValueError(f"record {provider} breaks the listing layout")
-        shares.append(SecretShare(provider, node, x, payload[pos + _HEADER_LEN : pos + length]))
+        shares.append(SecretShare(provider, node, x, data[pos + _HEADER_LEN : pos + length]))
     return shares
 
 

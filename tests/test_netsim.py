@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from dexo.netsim import (
     run_scenario,
     standard_scripts,
 )
-from dexo.participants import stage0_setup, stage1_produce
+from dexo.participants import Message, ShareDelivery, stage0_setup, stage1_produce
 from dexo.tee import (
     AttestationReport,
     PreprocessingRule,
@@ -245,14 +246,19 @@ def test_script_dict_roundtrip():
 # ---------------------------------------------------------------- drain budget
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Ping:
+    mtype = "echo"
+
+
 class _Echo:
     """Answers every message with one to its peer, forever."""
 
     def __init__(self, name: str, peer: str):
         self.name, self.peer = name, peer
 
-    def on_message(self, sim, msg) -> None:
-        sim.send(self.name, self.peer, "echo", {})
+    def on_message(self, sim, sender, message) -> None:
+        sim.send(self.name, self.peer, _Ping())
 
 
 def test_participants_that_echo_forever_exceed_the_drain_budget():
@@ -260,7 +266,7 @@ def test_participants_that_echo_forever_exceed_the_drain_budget():
     sim = simulator(config)
     sim.register(_Echo("a", "b"))
     sim.register(_Echo("b", "a"))
-    sim.send("a", "b", "echo", {})
+    sim.send("a", "b", _Ping())
     with pytest.raises(InvariantViolation, match="message budget exceeded"):
         sim.drain()
     # the first message, then one more per delivery, the last one over budget
@@ -363,20 +369,22 @@ _leaves = st.one_of(
     st.builds(KeyMaterial, key=_digests),
     _measurements,
 )
-_payloads = st.recursive(
-    _leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=5), inner, max_size=4),
-    ),
-    max_leaves=12,
-)
+_payloads = st.recursive(_leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+MESSAGE_KINDS = typing.get_args(Message)
+
+
+def _as_payload(message) -> dict:
+    """A message's fields as the payload dict the oracle walks."""
+    return {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(mtype=st.text(max_size=12), payload=_payloads)
-def test_payload_digest_matches_the_recursive_walk(mtype, payload):
-    assert _payload_digest(mtype, payload) == oracle_payload_digest(mtype, payload)
+@given(kind=st.sampled_from(MESSAGE_KINDS), data=st.data())
+def test_payload_digest_matches_the_recursive_walk(kind, data):
+    """Any value of the carried types, in any field of any message kind,
+    hashes as the oracle walks the message's fields as a dict."""
+    message = kind(*(data.draw(_payloads, label=f.name) for f in dataclasses.fields(kind)))
+    assert _payload_digest(message) == oracle_payload_digest(kind.mtype, _as_payload(message))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -392,16 +400,19 @@ class _Blob(bytes):
 UNSENT_SHAPES = {
     "tuple": (b"x",), "str": "text", "None": None, "bool": True, "float": 1.5,
     "bytearray": bytearray(b"x"), "bytes subclass": _Blob(b"x"),
-    "dataclass": _Envelope(b"x"), "int key": {1: b"x"}, "bytes key": {b"k": 1},
+    "dataclass": _Envelope(b"x"), "dict": {"k": b"x"}, "int key": {1: b"x"},
+    "bytes key": {b"k": 1},
 }
 
 
 @pytest.mark.parametrize("shape", UNSENT_SHAPES)
 def test_a_payload_type_no_message_sends_is_rejected(shape):
+    """A record holding the shape, in a field or inside a list, has no
+    trace encoding."""
     value = UNSENT_SHAPES[shape]
-    for payload in ({"v": value}, {"v": [1, {"w": value}]}):
-        with pytest.raises(TypeError):
-            _payload_digest("m", payload)
+    for message in (ShareDelivery(value), ShareDelivery([1, [value]])):
+        with pytest.raises(TypeError, match="no trace encoding for payload type"):
+            _payload_digest(message)
 
 
 # configs beside the standard scripts, each with a message flow of its own
@@ -429,9 +440,10 @@ def _run_digest_case(name: str):
     return run_scenario(suite_config(**config))
 
 
-# the keys of every message type's payload. A payload restates neither its
-# sender, which the authenticated channel names, nor a share's provider,
-# which the share carries.
+# the keys of every message type's payload, written apart from the records.
+# A payload restates neither its sender, which the authenticated channel
+# names, nor a share's provider, which the share carries; the one exception
+# is att_report's provider, which restates its device.
 PAYLOAD_KEYS = {
     "attest": set(),
     "att_report": {"provider", "measurement", "signature", "mpk"},
@@ -465,14 +477,21 @@ def test_the_digest_cases_send_every_message_type():
     assert set(_MUST_SEND) <= set(DIGEST_CASES)
 
 
+def test_the_message_alias_holds_exactly_the_thirteen_kinds():
+    assert len(MESSAGE_KINDS) == len(PAYLOAD_KEYS) == 13
+    assert {kind.mtype: {f.name for f in dataclasses.fields(kind)}
+            for kind in MESSAGE_KINDS} == PAYLOAD_KEYS
+
+
 @pytest.mark.parametrize("name", DIGEST_CASES)
 def test_every_protocol_message_hashes_like_the_walk(monkeypatch, name):
     checked = []
 
-    def both(mtype, payload):
-        digest = _payload_digest(mtype, payload)
-        assert digest == oracle_payload_digest(mtype, payload), mtype
-        checked.append(mtype)
+    def both(message):
+        digest = _payload_digest(message)
+        expected = oracle_payload_digest(message.mtype, _as_payload(message))
+        assert digest == expected, message.mtype
+        checked.append(message.mtype)
         return digest
 
     monkeypatch.setattr(netsim, "_payload_digest", both)
@@ -486,9 +505,9 @@ def test_every_payload_has_exactly_its_schema_keys(monkeypatch, name):
     sent = []
     send = netsim.Simulator.send
 
-    def recording(self, sender, receiver, mtype, payload):
-        sent.append((mtype, set(payload)))
-        send(self, sender, receiver, mtype, payload)
+    def recording(self, sender, receiver, message):
+        sent.append((message.mtype, set(_as_payload(message))))
+        send(self, sender, receiver, message)
 
     monkeypatch.setattr(netsim.Simulator, "send", recording)
     _run_digest_case(name)
@@ -520,6 +539,5 @@ def test_flipping_any_byte_of_a_relayed_report_changes_its_digest():
             for v in _one_byte_flips(sibling)
         ]
     assert len(altered) == 3 + 32 + 64 + 32 + 32 + 3 * 32
-    digests = {_payload_digest("share_delivery", {"report": r})
-               for r in [report, *altered]}
+    digests = {_payload_digest(ShareDelivery(r)) for r in [report, *altered]}
     assert len(digests) == 1 + len(altered)

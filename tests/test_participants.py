@@ -1,5 +1,7 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
+import dataclasses
+
 import pytest
 
 from dexo import participants, tee, wire
@@ -20,6 +22,8 @@ from dexo.netsim import (
     texts,
 )
 from dexo.participants import (
+    Ciphertext,
+    ShareDelivery,
     stage0_setup,
     stage1_produce,
     stage2_register,
@@ -204,13 +208,13 @@ def test_consumer_rejects_an_altered_opening(monkeypatch):
     width = 32 + 64 + 32 + 32 * (config.n_nodes - 1).bit_length()
     send = Simulator.send
 
-    def altering(self, sender, receiver, mtype, payload):
-        if mtype == "ciphertext" and sender == "node-1":
-            blob = bytearray(payload["openings"])
+    def altering(self, sender, receiver, message):
+        if type(message) is Ciphertext and sender == "node-1":
+            blob = bytearray(message.openings)
             blob[96] ^= 1  # the salts are a keystream XOR, so one bit flips
             blob[width + 128 : 2 * width] = blob[2 * width + 128 : 3 * width]
-            payload = dict(payload, openings=bytes(blob))
-        send(self, sender, receiver, mtype, payload)
+            message = Ciphertext(message.cipher, bytes(blob))
+        send(self, sender, receiver, message)
 
     monkeypatch.setattr(Simulator, "send", altering)
     _, setup = _staged_run(config)
@@ -406,13 +410,13 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     received = {}  # by node name, then by provider
     send = Simulator.send
 
-    def capture(self, sender, receiver, mtype, payload):
-        if mtype == "ciphertext":
-            delivered.append((sender, payload))
-        elif mtype == "share_delivery":
-            report = payload["report"]
+    def capture(self, sender, receiver, message):
+        if type(message) is Ciphertext:
+            delivered.append((sender, message))
+        elif type(message) is ShareDelivery:
+            report = message.report
             received.setdefault(receiver, {})[report.share.provider_index] = report
-        send(self, sender, receiver, mtype, payload)
+        send(self, sender, receiver, message)
 
     monkeypatch.setattr(Simulator, "send", capture)
     config = suite_config(seed=4)
@@ -421,9 +425,9 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
     width = 32 + 64 + 32 + 32 * (config.n_nodes - 1).bit_length()
     nonce = wire.payload_nonce(sim.ledger.contracts[setup.cid].tid)
     nodes = {node.name: node for node in setup.nodes.values()}
-    for sender, payload in delivered:
+    for sender, message in delivered:
         node, reports = nodes[sender], received[sender]
-        blob = payload["openings"]
+        blob = message.openings
         assert len(blob) == config.providers * width
         assert sorted(reports) == list(range(1, config.providers + 1))
         for provider, report in reports.items():
@@ -444,18 +448,19 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
 
 
 def test_a_node_speaks_only_for_itself():
-    """Ciphertexts that node 1 sends in the other nodes' names are node 1's:
-    the consumer takes a sender's index from its channel, so the honest
-    nodes' deliveries are still verified and bought."""
+    """Ciphertexts that node 1 sends for the other nodes are node 1's: a
+    ciphertext has no field that could name another node, and the consumer
+    takes a sender's index from its channel, so the honest nodes' deliveries
+    are still verified and bought."""
+    assert [f.name for f in dataclasses.fields(Ciphertext)] == ["cipher", "openings"]
     for seed in range(3):
         config = suite_config(seed=seed)
         sim = simulator(config)
         setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
         stage1_produce(sim, setup)
         stage2_register(sim, setup)
-        for k in range(2, config.n_nodes + 1):
-            sim.send("node-1", "consumer", "ciphertext",
-                     {"node": k, "cipher": bytes(16), "openings": b""})
+        for _ in range(2, config.n_nodes + 1):  # one forgery per other node
+            sim.send("node-1", "consumer", Ciphertext(bytes(16), b""))
         stage3_exchange(sim, setup)
         assert texts(sim.log, Note) == ("consumer: digest mismatch from node 1",) * 6
         consumer = setup.consumer
@@ -463,19 +468,12 @@ def test_a_node_speaks_only_for_itself():
         assert consumer.finished_reason == "settled" and consumer.reconstruction_valid
 
 
-def test_a_node_files_each_report_under_its_own_provider(monkeypatch):
-    """A relay that labels node 4's deliveries of providers 1 and 2 with each
-    other's index changes nothing: the node files and seals each report by
-    its share's provider, so every share opens to its device's signed root."""
-    send = Simulator.send
-
-    def swapping(self, sender, receiver, mtype, payload):
-        if mtype == "share_delivery" and receiver == "node-4":
-            provider = payload["report"].share.provider_index
-            payload = dict(payload, provider={1: 2, 2: 1}.get(provider, provider))
-        send(self, sender, receiver, mtype, payload)
-
-    monkeypatch.setattr(Simulator, "send", swapping)
+def test_a_node_files_each_report_under_its_own_provider():
+    """A delivery holds its report and nothing else, so a relay has no label
+    to set apart from the share's own: the node files and seals each report
+    by its share's provider, so every share opens to its device's signed
+    root."""
+    assert [f.name for f in dataclasses.fields(ShareDelivery)] == ["report"]
     config = suite_config(seed=3)
     sim = simulator(config)
     setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])

@@ -9,7 +9,8 @@ import pytest
 from dexo import tee
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare, reconstruct
 from dexo.ledger import Call, Revert
-from dexo.netsim import Dispute, Message, Note, Sent
+from dexo.netsim import Dispute, Note, Sent
+from dexo.participants import ShareDelivery
 from dexo.tee import (
     AttestationRegistry,
     PreprocessingFailure,
@@ -312,11 +313,11 @@ def test_verdicts_belong_to_one_registry():
 
 
 def test_slotted_values_survive_pickling():
+    """Every write-once record, and a frozen message outside that set."""
     _, registry, _, reports = _reports(seed=27)
     report = reports[4]
     values = (
         report, report.share, report.proof,
-        Message("device-1", "server", "report", {"report": report}),
         Sent("device-1", "server", "report", "0123456789abcdef"),
         Note("consumer: digest mismatch from node 1"),
         Dispute("case2 accepted=True"),
@@ -324,7 +325,7 @@ def test_slotted_values_survive_pickling():
         Revert(3, "node-1", "revealKey", 84_334, "key does not open node 1's commitment"),
     )
     assert {type(value) for value in values} == WRITE_ONCE
-    for value in values:
+    for value in (*values, ShareDelivery(report)):
         assert not hasattr(value, "__dict__")
         assert pickle.loads(pickle.dumps(value)) == value
     assert isinstance(report.share, SecretShare)

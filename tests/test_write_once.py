@@ -1,10 +1,12 @@
-"""Write-once records: the slotted dataclasses built per share, per message
-and per contract call are not ``frozen`` (a frozen ``__init__`` assigns each
-field through ``object.__setattr__``, three to six times the cost of plain
-slot stores), so this file holds them to write-once instead.
+"""Write-once records: the slotted dataclasses built per share, per sent
+message and per contract call are not ``frozen`` (a frozen ``__init__``
+assigns each field through ``object.__setattr__``, three to six times the
+cost of plain slot stores), so this file holds them to write-once instead.
+The messages themselves are frozen records: a message with no fields
+assigns no slot, so this guard could never see one built.
 
-The simulator hands one record object from device to server to node, and a
-trace digests each payload when it is sent. An in-place edit after that
+The simulator hands one report object from device to server to node, and a
+trace digests each message when it is sent. An in-place edit after that
 would change another participant's view without showing in the trace. The
 ``write_once`` fixture makes every slotted, non-frozen dataclass in
 ``dexo.*`` refuse a second assignment to a slot and any deletion, and the
@@ -24,7 +26,6 @@ from dexo.netsim import (
     Action,
     AdversaryScript,
     Dispute,
-    Message,
     Note,
     Rule,
     Sent,
@@ -37,7 +38,7 @@ from test_paper_scale import tamper_config
 
 WRITE_ONCE = {
     SecretShare, MerkleProof, AttestationReport,
-    Message, Sent, Note, Dispute, Call, Revert,
+    Sent, Note, Dispute, Call, Revert,
 }
 
 RANDOM_SCHEDULES = 50
