@@ -36,8 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from scenarioutil import DIGEST_PARTS as PARTS  # noqa: E402
-from scenarioutil import output_digests, suite_schedules  # noqa: E402
+from scenarioutil import DIGEST_PARTS, output_digests, suite_schedules  # noqa: E402
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
@@ -59,7 +58,7 @@ def digests() -> dict[str, tuple[str, str, str]]:
 
 def read_digests(path: str) -> dict[str, tuple[str, str, str]]:
     with open(path, encoding="utf-8") as fh:
-        rows = [line.rsplit(" ", len(PARTS)) for line in fh.read().splitlines() if line]
+        rows = [line.rsplit(" ", len(DIGEST_PARTS)) for line in fh.read().splitlines() if line]
     return {key: tuple(parts) for key, *parts in rows}
 
 
@@ -74,9 +73,9 @@ def main() -> int:
             print(key, *parts)
         return 0
     recorded = read_digests(args.compare)
-    missing = (None,) * len(PARTS)
+    missing = (None,) * len(DIGEST_PARTS)
     any_differ = False
-    for i, part in enumerate(PARTS):
+    for i, part in enumerate(DIGEST_PARTS):
         differing = [k for k in current if recorded.get(k, missing)[i] != current[k][i]]
         differing += [k for k in recorded if k not in current]
         for key in differing:
