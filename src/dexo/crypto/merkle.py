@@ -91,17 +91,27 @@ def merkle_prove(chunks: list[bytes], leaf_index: int) -> MerkleProof:
     return merkle_proofs(chunks)[1][leaf_index]
 
 
-def path_root(chunk: bytes, proof: MerkleProof) -> bytes:
-    """Digest of the root reached by walking ``proof`` up from ``chunk``."""
+def path_root(
+    chunk: bytes, proof: MerkleProof, parents: dict[tuple[bytes, bytes], bytes] | None = None
+) -> bytes:
+    """Digest of the root reached by walking ``proof`` up from ``chunk``.
+
+    With ``parents``, each interior digest is looked up there by its
+    (left, right) children before it is hashed, and stored after. The key is
+    the whole input of the hash, so a hit returns what hashing would.
+    """
     sha = hashlib.sha256
     node = sha(TAG_LEAF + chunk).digest()
     index = proof.leaf_index
     for sibling in proof.siblings:
-        if index & 1:
-            node = sha(TAG_NODE + sibling + node).digest()
-        else:
-            node = sha(TAG_NODE + node + sibling).digest()
+        left, right = (sibling, node) if index & 1 else (node, sibling)
         index >>= 1
+        if parents is None:
+            node = sha(TAG_NODE + left + right).digest()
+        else:
+            node = parents.get((left, right))
+            if node is None:
+                node = parents[left, right] = sha(TAG_NODE + left + right).digest()
     return node
 
 

@@ -59,8 +59,27 @@ def _device_readings(config: ScenarioConfig, rng: random.Random, oversold: bool)
     if config.preprocessing == "moving_average":
         count += config.window - 1
     if oversold:
-        return [rng.randint(config.value_max + 1, 255) for _ in range(count)]
-    return [rng.randint(config.value_min, config.value_max) for _ in range(count)]
+        return _uniform_ints(rng, config.value_max + 1, 255, count)
+    return _uniform_ints(rng, config.value_min, config.value_max, count)
+
+
+def _uniform_ints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` draws of ``rng.randint(lo, hi)``, without its per-call cost.
+
+    Each value is ``lo + r`` for the first ``r = getrandbits(k)`` below the
+    span, k being the span's bit length. That is CPython's own rule for
+    ``randint``, so the values and the generator's final state are the same.
+    """
+    span = hi - lo + 1
+    if span < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    bits, draw = span.bit_length(), rng.getrandbits
+    values = []
+    while len(values) < count:
+        r = draw(bits)
+        if r < span:
+            values.append(lo + r)
+    return values
 
 
 # ---------------------------------------------------------------- device

