@@ -52,10 +52,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     rows = []
-    for name in sorted(standard_scripts(base)):
-        config = replace(base, adversary=name, shared_key=(name == "SHARED_KEY_LEAK"))
+    for name, script in sorted(standard_scripts(base).items()):
+        config = replace(base, adversary=name, shared_key=script.requires_shared_key)
         try:
-            outcome = run_scenario(config).outcome
+            outcome = run_scenario(config, script).outcome
         except ScriptError as exc:  # the script cannot run under this config
             rows.append({"script": name, "outcome": f"rejected: {exc}"})
             print(f"{name:26s} rejected: {exc}")

@@ -3,28 +3,29 @@
 leaves traces, gas logs, contract dumps and summaries byte-identical.
 
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
-and 90210, for the first 200 randomized adversary schedules of the test
-suite (``scenarioutil.random_cases``, seed 208), for those schedules
-redrawn under a full-range description that every garbage datum meets
-(``scenarioutil.full_range_cases``), and for the generated schedules that
-``AdversaryScript.validate`` admits from seeds 0-1999
-(``scenarioutil.generated_schedule``: every role's actions, among them
-refusing and corrupted consumers that buy), it prints one line
+and 90210, and for every schedule family of the test suite
+(``scenarioutil.suite_schedules``: the first 200 randomized adversary
+schedules, seed 208; those schedules redrawn under a full-range description
+that every garbage datum meets; the generated schedules that
+``AdversaryScript.validate`` admits from seeds 0-1999, with every role's
+actions, among them refusing and corrupted consumers that buy; each
+standard script at the suite config; the unmerged-query and shared-key
+honest flows; and ``TAMPER_SHARES`` at N=13), it prints one line
 ``<workload> <seed> <label> <outputs sha256> <hashes sha256> <log sha256>``.
 The three parts are those of ``scenarioutil.output_digests``: the
 serialized trace without its payload hash column, followed by the run
 summary; that hash column alone, so a change to how payloads are hashed
 moves only the second digest; and the run's whole log, record by record.
-The suite's own families are also gated by ``tests/test_golden_digests.py``;
+The suite's families are also gated by ``tests/test_golden_digests.py``;
 the workload families are compared only by hand, with this script.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
     python scripts/output_digests.py --compare before.txt
 
-With ``--compare`` it lists, part by part, the scenarios whose digest differs
-from (or is missing in) the given file, prints how many differ in each part,
-and exits 1 if any do.
+With ``--compare`` it lists, part by part and in sorted order, the
+scenarios whose digest differs from (or is missing in) the given file,
+prints how many differ in each part, and exits 1 if any do.
 """
 
 import argparse
@@ -36,7 +37,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from scenarioutil import DIGEST_PARTS, output_digests, suite_schedules  # noqa: E402
+from scenarioutil import (  # noqa: E402
+    DIGEST_PARTS,
+    changed_digests,
+    format_digests,
+    output_digests,
+    read_digests,
+    suite_schedules,
+)
 from workloads import build  # noqa: E402
 
 WORKLOADS = ("sweep_honest", "adversary_suite", "tamper_scaling")
@@ -56,12 +64,6 @@ def digests() -> dict[str, tuple[str, str, str]]:
     return out
 
 
-def read_digests(path: str) -> dict[str, tuple[str, str, str]]:
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.rsplit(" ", len(DIGEST_PARTS)) for line in fh.read().splitlines() if line]
-    return {key: tuple(parts) for key, *parts in rows}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="FILE",
@@ -69,20 +71,15 @@ def main() -> int:
     args = parser.parse_args()
     current = digests()
     if args.compare is None:
-        for key, parts in current.items():
-            print(key, *parts)
+        sys.stdout.write(format_digests(current))
         return 0
-    recorded = read_digests(args.compare)
-    missing = (None,) * len(DIGEST_PARTS)
-    any_differ = False
-    for i, part in enumerate(DIGEST_PARTS):
-        differing = [k for k in current if recorded.get(k, missing)[i] != current[k][i]]
-        differing += [k for k in recorded if k not in current]
-        for key in differing:
-            print(f"{part} differ: {key}")
+    changes = changed_digests(read_digests(args.compare), current)
+    for part in DIGEST_PARTS:
+        differing = [label for label, p in changes if p == part]
+        for label in differing:
+            print(f"{part} differ: {label}")
         print(f"{part}: {len(differing)} differing scenarios out of {len(current)}")
-        any_differ = any_differ or bool(differing)
-    return 1 if any_differ else 0
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":

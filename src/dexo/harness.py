@@ -173,6 +173,9 @@ def valid_fault_bound(n: int, t: int) -> int:
     return min(t - 1, n - t, (n - 1) // 2)
 
 
+THRESHOLD_RULES = ("half", "two_thirds")
+
+
 def family_configs(
     n_values: list[int],
     threshold_rule: str,
@@ -183,6 +186,10 @@ def family_configs(
     """One honest config per node count under a threshold rule ('half' means
     t = ceil(N/2), 'two_thirds' means t = ceil(2N/3)).
     """
+    if threshold_rule not in THRESHOLD_RULES:
+        raise ConfigError(
+            f"unknown threshold rule {threshold_rule!r}; choose from {THRESHOLD_RULES}"
+        )
     configs = []
     for n in n_values:
         t = math.ceil(n / 2) if threshold_rule == "half" else math.ceil(2 * n / 3)

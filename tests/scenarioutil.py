@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 from dexo.config import ScenarioConfig
 from dexo.harness import summarize
@@ -152,13 +153,18 @@ def generated_schedule(rng: random.Random) -> tuple[ScenarioConfig, AdversaryScr
 
 RANDOM_SCHEDULES = 200
 GENERATED_SEEDS = 2000
+STANDARD_SEEDS = (0, 1, 300, 301, 302, 303, 304)
 
 
 def suite_schedules():
     """(label, config, script) for every schedule family the suite defines:
     the first 200 :func:`random_cases`, those redrawn by
-    :func:`full_range_cases`, and the :func:`generated_schedule` draws of
-    seeds 0-1999 that ``AdversaryScript.validate`` admits."""
+    :func:`full_range_cases`, the :func:`generated_schedule` draws of
+    seeds 0-1999 that ``AdversaryScript.validate`` admits, each standard
+    script at :func:`suite_config` and seeds 0, 1 and 300-304, and three
+    config variants: the honest flow with unmerged queries (seed 2) and
+    with a shared key at N=10 (seed 6), and ``TAMPER_SHARES`` at N=13
+    (seeds 11 and 12)."""
     for case, (config, script) in enumerate(random_cases(RANDOM_SCHEDULES)):
         yield f"random_schedules 208 case={case},{script.name}", config, script
     for case, config, script in full_range_cases(RANDOM_SCHEDULES):
@@ -170,9 +176,47 @@ def suite_schedules():
         except ScriptError:
             continue
         yield f"generated_schedules {seed} {script.name}", config, script
+    for name, script in standard_scripts(suite_config()).items():
+        for seed in STANDARD_SEEDS:
+            config = suite_config(seed=seed, shared_key=script.requires_shared_key)
+            yield f"standard_scripts {seed} {name}", config, script
+    honest = AdversaryScript()
+    yield "config_variants 2 HONEST,unmerged", suite_config(merged_query=False, seed=2), honest
+    yield ("config_variants 6 HONEST,shared_key,n=10",
+           suite_config(n_nodes=10, threshold=6, max_faulty=4, shared_key=True, seed=6), honest)
+    for seed in (11, 12):
+        config = suite_config(n_nodes=13, threshold=7, max_faulty=6, seed=seed)
+        script = standard_scripts(config)["TAMPER_SHARES"]
+        yield f"config_variants {seed} TAMPER_SHARES,n=13", config, script
 
 
 DIGEST_PARTS = ("outputs", "hashes", "log")
+
+
+def format_digests(digests: dict[str, tuple[str, ...]]) -> str:
+    """One line ``<label> <outputs> <hashes> <log>`` per scenario."""
+    return "".join(f"{label} {' '.join(parts)}\n" for label, parts in digests.items())
+
+
+def read_digests(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """The digests of each scenario in a file of :func:`format_digests`
+    lines; a label may hold spaces."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [line.rsplit(" ", len(DIGEST_PARTS)) for line in text.splitlines() if line]
+    return {label: tuple(parts) for label, *parts in rows}
+
+
+def changed_digests(old: dict, new: dict) -> list[tuple[str, str]]:
+    """(label, part) for each label, in sorted order, and each of its
+    :data:`DIGEST_PARTS` whose digest differs between two recordings; a
+    label only one of them holds differs in every part."""
+    missing = (None,) * len(DIGEST_PARTS)
+    return [
+        (label, part)
+        for label in sorted(old.keys() | new.keys())
+        for i, part in enumerate(DIGEST_PARTS)
+        if old.get(label, missing)[i] != new.get(label, missing)[i]
+    ]
 
 
 def _record_line(r) -> str:

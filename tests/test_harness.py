@@ -21,6 +21,7 @@ from dexo.config import (
     MAX_SHARE_BYTES,
     MAX_SHARE_REPORTS,
     MAX_TIMEOUT_BLOCKS,
+    ConfigError,
     ScenarioConfig,
     format_config,
 )
@@ -118,6 +119,8 @@ def test_two_thirds_family_costs_at_least_half_family():
     )
     for a, b in zip(half.rows, two_thirds.rows):
         assert b.total_gas_dexo >= a.total_gas_dexo
+    with pytest.raises(ConfigError, match="'half', 'two_thirds'"):
+        family_configs([5], "two_third", 2, 10)
 
 
 def test_valid_fault_bound():
@@ -609,19 +612,8 @@ def test_gas_log_matches_golden():
 
 
 def test_contract_dump_matches_golden():
-    import random
-
-    from dexo import participants as roles
-    from dexo.ledger import Ledger
-    from dexo.netsim import CoalitionMonitor, Simulator, drain_budget, resolve_script
-
     cfg = ScenarioConfig(n_nodes=3, threshold=2, max_faulty=1, providers=2,
                          datum_size_bytes=4, seed=77)
-    sim = Simulator(Ledger(), random.Random(cfg.seed), CoalitionMonitor(2, 2),
-                    drain_budget(cfg))
-    setup = roles.stage0_setup(sim, cfg, resolve_script(cfg))
-    roles.stage1_produce(sim, setup)
-    roles.stage2_register(sim, setup)
-    roles.stage3_exchange(sim, setup)
-    dump = sim.ledger.contracts[setup.cid].dump()
-    assert dump == (GOLDEN_DIR / "golden_contract_dump.txt").read_text()
+    # the run's terminal state ends with the contract's dump
+    _, dump = run_scenario(cfg).terminal.split("\ncontract ", 1)
+    assert f"contract {dump}\n" == (GOLDEN_DIR / "golden_contract_dump.txt").read_text()
