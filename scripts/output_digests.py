@@ -37,6 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from dexo.netsim import run_scenario  # noqa: E402
 from scenarioutil import (  # noqa: E402
     DIGEST_PARTS,
     changed_digests,
@@ -57,10 +58,10 @@ def digests() -> dict[str, tuple[str, str, str]]:
         for seed in SEEDS:
             for scenario in build(workload, seed):
                 out[f"{workload} {seed} {scenario.label}"] = output_digests(
-                    scenario.config, scenario.script
+                    run_scenario(scenario.config, scenario.script)
                 )
     for label, config, script in suite_schedules():
-        out[label] = output_digests(config, script)
+        out[label] = output_digests(run_scenario(config, script))
     return out
 
 

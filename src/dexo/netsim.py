@@ -334,15 +334,16 @@ def drain_budget(config: ScenarioConfig) -> int:
 
 
 class Simulator:
-    def __init__(self, ledger: Ledger, rng: random.Random, monitor: CoalitionMonitor,
-                 budget: int):
-        self.ledger = ledger
-        self.rng = rng
-        self.monitor = monitor
-        self.budget = budget  # deliveries per drain, see drain_budget
+    """One run's network, chain and coalition monitor, built from its config."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.ledger = Ledger()
+        self.rng = random.Random(config.seed)
+        self.monitor = CoalitionMonitor(config.threshold, config.sessions_required())
+        self.budget = drain_budget(config)  # deliveries per drain
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
-        self.log = ledger.log  # the run log, shared with the ledger
+        self.log = self.ledger.log  # the run log, shared with the ledger
         self.memo = PayloadMemo()  # payload roots, for this run only
         self._rotation: list[str] = []
 
@@ -488,10 +489,8 @@ def run_scenario(
     if script.name != config.adversary:
         config = replace(config, adversary=script.name)
 
-    rng = random.Random(config.seed)
-    ledger = Ledger()
-    monitor = CoalitionMonitor(config.threshold, config.sessions_required())
-    sim = Simulator(ledger, rng, monitor, drain_budget(config))
+    sim = Simulator(config)
+    ledger, monitor = sim.ledger, sim.monitor
 
     setup = roles.stage0_setup(sim, config, script)
     roles.stage1_produce(sim, setup)

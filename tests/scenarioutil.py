@@ -9,17 +9,12 @@ from pathlib import Path
 
 from dexo.config import ScenarioConfig
 from dexo.harness import summarize
-from dexo.ledger import Ledger
 from dexo.netsim import (
     Action,
     AdversaryScript,
-    CoalitionMonitor,
     Rule,
     ScriptError,
-    Simulator,
     Trace,
-    drain_budget,
-    run_scenario,
     standard_scripts,
 )
 
@@ -43,14 +38,6 @@ def suite_config(**overrides) -> ScenarioConfig:
     )
     params.update(overrides)
     return ScenarioConfig(**params)
-
-
-def simulator(config: ScenarioConfig) -> Simulator:
-    """The simulator ``run_scenario`` builds for ``config``, for tests that
-    drive the stages by hand."""
-    return Simulator(Ledger(), random.Random(config.seed),
-                     CoalitionMonitor(config.threshold, config.sessions_required()),
-                     drain_budget(config))
 
 
 def random_script(rng: random.Random, cfg: ScenarioConfig) -> AdversaryScript:
@@ -224,7 +211,7 @@ def _record_line(r) -> str:
     return " ".join([type(r).__name__, *fields])
 
 
-def output_digests(config: ScenarioConfig, script: AdversaryScript) -> tuple[str, str, str]:
+def output_digests(trace: Trace) -> tuple[str, str, str]:
     """The sha256 of each of a run's three :data:`DIGEST_PARTS`. ``outputs``
     covers the serialized trace without its version line and without the
     payload hash column of its ``[events]`` lines, followed by the run
@@ -232,7 +219,6 @@ def output_digests(config: ScenarioConfig, script: AdversaryScript) -> tuple[str
     payloads are hashed moves only it. ``log`` covers the whole run log
     (``Trace.log``) in order: the record type and every field of each
     message, note, dispute, contract call and revert."""
-    trace = run_scenario(config, script)
     _, body = trace.serialize().split("\n", 1)  # the version line
     head, rest = body.split("[events]\n", 1)
     events, tail = rest.split("[gas]\n", 1)
@@ -286,6 +272,29 @@ def assert_conserved(trace: Trace) -> None:
     assert total == trace.config.resolved_price(), (
         f"currency leak: {total} != {trace.config.resolved_price()}"
     )
+
+
+def fairness_problems(trace: Trace, script: AdversaryScript) -> list[str]:
+    """What in a run's end state breaks fair exchange: currency not
+    conserved, escrow left behind, a node outside ``script.corrupted_nodes``
+    refunded although no case-1 ruling (which finds the source's data
+    invalid and returns all escrow) was accepted, or settled data that is
+    not the devices'. Empty for a fair run."""
+    o = trace.outcome
+    problems = []
+    try:
+        assert_conserved(trace)
+    except AssertionError as leak:
+        problems.append(str(leak))
+    if o.escrow_left:
+        problems.append(f"escrow left behind: {o.escrow_left}")
+    if not any(d.startswith("case1") and "accepted=True" in d for d in o.disputes):
+        honest_refunded = set(o.refunded_sessions) - script.corrupted_nodes
+        if honest_refunded:
+            problems.append(f"honest nodes {sorted(honest_refunded)} refunded")
+    if o.reconstruction_valid and o.reconstructed != o.expected:
+        problems.append("settled data is not the devices' data")
+    return problems
 
 
 def count_calls(monkeypatch, module, *names) -> dict[str, list[tuple]]:

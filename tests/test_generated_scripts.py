@@ -1,55 +1,22 @@
-"""Generated adversary scripts: every kind of script ``validate`` admits runs
-to a fair end state, and two known fairness holes are pinned.
+"""Two known fairness holes, pinned as strict expected failures: an oversell
+the buyer cannot prove is paid (ROADMAP item 16), and a buyer that waits past
+its dispute deadline pays a tampering node (ROADMAP item 13).
 
-The property draws small configs and scripts over every role's actions from
-a random stream hypothesis supplies, keeps the scripts ``validate`` admits,
-and checks each run's end state. It is derandomized, so every suite run
-sees the same schedules.
+That every admitted generated schedule ends fair is checked, with the
+digest gate's run of each, in ``tests/test_golden_digests.py``.
 """
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from dexo.config import ScenarioConfig
 from dexo.netsim import (
     Action,
     AdversaryScript,
     Rule,
-    ScriptError,
-    replay,
     run_scenario,
     standard_scripts,
 )
-from scenarioutil import (
-    assert_conserved,
-    assert_fair_exchange,
-    generated_schedule,
-    random_cases,
-)
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(schedule=st.randoms(use_true_random=True).map(generated_schedule))
-def test_every_admitted_generated_script_ends_fair(schedule):
-    config, script = schedule
-    try:
-        script.validate(config)
-    except ScriptError:
-        assume(False)
-    trace = run_scenario(config, script)
-    assert replay(trace)
-    o = trace.outcome
-    assert_conserved(trace)
-    assert o.escrow_left == 0
-    # only a case-1 ruling, which finds the source's data invalid, refunds honest nodes
-    if not any(d.startswith("case1") and "accepted=True" in d for d in o.disputes):
-        honest_refunded = set(o.refunded_sessions) - script.corrupted_nodes
-        assert not honest_refunded, f"honest nodes {sorted(honest_refunded)} refunded"
-    if o.reconstruction_valid:
-        assert o.reconstructed == o.expected
-
-
-# ---------------------------------------------------------------- pinned holes
+from scenarioutil import assert_fair_exchange, random_cases
 
 
 def _oversell(n, t, f, seed, corrupting):

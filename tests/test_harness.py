@@ -37,7 +37,6 @@ from dexo.harness import (
 from dexo.crypto import ShamirError
 from dexo.ledger import GAS, InvariantViolation, Ledger, LedgerError
 from dexo.netsim import run_scenario
-from scenarioutil import suite_config
 
 GOLDEN_DIR = Path(__file__).parent
 

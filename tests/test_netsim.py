@@ -19,6 +19,7 @@ from dexo.netsim import (
     Rule,
     ScriptError,
     Sent,
+    Simulator,
     _payload_digest,
     drain_budget,
     parse_trace_header,
@@ -36,7 +37,7 @@ from dexo.tee import (
     encode_readings,
 )
 from oracles import oracle_payload_digest
-from scenarioutil import random_cases, simulator, suite_config
+from scenarioutil import random_cases, suite_config
 
 STANDARD_NAMES = [
     "HONEST",
@@ -263,7 +264,7 @@ class _Echo:
 
 def test_participants_that_echo_forever_exceed_the_drain_budget():
     config = suite_config()
-    sim = simulator(config)
+    sim = Simulator(config)
     sim.register(_Echo("a", "b"))
     sim.register(_Echo("b", "a"))
     sim.send("a", "b", _Ping())
@@ -278,7 +279,7 @@ def test_the_drain_budget_covers_stage1_of_the_largest_admitted_datums():
     N·M share deliveries; at N=255, M=800 that is more than the fixed
     200,000 deliveries the budget once was."""
     config = suite_config()
-    sim = simulator(config)
+    sim = Simulator(config)
     setup = stage0_setup(sim, config, standard_scripts(config)["HONEST"])
     before = len(sim.log)
     stage1_produce(sim, setup)
