@@ -3,21 +3,16 @@
 leaves traces, gas logs, contract dumps and summaries byte-identical.
 
 For each scenario of the three ``perfbench`` workloads at workload seeds 1
-and 90210, and for every schedule family of the test suite
-(``scenarioutil.suite_schedules``: the first 200 randomized adversary
-schedules, seed 208; those schedules redrawn under a full-range description
-that every garbage datum meets; the generated schedules that
-``AdversaryScript.validate`` admits from seeds 0-1999, with every role's
-actions, among them refusing and corrupted consumers that buy; each
-standard script at the suite config; the unmerged-query and shared-key
-honest flows; and ``TAMPER_SHARES`` at N=13), it prints one line
+and 90210, it prints one line
 ``<workload> <seed> <label> <outputs sha256> <hashes sha256> <log sha256>``.
 The three parts are those of ``scenarioutil.output_digests``: the
 serialized trace without its payload hash column, followed by the run
 summary; that hash column alone, so a change to how payloads are hashed
 moves only the second digest; and the run's whole log, record by record.
-The suite's families are also gated by ``tests/test_golden_digests.py``;
-the workload families are compared only by hand, with this script.
+Only these families are digested here, because nothing else gates them:
+the test suite's schedule families (``scenarioutil.suite_schedules``) are
+compared against the committed ``tests/golden_digests.txt`` by
+``tests/test_golden_digests.py`` on every tier-1 run.
 
 Usage:
     python scripts/output_digests.py > before.txt      # on the old tree
@@ -44,7 +39,6 @@ from scenarioutil import (  # noqa: E402
     format_digests,
     output_digests,
     read_digests,
-    suite_schedules,
 )
 from workloads import build  # noqa: E402
 
@@ -60,8 +54,6 @@ def digests() -> dict[str, tuple[str, str, str]]:
                 out[f"{workload} {seed} {scenario.label}"] = output_digests(
                     run_scenario(scenario.config, scenario.script)
                 )
-    for label, config, script in suite_schedules():
-        out[label] = output_digests(run_scenario(config, script))
     return out
 
 

@@ -92,13 +92,13 @@ def merkle_prove(chunks: list[bytes], leaf_index: int) -> MerkleProof:
 
 
 def path_root(
-    chunk: bytes, proof: MerkleProof, parents: dict[tuple[bytes, bytes], bytes] | None = None
+    chunk: bytes, proof: MerkleProof, parents: dict[tuple[bytes, bytes], bytes]
 ) -> bytes:
     """Digest of the root reached by walking ``proof`` up from ``chunk``.
 
-    With ``parents``, each interior digest is looked up there by its
-    (left, right) children before it is hashed, and stored after. The key is
-    the whole input of the hash, so a hit returns what hashing would.
+    Each interior digest is looked up in ``parents`` by its (left, right)
+    children before it is hashed, and stored after. The key is the whole
+    input of the hash, so a hit returns what hashing would.
     """
     sha = hashlib.sha256
     node = sha(TAG_LEAF + chunk).digest()
@@ -106,12 +106,9 @@ def path_root(
     for sibling in proof.siblings:
         left, right = (sibling, node) if index & 1 else (node, sibling)
         index >>= 1
-        if parents is None:
-            node = sha(TAG_NODE + left + right).digest()
-        else:
-            node = parents.get((left, right))
-            if node is None:
-                node = parents[left, right] = sha(TAG_NODE + left + right).digest()
+        node = parents.get((left, right))
+        if node is None:
+            node = parents[left, right] = sha(TAG_NODE + left + right).digest()
     return node
 
 
@@ -122,4 +119,4 @@ def merkle_verify(root: MerkleRoot, chunk: bytes, proof: MerkleProof) -> bool:
         return False
     if proof.leaf_index >> len(proof.siblings):
         return False
-    return path_root(chunk, proof) == root.digest
+    return path_root(chunk, proof, {}) == root.digest

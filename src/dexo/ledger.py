@@ -250,6 +250,7 @@ class Listing:
     desc: DataDescription
     delta: dict[int, MerkleRoot]
     commitment: dict[int, Commitment]
+    session_price: int  # the escrow one accepted session takes
 
     @property
     def initialized(self) -> bool:
@@ -536,6 +537,7 @@ class Ledger:
             desc=contract.desc,
             delta=dict(contract.delta),
             commitment=dict(contract.commitment),
+            session_price=contract.session_price,
         )
 
     def snapshot_buyer(self, cid: str, account: str) -> dict[int, SessionStatus] | None:

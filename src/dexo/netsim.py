@@ -25,8 +25,10 @@ from typing import TYPE_CHECKING
 
 from .config import ConfigError, ScenarioConfig, format_config, parse_config
 from .crypto import KeyMaterial, SecretShare
-from .ledger import InvariantViolation, Ledger, Revert, SessionStatus
-from .tee import AttestationReport, RuntimeMeasurement, preprocess
+from .ledger import Call, InvariantViolation, Ledger, Revert, SessionStatus
+from .tee import (
+    RATIFIED_TA, AttestationRegistry, AttestationReport, RuntimeMeasurement, measure, preprocess
+)
 from .wire import PayloadMemo, encode_share
 
 if TYPE_CHECKING:
@@ -218,30 +220,33 @@ def standard_scripts(config: ScenarioConfig) -> dict[str, AdversaryScript]:
 # ---------------------------------------------------------------- monitor
 
 
+def paid_sessions(log: list) -> int:
+    """The sessions paid so far: the run log's ``accept`` calls."""
+    return sum(1 for r in log if type(r) is Call and r.function == "accept")
+
+
 class CoalitionMonitor:
     """Tracks how many distinct shares per provider the adversary coalition
     holds; reaching the threshold without the consumer having paid for the
-    protocol's full session count is a confidentiality violation.
+    protocol's full session count is a confidentiality violation. Payments
+    are read off the run log ``log``, where the chain records them.
     """
 
-    def __init__(self, threshold: int, sessions_required: int):
+    def __init__(self, threshold: int, sessions_required: int, log: list):
         self.threshold = threshold
         self.sessions_required = sessions_required
+        self.log = log
         self.known: dict[int, set[int]] = {}
-        self.paid_sessions = 0
         self.violations: list[str] = []
 
     def record_share(self, provider: int, x: int) -> None:
         self.known.setdefault(provider, set()).add(x)
         count = len(self.known[provider])
-        if count >= self.threshold and self.paid_sessions < self.sessions_required:
+        if count >= self.threshold and (paid := paid_sessions(self.log)) < self.sessions_required:
             self.violations.append(
                 f"coalition holds {count} shares of provider {provider} with only "
-                f"{self.paid_sessions}/{self.sessions_required} sessions paid"
+                f"{paid}/{self.sessions_required} sessions paid"
             )
-
-    def record_payment(self) -> None:
-        self.paid_sessions += 1
 
     def max_counts(self) -> dict[int, int]:
         return {p: len(xs) for p, xs in sorted(self.known.items())}
@@ -334,16 +339,17 @@ def drain_budget(config: ScenarioConfig) -> int:
 
 
 class Simulator:
-    """One run's network, chain and coalition monitor, built from its config."""
+    """One run's network, chain, attestation registry and monitor, built from its config."""
 
     def __init__(self, config: ScenarioConfig):
         self.ledger = Ledger()
         self.rng = random.Random(config.seed)
-        self.monitor = CoalitionMonitor(config.threshold, config.sessions_required())
+        self.log = self.ledger.log  # the run log, shared with the ledger
+        self.monitor = CoalitionMonitor(config.threshold, config.sessions_required(), self.log)
+        self.registry = AttestationRegistry(expected_measurement=measure(RATIFIED_TA))
         self.budget = drain_budget(config)  # deliveries per drain
         self.participants: dict[str, object] = {}
         self.inboxes: dict[str, deque] = {}
-        self.log = self.ledger.log  # the run log, shared with the ledger
         self.memo = PayloadMemo()  # payload roots, for this run only
         self._rotation: list[str] = []
 
@@ -509,7 +515,7 @@ def run_scenario(
     escrow_left = sum(c.escrow_total() for c in ledger.contracts.values())
     price = config.resolved_price()
     calls = ledger.calls()
-    paid_sessions = sum(1 for c in calls if c.function == "accept")
+    paid = paid_sessions(ledger.log)
     status = sorted((ledger.snapshot_buyer(setup.cid, consumer.account) or {}).items())
     outcome = ExchangeOutcome(
         reconstructed=dict(consumer.reconstructed),
@@ -520,9 +526,9 @@ def run_scenario(
         # calls in the exchange proper: everything except settlement and disputes
         exchange_calls=sum(1 for c in calls if c.function not in ("noComplain", "challenge")),
         total_calls=len(calls),
-        paid_sessions=paid_sessions,
+        paid_sessions=paid,
         gas_total=sum(c.gas for c in calls),
-        refund_to_buyer=balance - (price - paid_sessions * (price // config.n_nodes)),
+        refund_to_buyer=balance - (price - paid * (price // config.n_nodes)),
         settled_sessions=tuple(j for j, s in status if s is SessionStatus.SETTLED),
         refunded_sessions=tuple(j for j, s in status if s is SessionStatus.REFUNDED),
         disputes=texts(ledger.log, Dispute),

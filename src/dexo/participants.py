@@ -36,8 +36,6 @@ from .ledger import (
 )
 from .netsim import Action, AdversaryScript, Dispute, Simulator
 
-RATIFIED_TA = b"data-market-trusted-formatter-v1"
-
 
 def _device_rule(config: ScenarioConfig, oversold: bool) -> tee.PreprocessingRule:
     if oversold:
@@ -161,11 +159,9 @@ class PDAppServer:
     name = "server"
     account = "server"
 
-    def __init__(self, config: ScenarioConfig, script: AdversaryScript,
-                 registry: tee.AttestationRegistry):
+    def __init__(self, config: ScenarioConfig, script: AdversaryScript):
         self.config = config
         self.script = script
-        self.registry = registry
 
     def deploy(self, sim: Simulator) -> str:
         config = self.config
@@ -190,7 +186,7 @@ class PDAppServer:
     def on_message(self, sim: Simulator, sender: str, message: Message) -> None:
         match message:
             case AttReport(provider, measurement, _, mpk):
-                if not self.registry.admits(mpk, measurement):
+                if not sim.registry.admits(mpk, measurement):
                     sim.note(f"server: device {provider} failed attestation")
             case DataShares(reports):
                 self._relay(sim, reports)
@@ -240,13 +236,12 @@ class DexoNode:
     """One oracle-network node: custodian of the j-th share of every datum."""
 
     def __init__(self, index: int, config: ScenarioConfig, script: AdversaryScript,
-                 registry: tee.AttestationRegistry, cid: str, key_seed: bytes):
+                 cid: str, key_seed: bytes):
         self.index = index
         self.name = f"node-{index}"
         self.account = self.name
         self.config = config
         self.script = script
-        self.registry = registry
         self.cid = cid
         self.rng = random.Random(key_seed)
         self.received: dict[int, tee.AttestationReport] = {}  # by provider
@@ -298,7 +293,7 @@ class DexoNode:
         if self._act(Action.REFUSE_REGISTER):
             sim.note(f"{self.name}: refused to register")
             return
-        failed = [r for r in reports if not tee.attest_report(self.registry, r)]
+        failed = [r for r in reports if not tee.attest_report(sim.registry, r)]
         for report in failed:
             sim.note(f"{self.name}: attestation failed for provider "
                      f"{report.share.provider_index}")
@@ -317,7 +312,7 @@ class DexoNode:
         self.key = self.group_key or KeyMaterial(self.rng.randbytes(32))
         if self.group_key is None:
             self._maybe_leak_key(sim, self.key)
-        nonce = wire.payload_nonce(sim.ledger.contracts[self.cid].tid)
+        nonce = wire.payload_nonce(sim.ledger.snapshot_listing(self.cid).tid)
         payload = wire.encode_node_payload(shares)
         self.cipher = keystream_xor(self.key, payload, nonce)
         # sealed from the reports as received, so a share altered above no
@@ -620,12 +615,10 @@ class Consumer(BuyerView):
     name = "consumer"
     account = "consumer"
 
-    def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str,
-                 registry: tee.AttestationRegistry):
+    def __init__(self, config: ScenarioConfig, script: AdversaryScript, cid: str):
         super().__init__(config)
         self.policy = refuse_payment if script.acts(Action.REFUSE_PAYMENT, 0) else decide
         self.cid = cid
-        self.registry = registry
         self.corrupted = "consumer" in script.corrupted_roles
         # a node's index comes from the authenticated channel it sends on
         self.node_index = {f"node-{j}": j for j in range(1, config.n_nodes + 1)}
@@ -697,8 +690,7 @@ class Consumer(BuyerView):
                     sim.send(self.name, name, NoticeBuy())
             case Accept(nodes, notify):
                 for j in nodes:
-                    ledger.accept(account, cid, j, ledger.contracts[cid].session_price)
-                    sim.monitor.record_payment()
+                    ledger.accept(account, cid, j, self.listing.session_price)
                 for j in notify:
                     sim.send(self.name, f"node-{j}", NoticeAccept())
                 self.judged = False
@@ -763,9 +755,9 @@ class Consumer(BuyerView):
                     sim.monitor.record_share(share.provider_index, share.x_coordinate)
             held = self.node_shares[j] = {s.provider_index: s for s in shares}
             reports = tee.open_openings(openings, held, key, nonce, j, desc.n_nodes,
-                                        self.registry.expected_measurement)
+                                        sim.registry.expected_measurement)
             self.authentic.update(
-                (j, p) for p, r in reports.items() if tee.attest_report(self.registry, r)
+                (j, p) for p, r in reports.items() if tee.attest_report(sim.registry, r)
             )
 
 
@@ -775,7 +767,6 @@ class Consumer(BuyerView):
 @dataclass
 class ProtocolSetup:
     config: ScenarioConfig
-    registry: tee.AttestationRegistry
     server: PDAppServer
     devices: list[DeviceHost]
     nodes: dict[int, DexoNode]
@@ -791,17 +782,14 @@ def stage0_setup(
     oversold = script.acts(Action.OVERSELL, 0)
 
     platform = random.Random(sim.rng.getrandbits(64))  # every device's app draws here
-    registry = tee.AttestationRegistry(
-        expected_measurement=tee.measure(RATIFIED_TA)
-    )
-    server = PDAppServer(config, script, registry)
+    server = PDAppServer(config, script)
     sim.register(server)
 
     devices = []
     for i in range(1, config.providers + 1):
-        app = tee.TeePlatform(platform, RATIFIED_TA,
+        app = tee.TeePlatform(platform, tee.RATIFIED_TA,
                               tampered=script.acts(Action.TAMPER_TEE, i))
-        registry.register_key(app.public_key)
+        sim.registry.register_key(app.public_key)
         raw = tee.encode_readings(_device_readings(config, sim.rng, oversold))
         device = DeviceHost(
             provider_index=i,
@@ -819,13 +807,13 @@ def stage0_setup(
     nodes = {}
     for j in range(1, config.n_nodes + 1):
         node = DexoNode(
-            index=j, config=config, script=script, registry=registry, cid=cid,
+            index=j, config=config, script=script, cid=cid,
             key_seed=sim.rng.randbytes(32),
         )
         nodes[j] = node
         sim.register(node)
 
-    consumer = Consumer(config, script, cid, registry)
+    consumer = Consumer(config, script, cid)
     sim.register(consumer)
 
     for device in devices:
@@ -833,7 +821,7 @@ def stage0_setup(
     sim.drain()
 
     return ProtocolSetup(
-        config=config, registry=registry, server=server, devices=devices,
+        config=config, server=server, devices=devices,
         nodes=nodes, consumer=consumer, cid=cid,
     )
 

@@ -12,7 +12,7 @@ platform key and the measurement equals the ratified value. A tampered app
 is modeled by a flag that perturbs its measurement, which is exactly what
 registration is meant to catch.
 
-The registry is built once per run and keeps three memos for it: the
+The simulator builds one registry per run, which keeps three memos: the
 message each root signature verified, each Merkle interior digest it hashed
 and each opening that passed. So a run's checks verify each datum's root
 once, hash each interior node of its tree once, and pass again an opening
@@ -143,6 +143,8 @@ def preprocess(raw: bytes, rule: PreprocessingRule) -> bytes:
 # ---------------------------------------------------------------- attestation
 
 TA_VERSION = b"1"
+# the trusted app every device is meant to run; the registry admits its measurement
+RATIFIED_TA = b"data-market-trusted-formatter-v1"
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ def _view(providers=1, **fields) -> BuyerView:
                           datum_size_bytes=4)
     desc = DataDescription(datum_size=4, value_min=0, value_max=100, providers=providers,
                            n_nodes=N, threshold=T, timeout_blocks=10)
-    listing = Listing(tid="t", desc=desc, delta=dict.fromkeys(EVERY_NODE, b""), commitment={})
+    listing = Listing(tid="t", desc=desc, delta=dict.fromkeys(EVERY_NODE, b""), commitment={},
+                      session_price=100)
     fields.setdefault("status", dict.fromkeys(EVERY_NODE, QUERIED))
     return BuyerView(config, listing, **fields)
 
@@ -76,7 +77,8 @@ def _judged(view: BuyerView) -> BuyerView:
 def test_a_listing_that_never_initialized_ends_the_buyer_and_one_that_did_is_queried():
     view = _view(status=None)
     assert _decide(view) == [Query()]
-    view.listing = Listing(view.listing.tid, view.listing.desc, {1: b""}, {})
+    view.listing = Listing(view.listing.tid, view.listing.desc, {1: b""}, {},
+                           view.listing.session_price)
     assert _decide(view) == [Finish("listing-never-initialized")]
     view.finished_reason = "listing-never-initialized"
     assert _decide(view) == []

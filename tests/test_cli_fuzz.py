@@ -67,8 +67,8 @@ def under_every_script(config: ScenarioConfig) -> list[ScenarioConfig]:
     key gets it."""
     return [
         replace(config, adversary=name,
-                shared_key=config.shared_key or name == "SHARED_KEY_LEAK")
-        for name in SCRIPT_NAMES
+                shared_key=config.shared_key or script.requires_shared_key)
+        for name, script in standard_scripts(config).items()
     ]
 
 

@@ -105,7 +105,7 @@ def test_one_build_gives_every_proof():
         assert [p.leaf_index for p in proofs] == list(range(n))
         for chunk, proof in zip(chunks, proofs):
             assert len(proof.siblings) == proof_length(n)
-            assert path_root(chunk, proof) == root.digest
+            assert path_root(chunk, proof, {}) == root.digest
             assert merkle_verify(root, chunk, proof)
     with pytest.raises(EmptyInputError):
         merkle_proofs([])
@@ -116,7 +116,7 @@ def test_proof_index_beyond_the_path_rejected():
     proof = merkle_prove(chunks, 1)
     # index 5 walks like index 1 through two levels, but names another leaf
     shifted = dataclasses.replace(proof, leaf_index=5, leaf_count=8)
-    assert path_root(b"b", shifted) == merkle_root(chunks).digest
+    assert path_root(b"b", shifted, {}) == merkle_root(chunks).digest
     assert not merkle_verify(dataclasses.replace(merkle_root(chunks), leaf_count=8),
                              b"b", shifted)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dexo import netsim
 from dexo.config import ConfigError, ScenarioConfig, format_config, parse_config
 from dexo.crypto import KeyMaterial, MerkleProof, SecretShare
-from dexo.ledger import InvariantViolation
+from dexo.ledger import Call, InvariantViolation
 from dexo.netsim import (
     Action,
     AdversaryScript,
@@ -201,8 +201,8 @@ def test_every_standard_and_random_script_can_fire():
 
 
 def test_the_monitor_flags_t_shares_held_before_the_paid_sessions():
-    monitor = CoalitionMonitor(threshold=3, sessions_required=3)
-    monitor.record_payment()
+    monitor = CoalitionMonitor(threshold=3, sessions_required=3, log=[])
+    monitor.log.append(Call(0, "consumer", "accept", 74_843))
     monitor.record_share(4, 1)
     monitor.record_share(4, 2)
     assert monitor.violations == []
@@ -214,12 +214,11 @@ def test_the_monitor_flags_t_shares_held_before_the_paid_sessions():
 
 
 def test_a_repeated_x_or_a_fully_paid_exchange_is_no_violation():
-    monitor = CoalitionMonitor(threshold=3, sessions_required=2)
+    monitor = CoalitionMonitor(threshold=3, sessions_required=2, log=[])
     for x in (1, 2, 2, 1):
         monitor.record_share(1, x)
     assert monitor.max_counts() == {1: 2}
-    monitor.record_payment()
-    monitor.record_payment()
+    monitor.log += [Call(0, "consumer", "accept", 74_843)] * 2
     monitor.record_share(1, 3)
     assert monitor.max_counts() == {1: 3}
     assert monitor.violations == []
@@ -232,7 +231,7 @@ def test_a_run_whose_coalition_reaches_the_threshold_raises(monkeypatch):
     cfg = suite_config(adversary="CONSUMER_NODE_COLLUSION", seed=12)
     f = cfg.max_faulty
     monkeypatch.setattr(netsim, "CoalitionMonitor",
-                        lambda threshold, sessions: CoalitionMonitor(f, sessions))
+                        lambda threshold, sessions, log: CoalitionMonitor(f, sessions, log))
     expected = (f"coalition holds {f} shares of provider 1 with only "
                 f"0/{cfg.sessions_required()} sessions paid")
     with pytest.raises(InvariantViolation, match=expected):

@@ -9,7 +9,7 @@ import time
 
 from dexo import participants
 from dexo.config import ScenarioConfig
-from dexo.netsim import Trace, replay, run_scenario
+from dexo.netsim import Trace, replay, run_scenario, standard_scripts
 from scenarioutil import assert_conserved, assert_fair_exchange
 from test_acceptance import SUITE_EXPECTATIONS
 
@@ -62,10 +62,11 @@ def check_expectation(trace: Trace, expect: dict, label: str) -> None:
 
 def test_adversarial_suite_at_paper_scale():
     start = time.perf_counter()
+    scripts = standard_scripts(paper_config())
     for name, expect in SUITE_EXPECTATIONS.items():
         for seed in (900, 901, 902):
             cfg = paper_config(adversary=name, seed=seed,
-                               shared_key=(name == "SHARED_KEY_LEAK"))
+                               shared_key=scripts[name].requires_shared_key)
             trace = run_scenario(cfg)
             label = f"{name} seed={seed}"
             check_expectation(trace, expect, label)

@@ -1,7 +1,9 @@
 """Whole-protocol behavior per stage and per adversary script."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import random
 import types
 
@@ -66,7 +68,7 @@ def test_stage1_every_node_holds_one_share_per_provider():
             share = report.share
             assert share.provider_index == provider
             assert share.node_index == node.index
-            assert tee.attest_report(setup.registry, report)
+            assert tee.attest_report(sim.registry, report)
 
 
 def _holds_share(value) -> bool:
@@ -350,8 +352,8 @@ def test_tamper_shares_under_a_full_range_description():
 # the eight standard scripts, an honest priority-group run and an honest run
 # with one query per node
 RULE_FLOWS = {
-    **{name: dict(adversary=name, shared_key=(name == "SHARED_KEY_LEAK"))
-       for name in standard_scripts(suite_config())},
+    **{name: dict(adversary=name, shared_key=script.requires_shared_key)
+       for name, script in standard_scripts(suite_config()).items()},
     "HONEST-shared_key": dict(n_nodes=10, threshold=6, max_faulty=4, shared_key=True),
     "HONEST-unmerged": dict(merged_query=False),
 }
@@ -485,7 +487,7 @@ def test_openings_in_flight_hide_only_the_salts(monkeypatch):
             assert blob[at + 128 : at + width] == b"".join(report.proof.siblings)
         shares = {p: r.share for p, r in reports.items()}
         opened = tee.open_openings(blob, shares, node.key, nonce, node.index,
-                                   config.n_nodes, setup.registry.expected_measurement)
+                                   config.n_nodes, sim.registry.expected_measurement)
         assert opened == reports
     consumer = setup.consumer
     assert consumer.node_shares
@@ -531,10 +533,20 @@ def test_a_node_files_each_report_under_its_own_provider():
     assert not node.received  # released once sealed
     opened = tee.open_openings(
         node.openings, shares, node.key, wire.payload_nonce(sim.ledger.contracts[setup.cid].tid),
-        node.index, config.n_nodes, setup.registry.expected_measurement,
+        node.index, config.n_nodes, sim.registry.expected_measurement,
     )
     assert sorted(opened) == [1, 2, 3]
-    assert all(tee.attest_report(setup.registry, r) for r in opened.values())
+    assert all(tee.attest_report(sim.registry, r) for r in opened.values())
+
+
+def test_parties_read_listing_terms_from_the_published_listing():
+    """No party reads the contract's state behind the chain's back: listing
+    terms come from ``Ledger.snapshot_listing`` and session states from
+    ``Ledger.snapshot_buyer``, so no ``.contracts`` attribute is read."""
+    tree = ast.parse(inspect.getsource(participants))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "contracts"]
+    assert reads == []
 
 
 def test_source_collusion_full_refund():
@@ -692,8 +704,7 @@ def test_key_reveal_soundness_in_all_scripts():
 
     config = suite_config(seed=18)
     for name, script in standard_scripts(config).items():
-        cfg = suite_config(seed=18, adversary=name,
-                           shared_key=name == "SHARED_KEY_LEAK")
+        cfg = suite_config(seed=18, adversary=name, shared_key=script.requires_shared_key)
         sim, setup = _staged_run(cfg)
         contract = sim.ledger.contracts[setup.cid]
         for j, key in contract.key_revealed.items():

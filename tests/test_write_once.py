@@ -90,7 +90,7 @@ def write_once(monkeypatch) -> dict[type, object]:
 def guarded_flows():
     """(label, config, script) for every flow run under the guard."""
     for name, script in sorted(standard_scripts(suite_config()).items()):
-        config = suite_config(adversary=name, shared_key=(name == "SHARED_KEY_LEAK"))
+        config = suite_config(adversary=name, shared_key=script.requires_shared_key)
         yield name, config, script
     yield "HONEST shared_key", suite_config(shared_key=True, seed=1), None
     yield "HONEST unmerged", suite_config(merged_query=False, seed=2), None
